@@ -1089,6 +1089,39 @@ mod tests {
     }
 
     #[test]
+    fn protocol_documents_nest_inside_the_parser_limit() {
+        use crate::json::{Json, MAX_DEPTH};
+
+        fn depth(v: &Json) -> usize {
+            match v {
+                Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                Json::Obj(pairs) => 1 + pairs.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+                _ => 0,
+            }
+        }
+        let dir = tempdir("depth");
+        let engine = Engine::build(EngineConfig {
+            shards: 2,
+            cache_dir: Some(dir.join("results")),
+            snapshot_dir: Some(dir.join("snapshots")),
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let optimized = engine.handle(optimize(INPUT, "REDTEST:ADDADD=trace[2]"));
+        let stats = engine.handle(Request::Stats);
+        let deepest = [optimized, stats]
+            .iter()
+            .map(|r| depth(&Json::parse(&r.to_json_text()).unwrap()))
+            .max()
+            .unwrap();
+        // The `stats` response is the deepest document the protocol sends
+        // (status > stats > shards > shard > analysis_cache).
+        assert_eq!(deepest, 5);
+        assert!(deepest < MAX_DEPTH);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_cost_model_is_a_startup_error_not_an_install() {
         let dir = tempdir("badmpt");
         let path = dir.join("bad.mpt");

@@ -5,7 +5,8 @@
 //! subset is exactly RFC 8259 minus some numeric edge cases: numbers are
 //! held as `f64` (integers round-trip exactly up to 2^53, far beyond any
 //! counter this service transmits), and object keys keep insertion order so
-//! emitted responses are stable for tests and humans.
+//! emitted responses are stable for tests and humans. Nesting is capped at
+//! [`MAX_DEPTH`], because every frame a client sends is parsed here.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -32,6 +33,18 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Move a member's value out of an object (first match), leaving
+    /// `null` in its place.
+    pub(crate) fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
             _ => None,
         }
     }
@@ -92,12 +105,12 @@ impl Json {
     }
 
     /// Parse a complete JSON document (trailing whitespace allowed).
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`] are an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(JsonError::at(pos, "trailing characters after value"));
         }
         Ok(value)
@@ -207,21 +220,43 @@ fn write_value(v: &Json, out: &mut String) {
     }
 }
 
+/// Write `s` as a JSON string literal. Bytes that need no escape are
+/// copied a whole run at a time; the escape set is `\"`, `\\`, `\n`, `\r`,
+/// `\t`, and `\u00xx` for the other bytes below 0x20. Everything else,
+/// non-ASCII included, passes through as is.
 fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        // Every escaped byte is ASCII, so `run..i` sits on char boundaries.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The protocol's
+/// deepest document, a `stats` response, nests five levels; the cap keeps
+/// a hostile frame of brackets from overflowing the parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
@@ -238,16 +273,25 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parse one value at `pos`; `depth` counts the arrays and objects that
+/// enclose it.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err(JsonError::at(*pos, "unexpected end of input"));
     };
+    if matches!(b, b'[' | b'{') && depth >= MAX_DEPTH {
+        return Err(JsonError::at(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        ));
+    }
     match b {
         b'n' => expect(bytes, pos, "null").map(|_| Json::Null),
         b't' => expect(bytes, pos, "true").map(|_| Json::Bool(true)),
         b'f' => expect(bytes, pos, "false").map(|_| Json::Bool(false)),
-        b'"' => parse_string(bytes, pos).map(Json::Str),
+        b'"' => parse_string(text, pos).map(Json::Str),
         b'[' => {
             *pos += 1;
             let mut items = Vec::new();
@@ -257,7 +301,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -279,10 +323,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -295,7 +339,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 }
             }
         }
-        b'-' | b'0'..=b'9' => parse_number(bytes, pos),
+        b'-' | b'0'..=b'9' => parse_number(text, pos),
         other => Err(JsonError::at(
             *pos,
             format!("unexpected byte 0x{other:02x}"),
@@ -303,7 +347,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -313,54 +358,154 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| JsonError::at(start, "invalid utf-8 in number"))?;
+    // The scan stopped at the first non-ASCII byte, so this is a boundary.
+    let text = &text[start..*pos];
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| JsonError::at(start, format!("bad number `{text}`")))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+/// Parse a string literal at `pos`. Runs between escapes are sliced
+/// straight out of `text`: the delimiters `"` and `\` are ASCII, so every
+/// run starts and ends on a char boundary and needs no UTF-8 check.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(JsonError::at(*pos, "expected string"));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
+        let run = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        out.push_str(&text[run..*pos]);
         let Some(&b) = bytes.get(*pos) else {
             return Err(JsonError::at(*pos, "unterminated string"));
         };
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
+        *pos += 1;
+        if b == b'"' {
+            return Ok(out);
+        }
+        let Some(&esc) = bytes.get(*pos) else {
+            return Err(JsonError::at(*pos, "dangling escape"));
+        };
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => out.push(parse_unicode_escape(text, pos)?),
+            other => {
+                return Err(JsonError::at(
+                    *pos,
+                    format!("unsupported escape `\\{}`", other as char),
+                ))
             }
-            b'\\' => {
-                *pos += 1;
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err(JsonError::at(*pos, "dangling escape"));
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| JsonError::at(*pos, "truncated \\u escape"))?;
-                        let mut cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError::at(*pos, format!("bad \\u escape `{hex}`")))?;
-                        *pos += 4;
-                        // Surrogate pair?
-                        if (0xD800..0xDC00).contains(&cp) {
-                            if bytes.get(*pos) == Some(&b'\\') && bytes.get(*pos + 1) == Some(&b'u')
+        }
+    }
+}
+
+/// Decode the four hex digits after `\u` at `pos`, joining a following
+/// `\uDC00`–`\uDFFF` onto a high surrogate. Lone surrogates decode to
+/// U+FFFD.
+fn parse_unicode_escape(text: &str, pos: &mut usize) -> Result<char, JsonError> {
+    let bytes = text.as_bytes();
+    let hex = text
+        .get(*pos..*pos + 4)
+        .ok_or_else(|| JsonError::at(*pos, "truncated \\u escape"))?;
+    let mut cp = u32::from_str_radix(hex, 16)
+        .map_err(|_| JsonError::at(*pos, format!("bad \\u escape `{hex}`")))?;
+    *pos += 4;
+    if (0xD800..0xDC00).contains(&cp)
+        && bytes.get(*pos) == Some(&b'\\')
+        && bytes.get(*pos + 1) == Some(&b'u')
+    {
+        let lo_hex = text
+            .get(*pos + 2..*pos + 6)
+            .ok_or_else(|| JsonError::at(*pos, "truncated surrogate"))?;
+        let lo =
+            u32::from_str_radix(lo_hex, 16).map_err(|_| JsonError::at(*pos, "bad surrogate"))?;
+        if (0xDC00..0xE000).contains(&lo) {
+            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+            *pos += 6;
+        }
+    }
+    Ok(char::from_u32(cp).unwrap_or('\u{FFFD}'))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The char-at-a-time encoder the run-based one replaced: the oracle
+    /// for its wire bytes.
+    fn reference_write_string(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// The char-at-a-time decoder the run-based one replaced: the oracle
+    /// for its values and error offsets.
+    fn reference_parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+        if bytes.get(*pos) != Some(&b'"') {
+            return Err(JsonError::at(*pos, "expected string"));
+        }
+        *pos += 1;
+        let mut out = String::new();
+        loop {
+            let Some(&b) = bytes.get(*pos) else {
+                return Err(JsonError::at(*pos, "unterminated string"));
+            };
+            match b {
+                b'"' => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                b'\\' => {
+                    *pos += 1;
+                    let Some(&esc) = bytes.get(*pos) else {
+                        return Err(JsonError::at(*pos, "dangling escape"));
+                    };
+                    *pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            let hex = bytes
+                                .get(*pos..*pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .ok_or_else(|| JsonError::at(*pos, "truncated \\u escape"))?;
+                            let mut cp = u32::from_str_radix(hex, 16).map_err(|_| {
+                                JsonError::at(*pos, format!("bad \\u escape `{hex}`"))
+                            })?;
+                            *pos += 4;
+                            if (0xD800..0xDC00).contains(&cp)
+                                && bytes.get(*pos) == Some(&b'\\')
+                                && bytes.get(*pos + 1) == Some(&b'u')
                             {
                                 let lo_hex = bytes
                                     .get(*pos + 2..*pos + 6)
@@ -373,40 +518,169 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                                     *pos += 6;
                                 }
                             }
+                            out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
                         }
-                        out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                    }
-                    other => {
-                        return Err(JsonError::at(
-                            *pos,
-                            format!("unsupported escape `\\{}`", other as char),
-                        ))
+                        other => {
+                            return Err(JsonError::at(
+                                *pos,
+                                format!("unsupported escape `\\{}`", other as char),
+                            ))
+                        }
                     }
                 }
-            }
-            _ => {
-                // Consume one UTF-8 scalar.
-                let len = match b {
-                    0x00..=0x7F => 1,
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    0xF0..=0xF7 => 4,
-                    _ => return Err(JsonError::at(*pos, "invalid utf-8")),
-                };
-                let chunk = bytes
-                    .get(*pos..*pos + len)
-                    .and_then(|c| std::str::from_utf8(c).ok())
-                    .ok_or_else(|| JsonError::at(*pos, "invalid utf-8"))?;
-                out.push_str(chunk);
-                *pos += len;
+                _ => {
+                    let len = match b {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        0xF0..=0xF7 => 4,
+                        _ => return Err(JsonError::at(*pos, "invalid utf-8")),
+                    };
+                    let chunk = bytes
+                        .get(*pos..*pos + len)
+                        .and_then(|c| std::str::from_utf8(c).ok())
+                        .ok_or_else(|| JsonError::at(*pos, "invalid utf-8"))?;
+                    out.push_str(chunk);
+                    *pos += len;
+                }
             }
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// A seeded xorshift64 stream: the property tests are deterministic.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+            items[self.below(items.len())]
+        }
+    }
+
+    /// A random string mixing plain ASCII, the escaped bytes, every byte
+    /// 0x00–0x1F, 0x7F, and 2-, 3- and 4-byte UTF-8.
+    fn random_text(rng: &mut Rng) -> String {
+        const PIECES: &[&str] = &[
+            "\tmovl\t$1, %eax\n",
+            "abc",
+            " ",
+            "\"",
+            "\\",
+            "\u{7f}",
+            "\u{e9}",
+            "\u{7ff}",
+            "\u{20ac}",
+            "\u{4e2d}",
+            "\u{fffd}",
+            "\u{1f600}",
+            "\u{10ffff}",
+        ];
+        let mut s = String::new();
+        for _ in 0..rng.below(40) {
+            if rng.below(4) == 0 {
+                s.push(char::from(rng.below(0x20) as u8));
+            } else {
+                s.push_str(rng.pick(PIECES));
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn encoder_matches_reference_and_round_trips() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut all_bytes = String::new();
+        for b in 0u8..0x80 {
+            all_bytes.push(char::from(b));
+        }
+        let mut cases = vec![String::new(), all_bytes];
+        cases.extend((0..2000).map(|_| random_text(&mut rng)));
+        for s in cases {
+            let mut fast = String::new();
+            write_string(&s, &mut fast);
+            let mut reference = String::new();
+            reference_write_string(&s, &mut reference);
+            assert_eq!(fast, reference, "encoder diverges on {s:?}");
+            assert_eq!(Json::parse(&fast), Ok(Json::Str(s.clone())), "{fast:?}");
+        }
+    }
+
+    #[test]
+    fn decoder_matches_reference_on_escaped_and_malformed_input() {
+        const FRAGMENTS: &[&str] = &[
+            "plain text",
+            "\u{e9}\u{20ac}\u{1f600}",
+            "\u{1}\u{1f}\u{7f}",
+            "\t",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\b",
+            "\\f",
+            "\\n",
+            "\\r",
+            "\\t",
+            "\\u0041",
+            "\\u00e9",
+            "\\u001F",
+            "\\ud83d\\ude00",
+            "\\uD834\\uDD1E",
+            "\\uDBFF\\uDFFF",
+            "\\ud83d",
+            "\\ude00",
+            "\\ud83d\\u0041",
+            "\\ud83d\\uZZZZ",
+            "\\ud83d\\u12",
+            "\\ud83d\\u00\u{e9}",
+            "\\u12",
+            "\\uZZ12",
+            "\\u+041",
+            "\\u00\u{e9}",
+            "\\x",
+            "\\\u{e9}",
+            "\\",
+        ];
+        const ENDINGS: &[&str] = &["\"", "\"", "", "\\", "\" trailing", "\\u"];
+        let mut rng = Rng(0xD1B5_4A32_D192_ED03);
+        for _ in 0..5000 {
+            let mut input = String::from("\"");
+            for _ in 0..rng.below(6) {
+                input.push_str(rng.pick(FRAGMENTS));
+            }
+            input.push_str(rng.pick(ENDINGS));
+            let (mut fast_pos, mut reference_pos) = (0, 0);
+            let fast = parse_string(&input, &mut fast_pos);
+            let reference = reference_parse_string(input.as_bytes(), &mut reference_pos);
+            assert_eq!(fast, reference, "decoder diverges on {input:?}");
+            if fast.is_ok() {
+                assert_eq!(fast_pos, reference_pos, "end offset on {input:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(Json::parse(&objects).unwrap_err().offset, 5 * MAX_DEPTH);
+        // Far below the frame cap, far above any stack's worth of frames.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+    }
 
     #[test]
     fn roundtrip_basic() {

@@ -76,50 +76,47 @@ impl Request {
     /// Parse a request from its JSON text.
     pub fn from_json_text(text: &str) -> Result<Request, String> {
         let value = Json::parse(text).map_err(|e| e.to_string())?;
-        Request::from_json(&value)
+        Request::from_json(value)
     }
 
-    /// Parse a request from a JSON value.
-    pub fn from_json(value: &Json) -> Result<Request, String> {
+    /// Parse a request from a JSON value, moving the assembly text out of
+    /// it rather than copying it.
+    pub fn from_json(mut value: Json) -> Result<Request, String> {
         let ty = value
             .get("type")
             .and_then(Json::as_str)
             .ok_or_else(|| "request needs a string `type` member".to_string())?;
         match ty {
-            "optimize" => {
-                let asm = value
-                    .get("asm")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "optimize request needs a string `asm`".to_string())?
-                    .to_string();
-                let passes = value
-                    .get("passes")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string();
-                let isa = match value.get("isa").and_then(Json::as_str) {
-                    None => IsaId::default(),
-                    Some(name) => {
-                        IsaId::from_name(name).ok_or_else(|| format!("unknown isa `{name}`"))?
-                    }
-                };
-                let options = value.get("options");
-                let get = |key: &str| options.and_then(|o| o.get(key));
-                Ok(Request::Optimize(OptimizeRequest {
-                    asm,
-                    passes,
-                    jobs: get("jobs").and_then(Json::as_u64).map(|n| n as usize),
-                    timeout_ms: get("timeout_ms").and_then(Json::as_u64),
-                    use_cache: get("cache").and_then(Json::as_bool).unwrap_or(true),
-                    isa,
-                }))
-            }
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "ping" => Ok(Request::Ping),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown request type `{other}`")),
+            "optimize" => {}
+            "stats" => return Ok(Request::Stats),
+            "metrics" => return Ok(Request::Metrics),
+            "ping" => return Ok(Request::Ping),
+            "shutdown" => return Ok(Request::Shutdown),
+            other => return Err(format!("unknown request type `{other}`")),
         }
+        let asm = match value.take("asm") {
+            Some(Json::Str(asm)) => asm,
+            _ => return Err("optimize request needs a string `asm`".to_string()),
+        };
+        let passes = value
+            .get("passes")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_string();
+        let isa = match value.get("isa").and_then(Json::as_str) {
+            None => IsaId::default(),
+            Some(name) => IsaId::from_name(name).ok_or_else(|| format!("unknown isa `{name}`"))?,
+        };
+        let options = value.get("options");
+        let get = |key: &str| options.and_then(|o| o.get(key));
+        Ok(Request::Optimize(OptimizeRequest {
+            asm,
+            passes,
+            jobs: get("jobs").and_then(Json::as_u64).map(|n| n as usize),
+            timeout_ms: get("timeout_ms").and_then(Json::as_u64),
+            use_cache: get("cache").and_then(Json::as_bool).unwrap_or(true),
+            isa,
+        }))
     }
 
     /// Serialize to the wire JSON.

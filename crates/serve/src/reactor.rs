@@ -485,28 +485,32 @@ fn read_and_dispatch(
         }
     }
 
+    // Frames are decoded straight out of `rbuf`; the consumed prefix is
+    // dropped once at the end, so a burst of pipelined frames costs one
+    // shift of the unread tail rather than one per frame.
+    let rbuf = std::mem::take(&mut conn.rbuf);
+    let mut at = 0;
     loop {
         // Finish discarding an oversized frame's payload first.
         if conn.skip > 0 {
-            let n = conn.skip.min(conn.rbuf.len());
-            conn.rbuf.drain(..n);
+            let n = conn.skip.min(rbuf.len() - at);
+            at += n;
             conn.skip -= n;
             if conn.skip > 0 {
                 break;
             }
             continue;
         }
-        if conn.rbuf.len() < 4 {
+        let Some(header) = rbuf.get(at..at + 4) else {
             break;
-        }
-        let len =
-            u32::from_be_bytes([conn.rbuf[0], conn.rbuf[1], conn.rbuf[2], conn.rbuf[3]]) as usize;
+        };
+        let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
         if len > max_frame {
             // Refuse the frame but keep the connection: skip the payload
             // and answer in sequence like any other request.
             let seq = conn.next_seq;
             conn.next_seq += 1;
-            conn.rbuf.drain(..4);
+            at += 4;
             conn.skip = len;
             conn.complete(
                 seq,
@@ -517,15 +521,16 @@ fn read_and_dispatch(
             );
             continue;
         }
-        if conn.rbuf.len() < 4 + len {
+        let Some(payload) = rbuf.get(at + 4..at + 4 + len) else {
             break;
-        }
-        let payload: Vec<u8> = conn.rbuf[4..4 + len].to_vec();
-        conn.rbuf.drain(..4 + len);
+        };
+        at += 4 + len;
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        dispatch(engine, shared, conn_id, conn, seq, &payload);
+        dispatch(engine, shared, conn_id, conn, seq, payload);
     }
+    conn.rbuf = rbuf;
+    conn.rbuf.drain(..at);
 }
 
 /// Decode one frame and hand it to the engine. Responses — inline or from

@@ -1,9 +1,11 @@
 //! Socket-level tests of the event-driven connection layer: pipelined
 //! frames on one connection come back in request order even when the
 //! first request is the slowest, and idle connections are closed by the
-//! reactor's timeout sweep.
+//! reactor's timeout sweep. A frame nested past the JSON parser's depth
+//! limit is refused without taking the daemon down.
 #![cfg(unix)]
 
+use std::io::Write;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
@@ -78,6 +80,37 @@ fn pipelined_responses_come_back_in_request_order() {
         assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
     }
 
+    // A few hundred frames in a single write land in one read buffer.
+    // Every third names its index in an unknown request type, so the
+    // error echoing it pins each answer to its place in the stream.
+    let mut burst = Vec::new();
+    for i in 0..300 {
+        let payload = if i % 3 == 2 {
+            format!(r#"{{"type":"probe-{i}"}}"#)
+        } else {
+            Request::Ping.to_json().to_string()
+        };
+        write_frame(&mut burst, payload.as_bytes()).expect("frame buffered");
+    }
+    conn.write_all(&burst).expect("burst written");
+    for i in 0..300 {
+        let response = recv(&mut conn);
+        if i % 3 == 2 {
+            let message = response.get("error").unwrap().get("message").unwrap();
+            assert_eq!(
+                message.as_str(),
+                Some(format!("unknown request type `probe-{i}`").as_str()),
+                "response {i} out of order"
+            );
+        } else {
+            assert_eq!(
+                response.get("pong").and_then(Json::as_bool),
+                Some(true),
+                "response {i} out of order"
+            );
+        }
+    }
+
     send(&mut conn, &Request::Shutdown);
     let ack = recv(&mut conn);
     assert_eq!(ack.get("shutdown").and_then(Json::as_bool), Some(true));
@@ -117,5 +150,32 @@ fn idle_connections_are_closed_by_the_reactor() {
     let ack = recv(&mut fresh);
     assert_eq!(ack.get("shutdown").and_then(Json::as_bool), Some(true));
     drop(fresh);
+    server.join().unwrap().expect("server drains cleanly");
+}
+
+#[test]
+fn deeply_nested_frame_is_a_bad_request_and_the_daemon_lives_on() {
+    let (addr, server) = start(EngineConfig {
+        shards: 1,
+        ..EngineConfig::default()
+    });
+    let mut conn = connect_with_retry(&addr, Duration::from_secs(5)).expect("connect");
+
+    // 100,000 open brackets: far below the frame cap, but deep enough to
+    // overflow the reactor's stack if the parser recursed without bound.
+    write_frame(&mut conn, "[".repeat(100_000).as_bytes()).expect("frame written");
+    let response = recv(&mut conn);
+    assert_eq!(response.get("status").unwrap().as_str(), Some("error"));
+    let error = response.get("error").unwrap();
+    assert_eq!(error.get("kind").unwrap().as_str(), Some("bad_request"));
+
+    send(&mut conn, &Request::Ping);
+    let pong = recv(&mut conn);
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+
+    send(&mut conn, &Request::Shutdown);
+    let ack = recv(&mut conn);
+    assert_eq!(ack.get("shutdown").and_then(Json::as_bool), Some(true));
+    drop(conn);
     server.join().unwrap().expect("server drains cleanly");
 }

@@ -245,6 +245,13 @@ grep -q '^mao_result_cache_misses_total 1$' "$WORK/metrics_warm.txt"
 grep -q '"status":"ok"' "$WORK/stats.json"
 grep -q '"result_cache":{"hits":1,"misses":1' "$WORK/stats.json"
 
+# (c2) a line of 100,000 `[` is refused as bad_request by the JSON depth
+# limit; the batch engine answers it and exits 0 instead of overflowing
+# its stack
+printf '%*s\n' 100000 '' | tr ' ' '[' | "$MAO" batch > "$WORK/deep.out"
+grep -q '"kind":"bad_request"' "$WORK/deep.out"
+grep -q 'nesting deeper than' "$WORK/deep.out"
+
 # (d) graceful shutdown: ack, clean exit, socket removed
 "$MAO" client --listen "$SOCK" --shutdown | grep -q '"shutdown":true'
 wait "$DAEMON_PID"
