@@ -4,21 +4,24 @@
 //! often its loop nest and dataflow tables on top. Between passes that did
 //! not modify a function, those results are identical — the paper's pipeline
 //! recomputes them anyway. [`AnalysisCache`] memoizes CFG, loop structure,
-//! liveness, and reaching definitions per function, keyed by a content hash
-//! of the function's entries *and* their absolute positions, so any edit
-//! that changes or moves a function automatically misses.
+//! liveness, and reaching definitions per function, keyed by
+//! [`function_key`]: the function's name and absolute spans, the identity of
+//! its body entries, and the identity of the unit's entries outside every
+//! function span. Any edit that changes or moves a function misses.
 //!
-//! Invalidation is driven by [`MaoUnit::apply`]: interior edits shift entry
-//! ids (position is part of the key, so moved functions re-key), and
-//! structural edits bump [`MaoUnit::context_epoch`], which flushes the whole
-//! cache — necessary because CFG construction can read entries *outside*
-//! the function's spans (jump tables in `.rodata`) that the key does not
-//! cover.
+//! The body and context identities are memoized on the unit's index (see
+//! `unit.rs`): a body is content-hashed once per index build, and an edit
+//! that touches it gives it a fresh stamp instead of a rehash, so a lookup
+//! costs O(spans), not O(entries). The context identity is what keeps a
+//! shared cache from handing one unit a CFG built against another unit's
+//! jump tables: CFG construction reads entries *outside* the function's
+//! spans (`.rodata` tables). Structural edits also bump
+//! [`MaoUnit::context_epoch`], which flushes the whole cache.
 //!
 //! The cache is `Sync`: the parallel driver shares one instance across
 //! worker threads. Analyses are built lazily behind [`OnceLock`]s and handed
-//! out as [`Arc`]s, so a hit costs one hash, one lock acquisition, and a
-//! refcount bump.
+//! out as [`Arc`]s, so a hit costs one short hash, one lock acquisition,
+//! and a refcount bump.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -32,10 +35,9 @@ use crate::loops::{find_loops, LoopNest};
 use crate::relax::{Layout, RelaxError, Relaxed};
 use crate::unit::{Function, MaoUnit};
 
-/// Content key of a whole unit, for the layout slot. 128 bits (two
-/// differently-seeded hashers) because a 64-bit collision between distinct
-/// units would silently hand a request the wrong layout — at 2⁻⁶⁴ per pair
-/// that is an acceptable risk only squared.
+/// The from-scratch unit content key, the oracle for the memoized
+/// [`MaoUnit::content_key`] (whose value persistent layout stores depend on).
+#[cfg(test)]
 fn unit_key(unit: &MaoUnit) -> u128 {
     let mut lo = std::collections::hash_map::DefaultHasher::new();
     let mut hi = std::collections::hash_map::DefaultHasher::new();
@@ -73,11 +75,14 @@ pub trait LayoutStore: Send + Sync + std::fmt::Debug {
     fn store(&self, key: u128, isa: IsaId, layout: &Layout);
 }
 
-/// Content key of a function: its absolute spans plus every entry in them.
+/// Key of a function's analyses: its name, label and absolute spans, its
+/// body key, and the unit's context key.
 ///
 /// Positions are part of the key on purpose: cached analyses store absolute
 /// entry ids (CFG blocks hold `EntryId`s), so a function whose body is
-/// unchanged but *shifted* by an edit to an earlier function must miss.
+/// unchanged but *shifted* by an edit to an earlier function must miss. The
+/// body key is the index's memoized one when `function` is the unit's
+/// current view of it, and a content hash of its entries otherwise.
 pub fn function_key(unit: &MaoUnit, function: &Function) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     function.name.hash(&mut h);
@@ -86,9 +91,8 @@ pub fn function_key(unit: &MaoUnit, function: &Function) -> u64 {
         span.start.hash(&mut h);
         span.end.hash(&mut h);
     }
-    for id in function.entry_ids() {
-        unit.entry(id).hash(&mut h);
-    }
+    unit.body_key(function).hash(&mut h);
+    unit.context_key().hash(&mut h);
     h.finish()
 }
 
@@ -358,7 +362,7 @@ impl AnalysisCache {
     /// Like [`AnalysisCache::layout`] but returns the full solved state
     /// (layout plus fragment model) for `LayoutCache` to patch from.
     pub(crate) fn relaxed(&self, unit: &MaoUnit) -> Result<Arc<Relaxed>, RelaxError> {
-        let key = unit_key(unit);
+        let key = unit.content_key();
         {
             let mut layouts = self.layouts.lock().unwrap();
             layouts.clock += 1;
@@ -620,6 +624,112 @@ g:
             cache.stats().hits,
             0,
             "epoch bump must flush even content-identical entries"
+        );
+    }
+
+    /// `f` dispatches through `.Ltab`; the units differ only in the table.
+    fn jump_table_unit(table: &str) -> MaoUnit {
+        MaoUnit::parse(&format!(
+            "\t.text\n\t.type\tf, @function\nf:\n\tjmp *.Ltab(,%rax,8)\n\
+             .Lc0:\n\tret\n.Lc1:\n\tret\n\t.section\t.rodata\n.Ltab:\n{table}"
+        ))
+        .unwrap()
+    }
+
+    /// Two units at the same context epoch whose functions are identical
+    /// but whose jump tables differ must not share a CFG through one cache.
+    #[test]
+    fn shared_cache_keeps_jump_table_contexts_apart() {
+        let a = jump_table_unit("\t.quad\t.Lc0\n\t.quad\t.Lc1\n");
+        let b = jump_table_unit("\t.quad\t.Lc1\n");
+        assert_eq!(a.context_epoch(), b.context_epoch());
+        let cache = AnalysisCache::new();
+        let fa = a.find_function("f").unwrap();
+        let fb = b.find_function("f").unwrap();
+        assert_eq!(fa, fb, "same view, so only the context tells them apart");
+        assert_eq!(
+            cache.for_function(&a, &fa).cfg(&a, &fa).blocks[0].succs,
+            [1, 2]
+        );
+        let cfg_b = cache.for_function(&b, &fb).cfg(&b, &fb);
+        assert_eq!(cfg_b.blocks[0].succs, Cfg::build(&b, &fb).blocks[0].succs);
+        assert_eq!(cfg_b.blocks[0].succs, [2]);
+        assert_eq!(cache.stats().misses, 2);
+    }
+
+    /// The memoized unit key keeps today's value (persistent layout stores
+    /// are keyed by it) and follows every edit.
+    #[test]
+    fn memoized_content_key_matches_the_from_scratch_hash() {
+        let mut unit = MaoUnit::parse(TWO_FUNCS).unwrap();
+        assert_eq!(unit.content_key(), unit_key(&unit));
+        let g = unit.find_function("g").unwrap();
+        let mut edits = EditSet::new();
+        edits.replace_insn(g.spans[0].start + 1, Instruction::nop_of_len(3));
+        unit.apply(edits);
+        assert_eq!(unit.content_key(), unit_key(&unit));
+        *unit.entry_mut(1) = mao_asm::Entry::Insn(Instruction::nop().into());
+        assert_eq!(unit.content_key(), unit_key(&unit));
+        let a64 = MaoUnit::parse_isa("\tnop\n", IsaId::Aarch64).unwrap();
+        assert_eq!(a64.content_key(), unit_key(&a64));
+    }
+
+    /// Functions with the patterns the bench pipeline's passes fire on: a
+    /// redundant test, a zero-extension, an add pair, a foldable constant,
+    /// a dead block, and small loops for the alignment passes.
+    const PIPELINE_UNIT: &str = "\t.text\n\t.type\tf0, @function\nf0:\n\
+        \tsubl\t$16, %r15d\n\ttestl\t%r15d, %r15d\n\tjne\t.L1\n\
+        \taddl\t$3, %eax\n\taddl\t$4, %eax\n.L1:\n\tret\n\
+        \t.type\tf1, @function\nf1:\n\tandl\t$255, %eax\n\tmovl\t%eax, %eax\n\
+        \tmovl\t$2, %ecx\n\taddl\t$5, %ecx\n\tret\n.Ldead:\n\taddl\t$1, %edx\n\tret\n\
+        \t.type\tf2, @function\nf2:\n\tmovl\t$0, %eax\n.L2:\n\taddl\t$1, %eax\n\
+        \tcmpl\t$100, %eax\n\tjne\t.L2\n\tret\n\
+        \t.type\tf3, @function\nf3:\n\tnop\n\tnop\n\tnop\n.L3:\n\tsubl\t$1, %edi\n\
+        \tjne\t.L3\n\tret\n";
+
+    /// One run of the benchmark's pass string hashes each function body at
+    /// most once per index build and the whole unit at most once per unit
+    /// version, however many analysis lookups the passes make.
+    #[test]
+    fn pipeline_hashing_stays_within_budget() {
+        use crate::pass::{parse_invocations, run_pipeline_shared, PipelineConfig};
+        use crate::unit::hash_counts::{
+            get, BODY_HASHES, INDEXED_FUNCTIONS, UNIT_HASHES, VERSIONS,
+        };
+        let passes = "REDZEXT:REDTEST:REDMOV:ADDADD:CONSTFOLD:DCE:SCHED:BRALIGN:LOOP16:LSDFIT";
+        let mut unit = MaoUnit::parse(PIPELINE_UNIT).unwrap();
+        let analyses = Arc::new(AnalysisCache::new());
+        let counts = || [&BODY_HASHES, &INDEXED_FUNCTIONS, &UNIT_HASHES, &VERSIONS].map(get);
+        let before = counts();
+        let report = run_pipeline_shared(
+            &mut unit,
+            &parse_invocations(passes).unwrap(),
+            None,
+            &PipelineConfig { jobs: 1 },
+            &analyses,
+        )
+        .unwrap();
+        let after = counts();
+        let [bodies, indexed, units, versions] = std::array::from_fn(|i| after[i] - before[i]);
+        let stats = analyses.stats();
+        assert!(
+            report.total_transformations() > 0,
+            "the unit must be edited"
+        );
+        assert!(versions > 0 && units > 0);
+        assert!(
+            bodies <= indexed,
+            "{bodies} body hashes for {indexed} indexed function slots"
+        );
+        assert!(
+            units <= versions + 1,
+            "{units} unit hashes for {} unit versions",
+            versions + 1
+        );
+        assert!(
+            bodies < stats.hits + stats.misses,
+            "{bodies} body hashes is no saving over {} lookups",
+            stats.hits + stats.misses
         );
     }
 }

@@ -31,7 +31,7 @@ pub type BlockId = usize;
 
 /// A basic block: a run of entries with a single entry point and a single
 /// exit point.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BasicBlock {
     /// Entries in this block (labels, instructions, non-section directives).
     pub entries: Vec<EntryId>,
@@ -79,7 +79,7 @@ impl BasicBlock {
 }
 
 /// Control-flow graph of one function.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cfg {
     /// Basic blocks in layout order; block 0 is the function entry.
     pub blocks: Vec<BasicBlock>,

@@ -138,7 +138,7 @@ impl InsnEffects {
 }
 
 /// Backward liveness over a CFG.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Liveness {
     /// Registers live at block entry.
     pub live_in: Vec<RegSet>,

@@ -777,17 +777,18 @@ pub struct LayoutCacheStats {
 
 struct CacheEntry {
     relaxed: Arc<Relaxed>,
-    epoch: u64,
-    len: usize,
+    /// The [`MaoUnit::version`] the layout was solved or patched for.
+    version: u64,
 }
 
 /// Incrementally maintained layout for a unit being transformed by a pass.
 ///
-/// Contract: route every edit through [`LayoutCache::patch`]. Edits applied
-/// behind the cache's back are mostly caught by the epoch/length check and
-/// force a full re-solve, but a same-length in-place mutation would go
-/// unnoticed — the five layout-consuming passes all honor the contract via
-/// `LayoutProvider`.
+/// The cached layout is valid exactly while the unit's
+/// [`MaoUnit::version`] equals the one it was solved or patched for. Every
+/// edit draws a new version, so an edit applied behind the cache's back
+/// (`MaoUnit::apply`, `MaoUnit::entry_mut`) or another unit handed to the
+/// same cache forces a full solve instead of a stale answer; route edits
+/// through [`LayoutCache::patch`] to keep the incremental path.
 #[derive(Default)]
 pub struct LayoutCache {
     analyses: Option<Arc<crate::AnalysisCache>>,
@@ -821,7 +822,7 @@ impl LayoutCache {
     /// call, otherwise a full solve.
     pub fn layout(&mut self, unit: &MaoUnit) -> Result<Arc<Layout>, RelaxError> {
         if let Some(st) = &self.state {
-            if st.epoch == unit.context_epoch() && st.len == unit.len() {
+            if st.version == unit.version() {
                 self.stats.hits += 1;
                 return Ok(st.relaxed.layout.clone());
             }
@@ -836,8 +837,7 @@ impl LayoutCache {
         let layout = relaxed.layout.clone();
         self.state = Some(CacheEntry {
             relaxed,
-            epoch: unit.context_epoch(),
-            len: unit.len(),
+            version: unit.version(),
         });
         Ok(layout)
     }
@@ -853,9 +853,8 @@ impl LayoutCache {
     /// call. Either way the unit ends up exactly as `MaoUnit::apply` would
     /// leave it, and the next layout equals a from-scratch [`relax`].
     pub fn patch(&mut self, unit: &mut MaoUnit, edits: EditSet) -> Result<(), RelaxError> {
-        let pre_epoch = unit.context_epoch();
         let plan = match &self.state {
-            Some(st) if st.epoch == pre_epoch && st.len == unit.len() => {
+            Some(st) if st.version == unit.version() => {
                 splice_model(&st.relaxed.model, unit.entries(), &edits)
             }
             _ => None,
@@ -893,8 +892,7 @@ impl LayoutCache {
                 model,
                 layout: Arc::new(layout),
             }),
-            epoch: unit.context_epoch(),
-            len: unit.len(),
+            version: unit.version(),
         });
         Ok(())
     }
@@ -1036,7 +1034,7 @@ pub fn relax_totals() -> RelaxTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::x86::Mnemonic;
+    use crate::isa::x86::{Instruction, Mnemonic};
 
     /// The exact scenario from the paper's §II listing: a forward `jmp` over
     /// a 0x7f-byte gap fits rel8; inserting a single NOP before the target
@@ -1342,5 +1340,38 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().solves, 1);
+    }
+
+    /// A same-length edit applied behind the cache's back (neither the
+    /// entry count nor the context epoch moves) must still be seen.
+    #[test]
+    fn layout_cache_sees_same_length_edit_outside_patch() {
+        let mut unit = MaoUnit::parse("f:\n\tnop\n\tnop\n\tret\n").unwrap();
+        let mut cache = LayoutCache::new();
+        assert_eq!(cache.layout(&unit).unwrap().addr, vec![0, 0, 1, 2]);
+        let mut edits = EditSet::new();
+        edits.replace_insn(1, Instruction::nop_of_len(5));
+        unit.apply(edits);
+        let after = cache.layout(&unit).unwrap();
+        assert_eq!(after.addr, vec![0, 0, 5, 6]);
+        assert!(after.agrees_with(&relax(&unit).unwrap()));
+        assert_eq!(cache.stats().solves, 2, "the stale layout must not hit");
+
+        // `entry_mut` draws a new version even when nothing is written.
+        let _ = unit.entry_mut(1);
+        cache.layout(&unit).unwrap();
+        assert_eq!(cache.stats().solves, 3);
+    }
+
+    /// One cache handed two different units of the same length re-solves.
+    #[test]
+    fn layout_cache_tells_equal_length_units_apart() {
+        let a = MaoUnit::parse("\tnop\n\tret\n").unwrap();
+        let b = MaoUnit::parse("\tpush %rbp\n\tret\n").unwrap();
+        let mut cache = LayoutCache::new();
+        cache.layout(&a).unwrap();
+        let lb = cache.layout(&b).unwrap();
+        assert!(lb.agrees_with(&relax(&b).unwrap()));
+        assert_eq!(cache.stats().solves, 2);
     }
 }

@@ -19,9 +19,20 @@
 //! a full rebuild on next access and bump [`MaoUnit::context_epoch`], the
 //! signal analysis caches use to discard results that may have read
 //! cross-function context (e.g. jump tables in `.rodata`).
+//!
+//! The index also gives each function a *body key* — the identity
+//! [`AnalysisCache`](crate::AnalysisCache) keys its analyses by. A body key
+//! starts as a content hash, computed on first use; a patch carries it over
+//! when the edit left the function's entries alone and replaces it with a
+//! fresh process-unique stamp when it did not, so an edited version gets an
+//! identity without rehashing the body. The entries outside every function
+//! span get one memoized *context key*, and the whole unit a memoized
+//! content key for the layout slot.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use mao_asm::{Directive, Entry, ParseError};
@@ -99,13 +110,90 @@ impl Function {
     }
 }
 
+/// Source of edit stamps and unit versions for the whole process. Values are
+/// unique per process and never written to disk; 0 is left for
+/// default-constructed (empty) units.
+static STAMPS: AtomicU64 = AtomicU64::new(1);
+
+fn next_stamp() -> u64 {
+    STAMPS.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Position-independent identity of one function body's entries. The
+/// variant is hashed along with the value, so a stamp never equals a
+/// content hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum BodyKey {
+    /// Hash of the body's entries: identical text parsed twice agrees.
+    Content(u64),
+    /// Fresh stamp for a body version an edit produced.
+    Stamp(u64),
+}
+
+/// Hash of `entries` over the given ranges — the body key of a function
+/// with these spans, computed from scratch.
+fn content_body_key(entries: &[Entry], spans: &[Range<EntryId>]) -> BodyKey {
+    #[cfg(test)]
+    hash_counts::bump(&hash_counts::BODY_HASHES, 1);
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for span in spans {
+        for e in &entries[span.clone()] {
+            e.hash(&mut h);
+        }
+    }
+    BodyKey::Content(h.finish())
+}
+
+/// Per-thread counts of the hashing work the keys cost, for the tests that
+/// pin the hashing budget.
+#[cfg(test)]
+pub(crate) mod hash_counts {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
+    thread_local! {
+        /// Function bodies content-hashed.
+        pub(crate) static BODY_HASHES: Cell<u64> = const { Cell::new(0) };
+        /// Function slots created by full index builds.
+        pub(crate) static INDEXED_FUNCTIONS: Cell<u64> = const { Cell::new(0) };
+        /// Whole-unit content keys computed.
+        pub(crate) static UNIT_HASHES: Cell<u64> = const { Cell::new(0) };
+        /// New unit versions made by `apply` and `entry_mut`.
+        pub(crate) static VERSIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn bump(counter: &'static LocalKey<Cell<u64>>, n: u64) {
+        counter.with(|c| c.set(c.get() + n));
+    }
+
+    pub(crate) fn get(counter: &'static LocalKey<Cell<u64>>) -> u64 {
+        counter.with(Cell::get)
+    }
+}
+
 /// The section, function, and label views of a unit, built in one pass over
 /// the entries and kept current across [`MaoUnit::apply`] when possible.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 struct UnitIndex {
     sections: Vec<Section>,
     functions: Vec<Function>,
     labels: HashMap<&'static str, EntryId>,
+    /// One body key per function, parallel to `functions`: content-hashed
+    /// on first use, carried or re-stamped by [`MaoUnit::try_patch_index`].
+    body_keys: Vec<OnceLock<BodyKey>>,
+    /// Hash of the entries outside every function span, computed on first
+    /// use and carried across patches, which never touch those entries.
+    context_key: OnceLock<u64>,
+}
+
+impl PartialEq for UnitIndex {
+    fn eq(&self, other: &UnitIndex) -> bool {
+        // Keys are identities, not structure: a patched index carries stamps
+        // where a rebuilt one would hash content.
+        self.sections == other.sections
+            && self.functions == other.functions
+            && self.labels == other.labels
+    }
 }
 
 /// Section name in effect for each entry (`.text` before any section
@@ -206,11 +294,38 @@ fn build_index(entries: &[Entry]) -> UnitIndex {
         });
     }
 
+    #[cfg(test)]
+    hash_counts::bump(&hash_counts::INDEXED_FUNCTIONS, functions.len() as u64);
     UnitIndex {
         sections,
+        body_keys: functions.iter().map(|_| OnceLock::new()).collect(),
         functions,
         labels,
+        context_key: OnceLock::new(),
     }
+}
+
+/// Hash of the entries outside every function span, region by region (each
+/// region's length, then its entries). Positions are left out, so an
+/// interior edit that shifts a trailing `.rodata` keeps the key; region
+/// lengths are in, so moving an entry from one gap to another does not.
+fn context_key(entries: &[Entry], functions: &[Function]) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut gap_start = 0;
+    let gap_ends = functions
+        .iter()
+        .flat_map(|f| &f.spans)
+        .map(|s| (s.start, s.end))
+        .chain(std::iter::once((entries.len(), entries.len())));
+    for (start, end) in gap_ends {
+        let gap = &entries[gap_start..start];
+        gap.len().hash(&mut h);
+        for e in gap {
+            e.hash(&mut h);
+        }
+        gap_start = end;
+    }
+    h.finish()
 }
 
 /// Is this entry one the index structure depends on? Labels define the label
@@ -242,12 +357,17 @@ pub struct MaoUnit {
     /// Analysis caches compare epochs to decide whether per-function results
     /// derived from such context are still valid.
     context_epoch: u64,
+    /// Identity of the current entry list: a fresh stamp at construction
+    /// and after every edit (see [`MaoUnit::version`]).
+    version: u64,
+    /// Memoized [`MaoUnit::content_key`], cleared by every edit.
+    content_key: OnceLock<u128>,
 }
 
 impl PartialEq for MaoUnit {
     fn eq(&self, other: &MaoUnit) -> bool {
-        // The index and epoch are derived/bookkeeping state; two units are
-        // equal iff their entries are.
+        // The index, epoch, version and keys are derived/bookkeeping state;
+        // two units are equal iff their entries are.
         self.entries == other.entries
     }
 }
@@ -260,6 +380,7 @@ impl MaoUnit {
         MaoUnit {
             entries,
             isa,
+            version: next_stamp(),
             ..MaoUnit::default()
         }
     }
@@ -344,6 +465,7 @@ impl MaoUnit {
     /// the context epoch.
     pub fn entry_mut(&mut self, id: EntryId) -> &mut Entry {
         self.invalidate_index();
+        self.new_version();
         &mut self.entries[id]
     }
 
@@ -370,6 +492,69 @@ impl MaoUnit {
         self.context_epoch
     }
 
+    /// Identity of the unit's current entry list. Every unit gets a fresh
+    /// stamp when it is built, and [`MaoUnit::apply`] and
+    /// [`MaoUnit::entry_mut`] draw a new one, so two calls that see the same
+    /// version see the same entries (a clone shares its source's version
+    /// until either is edited). Stamps are process-local: never persist one.
+    #[inline]
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// 128-bit content key of the whole unit (ISA tag plus every entry, two
+    /// differently seeded hashers), memoized per [`MaoUnit::version`]. The
+    /// layout slot and the persistent layout tier are keyed by it, so its
+    /// value must stay stable across releases. 128 bits because a 64-bit
+    /// collision between distinct units would silently hand a request the
+    /// wrong layout.
+    pub fn content_key(&self) -> u128 {
+        *self.content_key.get_or_init(|| {
+            #[cfg(test)]
+            hash_counts::bump(&hash_counts::UNIT_HASHES, 1);
+            let mut lo = std::collections::hash_map::DefaultHasher::new();
+            let mut hi = std::collections::hash_map::DefaultHasher::new();
+            0x6d616f_u64.hash(&mut lo);
+            0x4c4c564d_u64.hash(&mut hi);
+            // The ISA is part of the key: two directive-only units with
+            // identical entries but different targets must not share a
+            // layout slot.
+            self.isa.tag().hash(&mut lo);
+            self.isa.tag().hash(&mut hi);
+            for e in &self.entries {
+                e.hash(&mut lo);
+                e.hash(&mut hi);
+            }
+            (u128::from(hi.finish()) << 64) | u128::from(lo.finish())
+        })
+    }
+
+    /// Identity of `function`'s body entries (not their positions): the
+    /// index's memoized key when `function` is the index's current view of
+    /// that function, else a content hash of the entries it spans.
+    pub(crate) fn body_key(&self, function: &Function) -> BodyKey {
+        let index = self.index();
+        match index
+            .functions
+            .binary_search_by_key(&function.label_id, |f| f.label_id)
+        {
+            Ok(k) if index.functions[k] == *function => {
+                *index.body_keys[k].get_or_init(|| content_body_key(&self.entries, &function.spans))
+            }
+            _ => content_body_key(&self.entries, &function.spans),
+        }
+    }
+
+    /// Hash of the entries outside every function span — the context a
+    /// CFG build can read beyond its own function (jump tables). Memoized
+    /// on the index.
+    pub(crate) fn context_key(&self) -> u64 {
+        let index = self.index();
+        *index
+            .context_key
+            .get_or_init(|| context_key(&self.entries, &index.functions))
+    }
+
     fn index(&self) -> &UnitIndex {
         self.index.get_or_init(|| build_index(&self.entries))
     }
@@ -377,6 +562,14 @@ impl MaoUnit {
     fn invalidate_index(&mut self) {
         self.index = OnceLock::new();
         self.context_epoch = self.context_epoch.wrapping_add(1);
+    }
+
+    /// The entries changed: draw a new version and drop the content key.
+    fn new_version(&mut self) {
+        #[cfg(test)]
+        hash_counts::bump(&hash_counts::VERSIONS, 1);
+        self.version = next_stamp();
+        self.content_key = OnceLock::new();
     }
 
     /// Section name in effect for each entry (`.text` before any section
@@ -563,6 +756,12 @@ impl MaoUnit {
         // before a range start are rejected above).
         let shift_entity =
             |p: EntryId| -> EntryId { shift(p) + edits.insert_before.get(&p).map_or(0, Vec::len) };
+        let touches = |f: &Function| {
+            f.spans.iter().any(|s| {
+                let k = touched.partition_point(|&(id, _)| id < s.start);
+                k < touched.len() && touched[k].0 < s.end
+            })
+        };
 
         Some(UnitIndex {
             sections: index
@@ -587,6 +786,22 @@ impl MaoUnit {
                 .iter()
                 .map(|(&name, &id)| (name, shift_entity(id)))
                 .collect(),
+            // A function the edit left alone keeps its key (its spans may
+            // shift, but the key covers entries, not positions); an edited
+            // one gets a fresh stamp instead of a rehash.
+            body_keys: index
+                .functions
+                .iter()
+                .zip(&index.body_keys)
+                .map(|(f, key)| {
+                    if touches(f) {
+                        OnceLock::from(BodyKey::Stamp(next_stamp()))
+                    } else {
+                        key.clone()
+                    }
+                })
+                .collect(),
+            context_key: index.context_key.clone(),
         })
     }
 
@@ -595,7 +810,8 @@ impl MaoUnit {
     /// If the cached index is live and the edits only touch entries strictly
     /// inside function bodies (no structural entries involved), the index is
     /// patched in place; otherwise it is dropped for a rebuild on next
-    /// access and the context epoch is bumped.
+    /// access and the context epoch is bumped. A non-empty edit set always
+    /// draws a new [`MaoUnit::version`].
     pub fn apply(&mut self, edits: EditSet) -> usize {
         if edits.is_empty() {
             return self.entries.len();
@@ -624,6 +840,7 @@ impl MaoUnit {
             out.extend(at_end.iter().cloned());
         }
         self.entries = out;
+        self.new_version();
 
         match patched {
             Some(idx) => {

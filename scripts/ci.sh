@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: formatting, release build, the full workspace test suite, and an
-# end-to-end daemon smoke test (start `mao serve`, round-trip a request via
-# `mao client`, confirm a repeat is served from cache, query stats, scrape
-# Prometheus metrics cold and warm, clean shutdown). Run from anywhere;
+# CI gate: formatting, release build, the full workspace test suite, the
+# benchmark's oracle tests, and an end-to-end daemon smoke test (start
+# `mao serve`, round-trip a request via `mao client`, confirm a repeat is
+# served from cache, query stats, scrape Prometheus metrics cold and warm,
+# clean shutdown). Run from anywhere;
 # exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,6 +19,12 @@ cargo build --release --workspace
 # This also replays the persisted regression corpus (tests/regressions.rs).
 echo "==> cargo test"
 cargo test -q --workspace
+
+# bench_e2e is a workspace of its own, so --workspace does not reach it. Its
+# oracle tests put a held-out seed through all three benchmark workloads and
+# check one-shot and `maod` output byte-identical (a few minutes in release).
+echo "==> bench_e2e oracle tests"
+cargo test -q --release --manifest-path bench_e2e/Cargo.toml
 
 echo "==> relaxation equivalence smoke test"
 cargo run --release -p mao-bench --bin bench_relax -- --smoke
