@@ -37,6 +37,7 @@ use std::sync::OnceLock;
 
 use mao_asm::{Directive, Entry, ParseError};
 
+use crate::isa::x86::sym::FnvHasher;
 use crate::isa::x86::Instruction;
 use crate::isa::{Insn, IsaId};
 
@@ -655,9 +656,15 @@ impl MaoUnit {
     /// boundaries: every boundary `b` moves to `b + shift(b)` where
     /// `shift(b)` sums the net entry-count change of all edits at ids `< b`.
     ///
-    /// Returns `None` when the edits are not patchable and the index must be
-    /// rebuilt.
-    fn try_patch_index(index: &UnitIndex, entries: &[Entry], edits: &EditSet) -> Option<UnitIndex> {
+    /// `ids` are the edit set's touched ids, ascending
+    /// ([`EditSet::touched_ids`]). Returns `None` when the edits are not
+    /// patchable and the index must be rebuilt.
+    fn try_patch_index(
+        index: &UnitIndex,
+        entries: &[Entry],
+        edits: &EditSet,
+        ids: &[EntryId],
+    ) -> Option<UnitIndex> {
         // Appending at the end extends the last section/function: rebuild.
         if edits.insert_before.contains_key(&usize::MAX) {
             return None;
@@ -665,38 +672,26 @@ impl MaoUnit {
 
         // Net length change contributed by the edit at each touched id,
         // mirroring the exact semantics of `apply`.
-        let mut touched: Vec<(EntryId, isize)> = Vec::with_capacity(edits.len());
-        {
-            let mut ids: Vec<EntryId> = edits
-                .deleted
-                .iter()
-                .copied()
-                .chain(edits.replaced.keys().copied())
-                .chain(edits.insert_before.keys().copied())
-                .chain(edits.insert_after.keys().copied())
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            for id in ids {
-                if id >= entries.len() {
-                    // Out-of-range ids are silently ignored by `apply`;
-                    // don't try to reason about them incrementally.
-                    return None;
-                }
-                let mut net = 0isize;
-                if let Some(before) = edits.insert_before.get(&id) {
-                    net += before.len() as isize;
-                }
-                if edits.deleted.contains(&id) {
-                    net -= 1;
-                } else if let Some(repl) = edits.replaced.get(&id) {
-                    net += repl.len() as isize - 1;
-                }
-                if let Some(after) = edits.insert_after.get(&id) {
-                    net += after.len() as isize;
-                }
-                touched.push((id, net));
+        let mut touched: Vec<(EntryId, isize)> = Vec::with_capacity(ids.len());
+        for &id in ids {
+            if id >= entries.len() {
+                // Out-of-range ids are silently ignored by `apply`;
+                // don't try to reason about them incrementally.
+                return None;
             }
+            let mut net = 0isize;
+            if let Some(before) = edits.insert_before.get(&id) {
+                net += before.len() as isize;
+            }
+            if edits.deleted.contains(&id) {
+                net -= 1;
+            } else if let Some(repl) = edits.replaced.get(&id) {
+                net += repl.len() as isize - 1;
+            }
+            if let Some(after) = edits.insert_after.get(&id) {
+                net += after.len() as isize;
+            }
+            touched.push((id, net));
         }
 
         // No structural entries inserted or produced by replacement.
@@ -726,15 +721,24 @@ impl MaoUnit {
         // before them would land entries outside the span).
         // `insert_after` may additionally target `span.start` itself, since
         // entries after it are unambiguously inside the span.
+        // Function spans are disjoint, so the only candidate is the last
+        // non-empty span starting at or before `id`.
+        let mut spans: Vec<&Range<EntryId>> = index
+            .functions
+            .iter()
+            .flat_map(|f| &f.spans)
+            .filter(|s| s.start < s.end)
+            .collect();
+        spans.sort_unstable_by_key(|s| s.start);
         for &(id, _) in &touched {
-            let inside = index.functions.iter().any(|f| {
-                f.spans.iter().any(|s| {
-                    let after_only = !edits.deleted.contains(&id)
-                        && !edits.replaced.contains_key(&id)
-                        && !edits.insert_before.contains_key(&id);
-                    s.start < id && id < s.end || (after_only && id == s.start && id < s.end)
-                })
-            });
+            let after_only = !edits.deleted.contains(&id)
+                && !edits.replaced.contains_key(&id)
+                && !edits.insert_before.contains_key(&id);
+            let k = spans.partition_point(|s| s.start <= id);
+            let inside = k > 0 && {
+                let s = spans[k - 1];
+                s.start < id && id < s.end || (after_only && id == s.start && id < s.end)
+            };
             if !inside {
                 return None;
             }
@@ -812,32 +816,43 @@ impl MaoUnit {
     /// patched in place; otherwise it is dropped for a rebuild on next
     /// access and the context epoch is bumped. A non-empty edit set always
     /// draws a new [`MaoUnit::version`].
-    pub fn apply(&mut self, edits: EditSet) -> usize {
+    pub fn apply(&mut self, mut edits: EditSet) -> usize {
         if edits.is_empty() {
             return self.entries.len();
         }
+        let touched = edits.touched_ids();
         let patched = self
             .index
             .get()
-            .and_then(|idx| MaoUnit::try_patch_index(idx, &self.entries, &edits));
+            .and_then(|idx| MaoUnit::try_patch_index(idx, &self.entries, &edits, &touched));
 
-        let mut out = Vec::with_capacity(self.entries.len() + 8);
-        for (id, entry) in self.entries.drain(..).enumerate() {
-            if let Some(before) = edits.insert_before.get(&id) {
-                out.extend(before.iter().cloned());
+        // Untouched runs move over whole; only touched ids are looked up.
+        // The edit set is ours, so its entries move into place too.
+        let len = self.entries.len();
+        let mut out = Vec::with_capacity(len + 8);
+        let mut old = std::mem::take(&mut self.entries).into_iter();
+        let mut next = 0;
+        // Ids past the end are ignored (`usize::MAX` appends, below).
+        for id in touched.into_iter().take_while(|&id| id < len) {
+            out.extend(old.by_ref().take(id - next));
+            let entry = old.next().expect("touched id is in range");
+            next = id + 1;
+            if let Some(before) = edits.insert_before.remove(&id) {
+                out.extend(before);
             }
             if !edits.deleted.contains(&id) {
-                match edits.replaced.get(&id) {
-                    Some(new_entries) => out.extend(new_entries.iter().cloned()),
+                match edits.replaced.remove(&id) {
+                    Some(new_entries) => out.extend(new_entries),
                     None => out.push(entry),
                 }
             }
-            if let Some(after) = edits.insert_after.get(&id) {
-                out.extend(after.iter().cloned());
+            if let Some(after) = edits.insert_after.remove(&id) {
+                out.extend(after);
             }
         }
-        if let Some(at_end) = edits.insert_before.get(&usize::MAX) {
-            out.extend(at_end.iter().cloned());
+        out.extend(old);
+        if let Some(at_end) = edits.insert_before.remove(&usize::MAX) {
+            out.extend(at_end);
         }
         self.entries = out;
         self.new_version();
@@ -857,6 +872,11 @@ impl MaoUnit {
     }
 }
 
+/// A map keyed by entry id. An editing pass hashes each id it touches
+/// several times (record, merge, patch, apply), and SipHash dominated that
+/// cost; ids are positions in the unit, not client-chosen keys.
+type IdMap<V> = HashMap<EntryId, V, std::hash::BuildHasherDefault<FnvHasher>>;
+
 /// A batch of deferred edits against a [`MaoUnit`].
 ///
 /// Passes collect edits while iterating (ids stay stable), then call
@@ -864,9 +884,9 @@ impl MaoUnit {
 #[derive(Debug, Clone, Default)]
 pub struct EditSet {
     deleted: std::collections::BTreeSet<EntryId>,
-    replaced: HashMap<EntryId, Vec<Entry>>,
-    insert_before: HashMap<EntryId, Vec<Entry>>,
-    insert_after: HashMap<EntryId, Vec<Entry>>,
+    replaced: IdMap<Vec<Entry>>,
+    insert_before: IdMap<Vec<Entry>>,
+    insert_after: IdMap<Vec<Entry>>,
 }
 
 impl EditSet {
@@ -1084,6 +1104,22 @@ h:
         unit.apply(edits);
         let text = unit.emit();
         assert_eq!(text, "start:\n\tnop\n\tnop\n\tnop\n");
+    }
+
+    #[test]
+    fn edits_stack_at_one_id_and_ignore_ids_past_the_end() {
+        let mut unit = MaoUnit::parse("a:\nb:\nc:\nd:\n").unwrap();
+        let label = |name: &str| vec![Entry::Label(name.into())];
+        let mut edits = EditSet::new();
+        edits.insert_before(1, label("x"));
+        edits.replace(1, label("y"));
+        edits.insert_after(1, label("z"));
+        edits.replace(2, label("w"));
+        edits.delete(2); // a delete beats a replacement
+        edits.insert_before(10, label("late")); // past the end: ignored
+        edits.insert_before(usize::MAX, label("end"));
+        unit.apply(edits);
+        assert_eq!(unit.emit(), "a:\nx:\ny:\nz:\nd:\nend:\n");
     }
 
     #[test]

@@ -382,8 +382,9 @@ impl<'a> Timing<'a> {
         // Port selection, from the profile's cost table (§III.F anecdote:
         // lea on port 0 only, shifts on ports 0 and 5; symmetric machines
         // and machines with three or fewer ports issue anywhere).
-        let mask = self.config.cost.ports_for(
+        let mask = self.config.cost.ports_with(
             insn,
+            &du,
             self.config.backend.num_ports,
             self.config.backend.symmetric_ports,
         );

@@ -22,7 +22,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::{Arc, OnceLock, RwLock};
 
-use crate::effects::def_use;
+use crate::effects::{def_use, DefUse};
 use crate::flags::Cond;
 use crate::insn::Instruction;
 use crate::mnemonic::Mnemonic;
@@ -182,8 +182,14 @@ impl CostModel {
     /// Scheduler latency: execution latency plus the L1 load-to-use
     /// latency for memory-reading instructions.
     pub fn sched_latency(&self, insn: &Instruction) -> u64 {
+        self.sched_latency_with(insn, &def_use(insn))
+    }
+
+    /// [`CostModel::sched_latency`] over an already-computed `def_use`
+    /// of `insn` — the one implementation of the rule.
+    pub fn sched_latency_with(&self, insn: &Instruction, du: &DefUse) -> u64 {
         let base = self.latency(insn);
-        if def_use(insn).mem_read {
+        if du.mem_read {
             base + u64::from(self.machine.load_latency)
         } else {
             base
@@ -196,11 +202,23 @@ impl CostModel {
     /// takes its table mask, clipped to the available ports (an empty clip
     /// falls back to "anywhere" so narrow machines stay schedulable).
     pub fn ports_for(&self, insn: &Instruction, num_ports: usize, symmetric: bool) -> u64 {
+        self.ports_with(insn, &def_use(insn), num_ports, symmetric)
+    }
+
+    /// [`CostModel::ports_for`] over an already-computed `def_use` of
+    /// `insn` — the one implementation of the rule, shared by the timing
+    /// simulator and `SCHED`.
+    pub fn ports_with(
+        &self,
+        insn: &Instruction,
+        du: &DefUse,
+        num_ports: usize,
+        symmetric: bool,
+    ) -> u64 {
         let all = (1u64 << num_ports) - 1;
         if symmetric || num_ports <= 3 {
             return all;
         }
-        let du = def_use(insn);
         let mask = if du.mem_write {
             self.machine.store_ports
         } else if du.mem_read && insn.mnemonic == Mnemonic::Mov {
@@ -554,6 +572,17 @@ impl CostModel {
             store_ports: r.u64()?,
             load_ports: r.u64()?,
         };
+        // A machine that can never issue would stall every scheduler on it
+        // forever; a port count of 64 or more overflows the port masks.
+        if machine.issue_width == 0 {
+            return Err(MptError::Malformed("issue width 0".into()));
+        }
+        if machine.num_ports == 0 || machine.num_ports >= 64 {
+            return Err(MptError::Malformed(format!(
+                "port count {} outside 1..=63",
+                machine.num_ports
+            )));
+        }
         let mut entry = || -> Result<MnemonicCost, MptError> {
             Ok(MnemonicCost {
                 latency: r.u32()?,
@@ -827,6 +856,39 @@ mod tests {
             CostModel::from_mpt_bytes(&bytes),
             Err(MptError::Truncated { .. })
         ));
+    }
+
+    /// A degenerate machine serializes fine but must never load.
+    fn reload_with(edit: impl FnOnce(&mut MachineParams)) -> Result<CostModel, MptError> {
+        let mut model = CostModel::core2();
+        edit(&mut model.machine);
+        CostModel::from_mpt_bytes(&model.to_mpt_bytes())
+    }
+
+    #[test]
+    fn mpt_rejects_zero_issue_width() {
+        let err = reload_with(|m| m.issue_width = 0).unwrap_err();
+        assert!(matches!(err, MptError::Malformed(ref m) if m.contains("issue width")));
+    }
+
+    #[test]
+    fn mpt_rejects_zero_ports() {
+        let err = reload_with(|m| m.num_ports = 0).unwrap_err();
+        assert!(matches!(err, MptError::Malformed(ref m) if m.contains("port count 0")));
+    }
+
+    #[test]
+    fn mpt_rejects_port_counts_that_overflow_the_mask() {
+        for ports in [64, 65, u32::MAX] {
+            let err = reload_with(|m| m.num_ports = ports).unwrap_err();
+            assert!(matches!(err, MptError::Malformed(ref m) if m.contains("port count")));
+        }
+        // The edges of the legal range still load.
+        for ports in [1, 63] {
+            let model = reload_with(|m| m.num_ports = ports).unwrap();
+            assert_eq!(model.machine.num_ports, ports);
+        }
+        reload_with(|m| m.issue_width = 1).unwrap();
     }
 
     #[test]

@@ -28,13 +28,15 @@
 //! Lines starting with `#` are comments.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::OnceLock;
 
 use crate::flags::Flags;
 use crate::insn::Instruction;
-use crate::mnemonic::Mnemonic;
+use crate::mnemonic::{fixed_name, Mnemonic};
 use crate::operand::Operand;
 use crate::reg::{parse_reg_name, Reg, RegId, Width};
+use crate::sym::FnvHasher;
 
 /// The side-effect configuration, in the format documented on the module.
 pub const EFFECTS_DEF: &str = r#"
@@ -336,23 +338,30 @@ fn apply_directive(eff: &mut Effects, directive: &str) -> Result<(), String> {
 }
 
 /// Table key for a mnemonic: conditional families collapse onto one entry.
-fn table_key(m: Mnemonic) -> String {
+/// Borrowed, so the lookup behind every `def_use` allocates nothing.
+fn table_key(m: Mnemonic) -> &'static str {
     match m {
-        Mnemonic::Jcc(_) => "jcc".to_string(),
-        Mnemonic::Setcc(_) => "setcc".to_string(),
-        Mnemonic::Cmovcc(_) => "cmovcc".to_string(),
+        Mnemonic::Jcc(_) => "jcc",
+        Mnemonic::Setcc(_) => "setcc",
+        Mnemonic::Cmovcc(_) => "cmovcc",
         // att_base for these is the suffix-less stem; the table uses the
         // Intel-style family name.
-        Mnemonic::Movsx => "movsx".to_string(),
-        Mnemonic::Movzx => "movzx".to_string(),
-        Mnemonic::Movdq => "movdq".to_string(),
-        other => other.att_base(),
+        Mnemonic::Movsx => "movsx",
+        Mnemonic::Movzx => "movzx",
+        Mnemonic::Movdq => "movdq",
+        other => fixed_name(other),
     }
 }
 
-fn global_table() -> &'static HashMap<String, Effects> {
-    static TABLE: OnceLock<HashMap<String, Effects>> = OnceLock::new();
-    TABLE.get_or_init(|| build_table(EFFECTS_DEF).expect("builtin effects config must parse"))
+fn global_table() -> &'static HashMap<String, Effects, BuildHasherDefault<FnvHasher>> {
+    static TABLE: OnceLock<HashMap<String, Effects, BuildHasherDefault<FnvHasher>>> =
+        OnceLock::new();
+    TABLE.get_or_init(|| {
+        build_table(EFFECTS_DEF)
+            .expect("builtin effects config must parse")
+            .into_iter()
+            .collect()
+    })
 }
 
 /// Look up the side effects of a mnemonic family.
@@ -360,7 +369,7 @@ fn global_table() -> &'static HashMap<String, Effects> {
 /// Returns `None` for mnemonics absent from the table (which would indicate
 /// a gap in [`EFFECTS_DEF`]; a test asserts full coverage).
 pub fn effects(m: Mnemonic) -> Option<&'static Effects> {
-    global_table().get(&table_key(m))
+    global_table().get(table_key(m))
 }
 
 /// Fully resolved defs/uses of one concrete instruction.

@@ -257,8 +257,12 @@ impl Mnemonic {
             Mnemonic::Setcc(c) => 0x200 | u16::from(c.encoding()),
             Mnemonic::Cmovcc(c) => 0x300 | u16::from(c.encoding()),
             other => {
-                static INDEX: std::sync::OnceLock<std::collections::HashMap<Mnemonic, u16>> =
-                    std::sync::OnceLock::new();
+                type Index = std::collections::HashMap<
+                    Mnemonic,
+                    u16,
+                    std::hash::BuildHasherDefault<crate::sym::FnvHasher>,
+                >;
+                static INDEX: std::sync::OnceLock<Index> = std::sync::OnceLock::new();
                 let map = INDEX.get_or_init(|| {
                     Mnemonic::ALL
                         .iter()
@@ -368,7 +372,7 @@ impl ParsedMnemonic {
     }
 }
 
-fn fixed_name(m: Mnemonic) -> &'static str {
+pub(crate) fn fixed_name(m: Mnemonic) -> &'static str {
     match m {
         Mnemonic::Mov => "mov",
         Mnemonic::Movabs => "movabs",

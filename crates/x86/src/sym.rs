@@ -62,10 +62,13 @@ static COUNT: AtomicU32 = AtomicU32::new(0);
 /// Total bytes of interned string payload (not counting table overhead).
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 
-/// FNV-1a for the shard maps. Symbol keys are short (a few bytes to a few
-/// dozen), where FNV beats SipHash by a wide margin; HashDoS resistance is
-/// irrelevant for an intern table whose values are dense ids.
-struct FnvHasher(u64);
+/// FNV-1a for maps whose keys are short and not chosen by a client: the
+/// symbol shard maps here (a few bytes to a few dozen, with dense ids as
+/// values), the mnemonic tables and the edit-set maps keyed by entry
+/// position. On such keys FNV beats SipHash by a wide margin, and HashDoS
+/// resistance buys nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct FnvHasher(u64);
 
 impl Default for FnvHasher {
     fn default() -> FnvHasher {

@@ -76,13 +76,21 @@ for bad in trunc:truncated corrupt:checksum skew:version junk:magic; do
     ! target/release/mao probe --show "$f" 2> "$PROBE_WORK/err.log"
     grep -q "${bad##*:}" "$PROBE_WORK/err.log"
 done
+# The two steps below load a cost table into SCHED and the simulator, so
+# they run under `timeout`: a scheduler that stops making progress on some
+# table fails CI instead of hanging it (exit 124 counts as a failure).
 # A consumer refuses a rejected table outright (never half-installed).
-! target/release/mao check --cases 1 --cost-model "$PROBE_WORK/corrupt.mpt" \
-    2> "$PROBE_WORK/refuse.log"
+refuse_status=0
+timeout 60 target/release/mao check --cases 1 \
+    --cost-model "$PROBE_WORK/corrupt.mpt" 2> "$PROBE_WORK/refuse.log" \
+    || refuse_status=$?
+case $refuse_status in
+    0 | 124) echo "cost-model refusal step exited $refuse_status" >&2; exit 1 ;;
+esac
 grep -q 'cannot load cost model' "$PROBE_WORK/refuse.log"
 
 # Differential smoke under the measured table, bannering its identity.
-target/release/mao check --smoke --cost-model "$PROBE_WORK/ci.mpt" \
+timeout 300 target/release/mao check --smoke --cost-model "$PROBE_WORK/ci.mpt" \
     > "$PROBE_WORK/check.log"
 grep -q 'cost model `ci-core2`' "$PROBE_WORK/check.log"
 rm -rf "$PROBE_WORK"
