@@ -685,6 +685,12 @@ fn cmd_check(args: &[String]) -> ExitCode {
         report.deduped,
         report.failures.len()
     );
+    // The memo path ran for every case above; a sweep that never hit the
+    // memo did not exercise the splice.
+    println!(
+        "mao check: memo leg -> {} function-memo hits",
+        report.memo_hits
+    );
     let x86 = report_check("check", &report);
     if !smoke {
         return x86;

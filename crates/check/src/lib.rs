@@ -139,6 +139,9 @@ pub struct CheckReport {
     pub deduped: usize,
     /// Confirmed failures (after shrinking).
     pub failures: Vec<Failure>,
+    /// Functions the memo path's engine answered from its function-result
+    /// memo during the sweep.
+    pub memo_hits: u64,
 }
 
 impl CheckReport {
@@ -166,6 +169,7 @@ pub fn run_check(config: &CheckConfig) -> CheckReport {
     for case in &cases {
         check_case(config, &runner, &pass_configs, case, &mut report);
     }
+    report.memo_hits = runner.memo_hits();
     report
 }
 

@@ -16,7 +16,12 @@
 //! * **snapshot** — parse, round-trip the unit through the binary IR
 //!   snapshot codec (encode → decode → rebuild), then run the pipeline
 //!   over the reloaded unit (the snapshot tier promises the reloaded IR
-//!   is indistinguishable from freshly parsed IR).
+//!   is indistinguishable from freshly parsed IR);
+//! * **memo** — the engine's function-result memo: the unit with one
+//!   function's instruction changed goes through the engine twice (the
+//!   second sighting stores its functions), then the unit itself, so every
+//!   other function is spliced in from the memo (the memo promises output
+//!   identical to a memo-less run).
 
 use mao::isa::IsaId;
 use mao::pass::{parse_invocations, run_pipeline_with, PipelineConfig};
@@ -37,6 +42,9 @@ pub enum ExecPath {
     LegacyRelax,
     /// Binary IR snapshot round-trip before the pipeline.
     Snapshot,
+    /// The engine with its function-result memo primed by a one-function
+    /// edit of the unit.
+    Memo,
 }
 
 impl ExecPath {
@@ -48,6 +56,7 @@ impl ExecPath {
             ExecPath::Engine => "engine".to_string(),
             ExecPath::LegacyRelax => "legacy-relax".to_string(),
             ExecPath::Snapshot => "snapshot".to_string(),
+            ExecPath::Memo => "memo".to_string(),
         }
     }
 
@@ -58,6 +67,7 @@ impl ExecPath {
             "engine" => Some(ExecPath::Engine),
             "legacy-relax" => Some(ExecPath::LegacyRelax),
             "snapshot" => Some(ExecPath::Snapshot),
+            "memo" => Some(ExecPath::Memo),
             _ => s
                 .strip_prefix("jobs")
                 .and_then(|n| n.parse().ok())
@@ -116,6 +126,7 @@ impl PathRunner {
             ExecPath::Engine,
             ExecPath::LegacyRelax,
             ExecPath::Snapshot,
+            ExecPath::Memo,
         ]
     }
 
@@ -141,6 +152,7 @@ impl PathRunner {
             ExecPath::LegacyRelax => run_local(asm, &with_legacy_relax(passes), 1, isa),
             ExecPath::Engine => self.run_engine(asm, passes, isa),
             ExecPath::Snapshot => run_snapshot(asm, passes, isa),
+            ExecPath::Memo => self.run_memo(asm, passes, isa),
         }
     }
 
@@ -184,6 +196,58 @@ impl PathRunner {
     }
 }
 
+impl PathRunner {
+    /// Function-memo hits the runner's engine has served so far.
+    pub fn memo_hits(&self) -> u64 {
+        self.engine.snapshot().function_memo.hits
+    }
+
+    /// Prime the engine's function memo with a one-function edit of the
+    /// unit, then run the unit: every other function is a memo hit. The
+    /// result cache is bypassed throughout so the pipeline really runs.
+    fn run_memo(&self, asm: &str, passes: &str, isa: IsaId) -> Result<String, String> {
+        let request = |asm: String| {
+            Request::Optimize(OptimizeRequest {
+                asm,
+                passes: passes.to_string(),
+                jobs: None,
+                timeout_ms: None,
+                use_cache: false,
+                isa,
+            })
+        };
+        if let Some(variant) = with_one_function_changed(asm, isa) {
+            // Priming is best effort: a variant the pipeline rejects
+            // stores nothing, and the run below still has to match.
+            for _ in 0..2 {
+                let _ = self.engine.handle(request(variant.clone()));
+            }
+        }
+        match self.engine.handle(request(asm.to_string())) {
+            Response::Optimized { outcome, .. } => Ok(outcome.asm),
+            Response::Error { kind, message } => {
+                Err(format!("memo request failed [{kind:?}]: {message}"))
+            }
+            other => Err(format!("memo request: unexpected {other:?}")),
+        }
+    }
+}
+
+/// The unit with the first instruction of its last function that has one
+/// duplicated in place; `None` when no function has an instruction.
+fn with_one_function_changed(asm: &str, isa: IsaId) -> Option<String> {
+    let mut unit = MaoUnit::parse_isa(asm, isa).ok()?;
+    let id = unit
+        .functions_cached()
+        .iter()
+        .rev()
+        .find_map(|f| f.entry_ids().find(|&id| unit.insn_any(id).is_some()))?;
+    let mut edits = mao::EditSet::new();
+    edits.insert_after(id, vec![unit.entry(id).clone()]);
+    unit.apply(edits);
+    Some(unit.emit())
+}
+
 /// Parse + pipeline + emit with the given job count.
 fn run_local(asm: &str, passes: &str, jobs: usize, isa: IsaId) -> Result<String, String> {
     let mut unit = MaoUnit::parse_isa(asm, isa).map_err(|e| format!("parse: {e}"))?;
@@ -224,6 +288,21 @@ mod tests {
             with_legacy_relax("NOPIN=seed[3],density[0.1]:DCE"),
             "NOPIN=seed[3],density[0.1],legacy-relax:DCE=legacy-relax"
         );
+    }
+
+    #[test]
+    fn memo_path_hits_and_matches_oneshot() {
+        let runner = PathRunner::new(2);
+        let asm = format!("{INPUT}\t.type\tg, @function\ng:\n\taddl $1, %eax\n\tret\n");
+        let memo = runner
+            .optimize(ExecPath::Memo, &asm, "REDTEST:ADDADD:DCE")
+            .unwrap();
+        let oneshot = runner
+            .optimize(ExecPath::OneShot, &asm, "REDTEST:ADDADD:DCE")
+            .unwrap();
+        assert_eq!(memo, oneshot);
+        assert_eq!(runner.memo_hits(), 1, "f is spliced in; the edited g runs");
+        assert_eq!(ExecPath::parse("memo"), Some(ExecPath::Memo));
     }
 
     #[test]

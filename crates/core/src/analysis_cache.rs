@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::cfg::Cfg;
 use crate::dataflow::{Liveness, ReachingDefs};
+use crate::function_memo::FunctionMemo;
 use crate::isa::IsaId;
 use crate::loops::{find_loops, LoopNest};
 use crate::relax::{Layout, RelaxError, Relaxed};
@@ -231,6 +232,9 @@ pub struct AnalysisCache {
     layouts: Mutex<LayoutState>,
     /// Optional persistent tier consulted on memory-tier layout misses.
     layout_store: OnceLock<Arc<dyn LayoutStore>>,
+    /// Optional function-result memo the pipeline consults before its
+    /// function-scope prefix (see [`crate::function_memo`]).
+    function_memo: OnceLock<Arc<FunctionMemo>>,
     /// Maximum number of cached functions (0 = unbounded).
     capacity: AtomicU64,
     hits: AtomicU64,
@@ -293,6 +297,18 @@ impl AnalysisCache {
     /// [`AnalysisCache::attach_metrics`].
     pub fn set_layout_store(&self, store: Arc<dyn LayoutStore>) {
         let _ = self.layout_store.set(store);
+    }
+
+    /// Attach a function-result memo, typically one instance shared by
+    /// every shard of a daemon. First attachment wins, as with
+    /// [`AnalysisCache::set_layout_store`].
+    pub fn set_function_memo(&self, memo: Arc<FunctionMemo>) {
+        let _ = self.function_memo.set(memo);
+    }
+
+    /// The attached function-result memo, if any.
+    pub(crate) fn function_memo(&self) -> Option<&Arc<FunctionMemo>> {
+        self.function_memo.get()
     }
 
     /// The analyses slot for `function`, reused when both the unit's context

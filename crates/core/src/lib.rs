@@ -36,6 +36,7 @@ pub mod analysis_cache;
 pub mod cfg;
 pub mod dataflow;
 pub mod edgeprof;
+pub mod function_memo;
 pub mod isa;
 pub mod loops;
 pub mod pass;
@@ -50,10 +51,11 @@ pub use mao_obs as obs;
 pub use mao_obs::{Obs, TraceEvent};
 
 pub use analysis_cache::{AnalysisCache, CacheStats, FunctionAnalyses, LayoutStore};
+pub use function_memo::{FunctionMemo, FunctionMemoStats};
 pub use pass::{
     parse_invocations, run_functions, run_pipeline, run_pipeline_observed, run_pipeline_shared,
-    run_pipeline_with, FnCtx, MaoPass, PassContext, PassError, PassStats, PipelineConfig,
-    PipelineReport,
+    run_pipeline_with, FnCtx, MaoPass, PassContext, PassError, PassScope, PassStats,
+    PipelineConfig, PipelineReport,
 };
 pub use profile::{Profile, Sample, Site};
 pub use relax::{

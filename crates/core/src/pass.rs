@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex};
 use mao_obs::{Obs, TraceEvent};
 
 use crate::analysis_cache::{AnalysisCache, CacheStats};
+use crate::function_memo::{FnPassRecord, MemoPass, MemoRun};
 use crate::isa::IsaId;
 use crate::profile::Profile;
 use crate::unit::{EditSet, Function, MaoUnit};
@@ -66,7 +67,7 @@ impl From<crate::relax::RelaxError> for PassError {
 }
 
 /// Pass-specific options, parsed from `NAME=opt[value],opt2[value2]`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct PassOptions {
     map: BTreeMap<String, String>,
 }
@@ -165,6 +166,10 @@ pub struct PassContext {
     /// Telemetry sinks (span recorder + metrics registry); defaults to a
     /// disabled recorder and a private registry, both effectively free.
     pub obs: Obs,
+    /// The function-result memo's view of this pass, when it runs inside a
+    /// memoized prefix: which functions to skip, and where to keep what
+    /// the others produced.
+    pub(crate) memo: Option<MemoPass>,
 }
 
 impl PassContext {
@@ -211,6 +216,21 @@ impl PassContext {
     }
 }
 
+/// Whether a pass's result for a function depends on that function alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum PassScope {
+    /// The pass reads or edits the unit as a whole (layout, cross-function
+    /// order, a shared random stream). The default.
+    #[default]
+    Unit,
+    /// The pass does all its work through one [`run_functions`] call whose
+    /// body derives each function's edits, stats and trace from that
+    /// function, the entries outside every function span, its options and
+    /// the cost model alone. Such passes form the memoizable prefix of a
+    /// pipeline (see [`crate::function_memo`]).
+    Function,
+}
+
 /// A MAO optimization pass.
 ///
 /// The Rust analogue of the paper's `MaoFunctionPass` with its `Go()`
@@ -233,6 +253,13 @@ pub trait MaoPass {
     /// surface) opt in to `&IsaId::ALL`.
     fn supported_isas(&self) -> &'static [IsaId] {
         &[IsaId::X86_64]
+    }
+
+    /// The pass's scope. Defaults to [`PassScope::Unit`]; only a pass that
+    /// works entirely through one [`run_functions`] call may declare
+    /// [`PassScope::Function`].
+    fn scope(&self) -> PassScope {
+        PassScope::Unit
     }
 
     /// Run over the unit. Returns statistics; mutates the unit in place.
@@ -355,9 +382,15 @@ struct FnOutcome {
 /// invocation sees the same pre-edit unit — so the resulting assembly is
 /// byte-identical regardless of the job count. This requires `body` to be
 /// function-local: it must only derive edits from the function it is given
-/// (plus read-only context like jump tables). Passes with cross-function
-/// ordering dependencies (a shared RNG stream, unit-global layout) must use
-/// [`for_each_function`] instead.
+/// (plus read-only context like jump tables), and its edits must touch only
+/// that function's spans (a debug assertion checks the latter). Passes with
+/// cross-function ordering dependencies (a shared RNG stream, unit-global
+/// layout) must use [`for_each_function`] instead.
+///
+/// Inside a memoized prefix (see [`crate::function_memo`]) the functions
+/// the memo answered are skipped: their bodies were already spliced in,
+/// and their stored stats and trace are folded in at their place in
+/// function order.
 ///
 /// On error, the first failing function in function order wins and no edits
 /// are applied. Returns the summed stats; trace lines are replayed into
@@ -373,6 +406,18 @@ where
     let jobs = ctx.jobs.max(1);
     let functions: Vec<Function> = unit.functions_cached().to_vec();
     let n = functions.len();
+    let mut memo = ctx.memo.take();
+    if let Some(memo) = &memo {
+        assert_eq!(
+            memo.functions(),
+            n,
+            "a function-scope pass changed the function list"
+        );
+    }
+    // Functions that run; the memo answered for the rest.
+    let work: Vec<usize> = (0..n)
+        .filter(|&k| memo.as_ref().is_none_or(|m| m.replay(k).is_none()))
+        .collect();
     let options = &ctx.options;
     let profile = ctx.profile.as_ref();
     let analyses: &AnalysisCache = &ctx.analyses;
@@ -397,37 +442,70 @@ where
         })
     };
 
-    let outcomes: Vec<Option<Result<FnOutcome, PassError>>> = if jobs <= 1 || n <= 1 {
-        let shared: &MaoUnit = unit;
-        functions.iter().map(|f| Some(run_one(shared, f))).collect()
+    let mut outcomes: Vec<Option<Result<FnOutcome, PassError>>> = (0..n).map(|_| None).collect();
+    let shared: &MaoUnit = unit;
+    if jobs <= 1 || work.len() <= 1 {
+        for &k in &work {
+            outcomes[k] = Some(run_one(shared, &functions[k]));
+        }
     } else {
-        let shared: &MaoUnit = unit;
         let slots: Vec<Mutex<Option<Result<FnOutcome, PassError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+            work.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..jobs.min(n) {
+            for _ in 0..jobs.min(work.len()) {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+                    if i >= work.len() {
                         break;
                     }
-                    let outcome = run_one(shared, &functions[i]);
+                    let outcome = run_one(shared, &functions[work[i]]);
                     *slots[i].lock().unwrap() = Some(outcome);
                 });
             }
         });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap())
-            .collect()
-    };
+        for (&k, slot) in work.iter().zip(slots) {
+            outcomes[k] = slot.into_inner().unwrap();
+        }
+    }
 
     // Fold in function order: deterministic stats, trace, and edits.
     let mut total = PassStats::default();
     let mut merged = EditSet::new();
-    for outcome in outcomes {
-        let outcome = outcome.expect("every function slot is filled")?;
+    for (k, outcome) in outcomes.into_iter().enumerate() {
+        let Some(outcome) = outcome else {
+            let record = memo
+                .as_ref()
+                .and_then(|m| m.replay(k))
+                .expect("a skipped function has a stored record");
+            total.transformations += record.stats.transformations;
+            total.matches += record.stats.matches;
+            total.notes.extend(record.stats.notes.iter().cloned());
+            for ev in &record.trace {
+                ctx.push_event(ev.clone());
+            }
+            continue;
+        };
+        let outcome = outcome?;
+        debug_assert!(
+            outcome
+                .edits
+                .touched_ids()
+                .iter()
+                .all(|&id| functions[k].contains(id)),
+            "pass `{}` edited entries outside function `{}`",
+            ctx.pass,
+            functions[k].name
+        );
+        if let Some(memo) = &mut memo {
+            memo.record(
+                k,
+                FnPassRecord {
+                    stats: outcome.stats.clone(),
+                    trace: outcome.trace.clone(),
+                },
+            );
+        }
         total.transformations += outcome.stats.transformations;
         total.matches += outcome.stats.matches;
         total.notes.extend(outcome.stats.notes);
@@ -439,9 +517,13 @@ where
     ctx.obs
         .metrics
         .counter("mao_functions_processed_total")
-        .add(n as u64);
+        .add(work.len() as u64);
     if !merged.is_empty() {
         unit.apply(merged);
+    }
+    if let Some(mut memo) = memo {
+        memo.called();
+        ctx.memo = Some(memo);
     }
     Ok(total)
 }
@@ -484,6 +566,14 @@ fn extension_isas(name: &str) -> Option<&'static [IsaId]> {
         .unwrap()
         .get(name)
         .map(|(_, isas)| *isas)
+}
+
+/// A pass's scope and the instruction sets it runs on. For a runtime
+/// extension the registration's ISA declaration is authoritative; built-ins
+/// declare through [`MaoPass::supported_isas`].
+pub(crate) fn scope_of(name: &str, pass: &dyn MaoPass) -> (PassScope, &'static [IsaId]) {
+    let isas = extension_isas(name).unwrap_or_else(|| pass.supported_isas());
+    (pass.scope(), isas)
 }
 
 /// The global pass registry: the static built-in table plus every
@@ -682,17 +772,21 @@ pub fn run_pipeline_observed(
     let pass_wall_us = obs
         .metrics
         .histogram("mao_pass_wall_us", mao_obs::US_BUCKETS);
-    for inv in invocations {
+    // The function-result memo, when the caller attached one: hits are
+    // spliced in before the first pass, and the prefix passes skip them.
+    // A profile can steer passes beyond what the memo keys, so runs with
+    // one never use it.
+    let mut memo_run = match analyses.function_memo() {
+        Some(memo) if profile.is_none() => MemoRun::begin(memo, unit, invocations),
+        _ => None,
+    };
+    let prefix_len = memo_run.as_ref().map_or(0, |run| run.prefix_len);
+    for (i, inv) in invocations.iter().enumerate() {
         let factory = registry
             .get(inv.name.as_str())
             .ok_or_else(|| PassError::UnknownPass(inv.name.clone()))?;
         let pass = factory();
-        // ISA gate: for runtime extensions the registration declaration is
-        // authoritative; built-ins declare via `MaoPass::supported_isas`.
-        let supported: &[IsaId] = match extension_isas(inv.name.as_str()) {
-            Some(isas) => isas,
-            None => pass.supported_isas(),
-        };
+        let (_, supported) = scope_of(inv.name.as_str(), &*pass);
         if !supported.contains(&unit.isa()) {
             return Err(PassError::UnsupportedIsa {
                 pass: inv.name.clone(),
@@ -705,6 +799,10 @@ pub fn run_pipeline_observed(
         ctx.jobs = jobs;
         ctx.analyses = analyses.clone();
         ctx.obs = obs.clone();
+        ctx.memo = memo_run
+            .as_ref()
+            .filter(|_| i < prefix_len)
+            .map(|run| run.pass_ctx(i));
         // Common options every pass supports (§III.A: "dumping the current
         // state of the IR before or after a given pass").
         if ctx.options.has("dump-before") {
@@ -716,7 +814,25 @@ pub fn run_pipeline_observed(
         let mut span = mao_obs::Span::enter(&obs.recorder, "pass", &inv.name);
         let start = std::time::Instant::now();
         let stats = pass.run(unit, &mut ctx)?;
-        let elapsed_us = start.elapsed().as_micros() as u64;
+        let mut elapsed_us = start.elapsed().as_micros() as u64;
+        // Memo work is charged to the prefix's first pass (lookup, decode,
+        // splice) and last pass (admission, encode), so per-pass times
+        // still add up to the pipeline's.
+        if i < prefix_len {
+            let run = memo_run.as_mut().expect("a prefix implies a memo run");
+            run.collect(ctx.memo.take());
+            if i == 0 {
+                elapsed_us += run.lookup_us;
+            }
+            if i + 1 == prefix_len {
+                let offered = std::time::Instant::now();
+                memo_run
+                    .take()
+                    .expect("the run is offered once")
+                    .finish(unit);
+                elapsed_us += offered.elapsed().as_micros() as u64;
+            }
+        }
         span.counter("transformations", stats.transformations as u64);
         span.counter("matches", stats.matches as u64);
         drop(span);
@@ -862,6 +978,56 @@ mod tests {
         let invs = parse_invocations("EXTTEST").unwrap();
         let report = run_pipeline(&mut unit, &invs, None).unwrap();
         assert_eq!(report.stats("EXTTEST").unwrap().matches, 1);
+    }
+
+    /// A function-scope pass whose body deletes the first instruction of
+    /// the *next* function: it breaks the locality contract the
+    /// function-result memo relies on.
+    #[derive(Debug, Default)]
+    struct EditsNeighbour;
+
+    impl MaoPass for EditsNeighbour {
+        fn name(&self) -> &'static str {
+            "EDITSNEIGHBOUR"
+        }
+
+        fn description(&self) -> &'static str {
+            "test pass that edits the function after the one it is given"
+        }
+
+        fn scope(&self) -> PassScope {
+            PassScope::Function
+        }
+
+        fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+            run_functions(unit, ctx, |unit, function, _| {
+                let mut edits = EditSet::new();
+                let next = unit
+                    .functions_cached()
+                    .iter()
+                    .find(|f| f.label_id > function.label_id);
+                if let Some(next) = next {
+                    let insn = next.entry_ids().find(|&id| unit.insn_any(id).is_some());
+                    if let Some(id) = insn {
+                        edits.delete(id);
+                    }
+                }
+                Ok(edits)
+            })
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "edited entries outside function `f`")]
+    fn run_functions_asserts_edits_stay_inside_their_function() {
+        register_extension("EDITSNEIGHBOUR", &IsaId::ALL, || Box::new(EditsNeighbour));
+        let mut unit = MaoUnit::parse(
+            "\t.type\tf, @function\nf:\n\tnop\n\tret\n\t.type\tg, @function\ng:\n\tnop\n\tret\n",
+        )
+        .unwrap();
+        let invs = parse_invocations("EDITSNEIGHBOUR").unwrap();
+        let _ = run_pipeline(&mut unit, &invs, None);
     }
 
     fn a64_unit() -> MaoUnit {

@@ -18,7 +18,7 @@
 use crate::isa::x86::{def_use, Mnemonic, Operand, Width};
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
 use crate::unit::{EditSet, MaoUnit};
 
 /// The add/add folding pass.
@@ -62,6 +62,10 @@ impl MaoPass for AddAddFold {
 
     fn description(&self) -> &'static str {
         "fold sequences of immediate add/sub on the same register"
+    }
+
+    fn scope(&self) -> PassScope {
+        PassScope::Function
     }
 
     fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {

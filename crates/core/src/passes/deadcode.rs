@@ -13,7 +13,7 @@ use mao_asm::{DataItem, Directive, Entry};
 use mao_obs::TraceEvent;
 
 use crate::isa::x86;
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
 use crate::unit::{EditSet, MaoUnit};
 
 /// The unreachable-code elimination pass.
@@ -64,6 +64,10 @@ impl MaoPass for UnreachableCodeElim {
 
     fn supported_isas(&self) -> &'static [crate::isa::IsaId] {
         &crate::isa::IsaId::ALL
+    }
+
+    fn scope(&self) -> PassScope {
+        PassScope::Function
     }
 
     fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {

@@ -24,7 +24,7 @@ use crate::isa::x86::operand::{Mem, Operand};
 use crate::isa::x86::{def_use, Mnemonic, Reg, Width};
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
 use crate::unit::{EditSet, MaoUnit};
 
 /// The redundant memory-access removal pass.
@@ -51,6 +51,10 @@ impl MaoPass for RedundantMemMove {
 
     fn description(&self) -> &'static str {
         "replace repeated identical loads with register moves"
+    }
+
+    fn scope(&self) -> PassScope {
+        PassScope::Function
     }
 
     fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {

@@ -18,7 +18,7 @@
 use crate::isa::x86::{def_use, Flags, Mnemonic, Operand, Width};
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
 use crate::unit::{EditSet, MaoUnit};
 
 /// The redundant test removal pass.
@@ -72,6 +72,10 @@ impl MaoPass for RedundantTest {
 
     fn description(&self) -> &'static str {
         "remove test instructions whose flags were already set by a prior ALU op"
+    }
+
+    fn scope(&self) -> PassScope {
+        PassScope::Function
     }
 
     fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {

@@ -15,7 +15,7 @@
 use crate::isa::x86::{def_use, Mnemonic, Operand, Width};
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
 use crate::unit::{EditSet, MaoUnit};
 
 /// The redundant zero-extension elimination pass.
@@ -40,6 +40,10 @@ impl MaoPass for RedundantZeroExtension {
 
     fn description(&self) -> &'static str {
         "remove zero-extension moves made redundant by a prior 32-bit write"
+    }
+
+    fn scope(&self) -> PassScope {
+        PassScope::Function
     }
 
     fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {

@@ -33,7 +33,7 @@ use crate::isa::x86::reg::NUM_REG_IDS;
 use crate::isa::x86::{def_use, Instruction, Reg};
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
 use crate::unit::{EditSet, MaoUnit};
 
 /// A dependence edge kind (used for latency assignment).
@@ -421,6 +421,10 @@ impl MaoPass for ListSchedule {
     // tables and `def_use`.
     fn supported_isas(&self) -> &'static [crate::isa::IsaId] {
         &[crate::isa::IsaId::X86_64]
+    }
+
+    fn scope(&self) -> PassScope {
+        PassScope::Function
     }
 
     fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {

@@ -870,6 +870,35 @@ impl MaoUnit {
         }
         self.entries.len()
     }
+
+    /// Replace each of `replacements`' entry ranges — ascending and
+    /// disjoint — with its new entries, in one pass over the unit. This is
+    /// how the function-result memo swaps whole stored bodies in: an
+    /// [`EditSet`] would record every replaced id one by one. Replacement
+    /// bodies carry labels, so the index is dropped for a rebuild and the
+    /// context epoch bumped, as for any structural edit.
+    pub(crate) fn splice_ranges(&mut self, replacements: Vec<(Range<EntryId>, Vec<Entry>)>) {
+        if replacements.is_empty() {
+            return;
+        }
+        let mut out = Vec::with_capacity(self.entries.len());
+        let mut old = std::mem::take(&mut self.entries).into_iter();
+        let mut next = 0;
+        for (range, entries) in replacements {
+            assert!(
+                next <= range.start && range.start <= range.end,
+                "splice ranges must be ascending and disjoint"
+            );
+            out.extend(old.by_ref().take(range.start - next));
+            old.by_ref().take(range.len()).for_each(drop);
+            out.extend(entries);
+            next = range.end;
+        }
+        out.extend(old);
+        self.entries = out;
+        self.new_version();
+        self.invalidate_index();
+    }
 }
 
 /// A map keyed by entry id. An editing pass hashes each id it touches

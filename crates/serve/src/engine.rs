@@ -11,7 +11,10 @@
 //!    promote it to memory. Below it, each *shard* owns a private
 //!    [`mao::AnalysisCache`], so a repeated function body skips
 //!    CFG/dataflow construction even when the whole-request cache misses —
-//!    without any cross-shard lock contention.
+//!    without any cross-shard lock contention. One [`FunctionMemo`] shared
+//!    by all shards holds functions after the pipeline's function-level
+//!    prefix, so an edit re-runs those passes only on the functions it
+//!    touched.
 //! 2. **Admission control** — compute work enters a bounded pending set.
 //!    Past the configured high-water mark the engine sheds load with an
 //!    explicit [`ErrorKind::Busy`] response instead of queueing without
@@ -48,7 +51,7 @@ use std::time::{Duration, Instant};
 use mao::isa::IsaId;
 use mao::obs::{Histogram, Obs, PromText, Span, US_BUCKETS};
 use mao::pass::{parse_invocations, run_pipeline_observed, PipelineConfig};
-use mao::{CacheStats, MaoUnit};
+use mao::{CacheStats, FunctionMemo, MaoUnit};
 
 use crate::disk_cache::{DiskCache, DiskCacheConfig};
 use crate::layout_disk::DiskLayoutStore;
@@ -201,6 +204,8 @@ struct EngineInner {
     /// Persistent layout tier handle, kept for stats (the shards hold their
     /// own `Arc` via `AnalysisCache::set_layout_store`).
     layouts: Option<Arc<DiskLayoutStore>>,
+    /// The function-result memo every shard's analysis cache carries.
+    function_memo: Arc<FunctionMemo>,
     /// `mao_frontend_snapshot_{hits,misses}_total`.
     snapshot_hits: mao::obs::Counter,
     snapshot_misses: mao::obs::Counter,
@@ -302,12 +307,18 @@ impl Engine {
             None => None,
         };
         let pool = ShardPool::new(shards, config.analysis_cache_capacity);
+        // One function-result memo for the whole engine: a function answered
+        // on one shard hits on every other, so routing does not matter.
+        let function_memo = Arc::new(FunctionMemo::registered(&obs.metrics));
         let mut shard_requests = Vec::with_capacity(shards);
         for shard in 0..shards {
             let label = shard.to_string();
             pool.ctx(shard)
                 .analyses
                 .attach_metrics_labeled(&obs.metrics, &[("shard", &label)]);
+            pool.ctx(shard)
+                .analyses
+                .set_function_memo(function_memo.clone());
             if let Some(layouts) = &layouts {
                 pool.ctx(shard)
                     .analyses
@@ -325,6 +336,7 @@ impl Engine {
                 results,
                 snapshots,
                 layouts,
+                function_memo,
                 snapshot_hits: obs.metrics.counter("mao_frontend_snapshot_hits_total"),
                 snapshot_misses: obs.metrics.counter("mao_frontend_snapshot_misses_total"),
                 parse_us_total: AtomicU64::new(0),
@@ -412,6 +424,7 @@ impl Engine {
             mao::relax_totals(),
             self.inner.obs.recorder.totals(),
             frontend,
+            self.inner.function_memo.stats(),
         )
     }
 
@@ -434,6 +447,10 @@ impl Engine {
         out.gauge("mao_requests_in_flight", self.inner.stats.in_flight());
         out.gauge("mao_requests_pending", self.pending());
         out.gauge("mao_result_cache_len", self.inner.results.len());
+        out.gauge(
+            "mao_function_memo_bytes",
+            self.inner.function_memo.stats().bytes,
+        );
         if let Some(disk) = self.inner.results.disk() {
             let d = disk.stats();
             out.gauge("mao_result_cache_disk_bytes", d.bytes);
@@ -1064,6 +1081,112 @@ mod tests {
             }
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    /// A function-scope pass that panics on the second function when given
+    /// `at[1]` (and otherwise does nothing), for the memo's failure path.
+    #[derive(Debug, Default)]
+    struct PanicsOnSecondFunction;
+
+    impl mao::MaoPass for PanicsOnSecondFunction {
+        fn name(&self) -> &'static str {
+            "FNPANIC"
+        }
+
+        fn description(&self) -> &'static str {
+            "test pass: panic inside run_functions on function `at[N]`"
+        }
+
+        fn scope(&self) -> mao::PassScope {
+            mao::PassScope::Function
+        }
+
+        fn run(
+            &self,
+            unit: &mut MaoUnit,
+            ctx: &mut mao::PassContext,
+        ) -> Result<mao::PassStats, mao::PassError> {
+            let at = ctx.options.get("at").and_then(|v| v.parse::<usize>().ok());
+            let second = unit.functions_cached().get(1).map(|f| f.name.clone());
+            mao::run_functions(unit, ctx, |_, function, _| {
+                if at == Some(1) && Some(&function.name) == second.as_ref() {
+                    panic!("injected panic in `{}`", function.name);
+                }
+                Ok(mao::EditSet::new())
+            })
+        }
+    }
+
+    #[test]
+    fn a_panicking_prefix_leaves_the_function_memo_unchanged() {
+        mao::pass::register_extension("FNPANIC", &IsaId::ALL, || Box::new(PanicsOnSecondFunction));
+        let engine = engine();
+        let asm =
+            format!("{INPUT}\t.type\tg, @function\ng:\n\taddl $1, %eax\n\taddl $2, %eax\n\tret\n");
+        let good = "REDTEST:FNPANIC:ADDADD";
+        let oneshot = |passes: &str| {
+            let mut unit = MaoUnit::parse(&asm).unwrap();
+            let invs = parse_invocations(passes).unwrap();
+            mao::pass::run_pipeline(&mut unit, &invs, None).unwrap();
+            unit.emit()
+        };
+        // Seen twice, so both functions are stored.
+        for _ in 0..2 {
+            assert!(matches!(
+                engine.handle(optimize_uncached(&asm, good)),
+                Response::Optimized { .. }
+            ));
+        }
+        let primed = engine.snapshot().function_memo;
+        assert_eq!(primed.admissions, 2, "{primed:?}");
+
+        // The same prefix, except that it panics on `g`: twice, so a
+        // first-sighting record would have turned into a stored value.
+        for _ in 0..2 {
+            match engine.handle(optimize_uncached(&asm, "REDTEST:FNPANIC=at[1]:ADDADD")) {
+                Response::Error { kind, message } => {
+                    assert_eq!(kind, ErrorKind::Panic);
+                    assert!(message.contains("injected panic in `g`"), "{message}");
+                }
+                other => panic!("expected a panic error, got {other:?}"),
+            }
+        }
+        let after = engine.snapshot().function_memo;
+        assert_eq!(
+            (after.admissions, after.entries, after.bytes),
+            (primed.admissions, primed.entries, primed.bytes),
+            "a failed prefix must store nothing"
+        );
+
+        // The next request is answered from the memo and matches one-shot.
+        let Response::Optimized { outcome, .. } = engine.handle(optimize_uncached(&asm, good))
+        else {
+            panic!("the memo must still serve");
+        };
+        assert_eq!(outcome.asm, oneshot(good));
+        assert_eq!(engine.snapshot().function_memo.hits, after.hits + 2);
+    }
+
+    #[test]
+    fn function_memo_counters_reach_stats_and_metrics() {
+        let engine = engine();
+        let asm = format!("{INPUT}\t.type\tg, @function\ng:\n\tnop\n\tret\n");
+        for _ in 0..3 {
+            engine.handle(optimize_uncached(&asm, "REDTEST:ADDADD"));
+        }
+        let memo = engine.snapshot().function_memo;
+        assert_eq!((memo.hits, memo.misses, memo.admissions), (2, 4, 2));
+        let stats = engine.snapshot().to_json();
+        let json = stats.get("function_memo").unwrap();
+        assert_eq!(json.get("hits").unwrap().as_u64(), Some(2));
+        assert!(json.get("bytes").unwrap().as_u64().unwrap() > 0);
+        let text = engine.metrics_text();
+        assert!(text.contains("mao_function_memo_hits_total 2"), "{text}");
+        assert!(
+            text.contains("mao_function_memo_admissions_total 2"),
+            "{text}"
+        );
+        assert!(text.contains("mao_function_memo_bytes "), "{text}");
     }
 
     fn tempdir(tag: &str) -> std::path::PathBuf {

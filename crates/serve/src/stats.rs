@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use mao::obs::{Counter, Metrics, SpanTotal};
-use mao::{CacheStats, RelaxTotals};
+use mao::{CacheStats, FunctionMemoStats, RelaxTotals};
 
 use crate::json::Json;
 use crate::result_cache::ResultCacheStats;
@@ -36,8 +36,10 @@ use crate::result_cache::ResultCacheStats;
 /// with — `hand-set` builtins or a `probe/<backend>` `.mpt` sweep);
 /// version 7 added the `isa` object (optimize requests by instruction
 /// set, one member per [`mao::isa::IsaId`] name) alongside per-request
-/// ISA selection on the `optimize` request.
-pub const STATS_SCHEMA_VERSION: u64 = 7;
+/// ISA selection on the `optimize` request; version 8 added the
+/// `function_memo` object (hits, misses, admissions, evictions, bytes and
+/// entries of the engine's function-result memo).
+pub const STATS_SCHEMA_VERSION: u64 = 8;
 
 /// Cumulative service counters. One instance lives for the daemon's whole
 /// life and is shared by every connection and worker thread. The counters
@@ -215,6 +217,7 @@ impl ServerStats {
     }
 
     /// Consolidate everything into one point-in-time [`StatsSnapshot`].
+    #[allow(clippy::too_many_arguments)]
     pub fn snapshot(
         &self,
         result_cache: ResultCacheStats,
@@ -224,6 +227,7 @@ impl ServerStats {
         relax: RelaxTotals,
         span_totals: Vec<SpanTotal>,
         frontend: FrontendStats,
+        function_memo: FunctionMemoStats,
     ) -> StatsSnapshot {
         let per_pass_timings = self
             .pass_timings
@@ -262,6 +266,7 @@ impl ServerStats {
             span_totals,
             superopt: self.superopt.snapshot(),
             frontend,
+            function_memo,
             cost_model: CostModelStats::current(),
         }
     }
@@ -423,6 +428,9 @@ pub struct StatsSnapshot {
     pub superopt: SuperoptStats,
     /// Front-end totals: parse time, snapshot tier, symbol interner.
     pub frontend: FrontendStats,
+    /// The function-result memo: the `mao_function_memo_*` counters plus
+    /// its current size (schema v8).
+    pub function_memo: FunctionMemoStats,
     /// Provenance of the cost model the passes planned with.
     pub cost_model: CostModelStats,
 }
@@ -568,6 +576,17 @@ impl StatsSnapshot {
                     ("interner_bytes", Json::from(self.frontend.interner_bytes)),
                 ]),
             ),
+            (
+                "function_memo",
+                Json::obj(vec![
+                    ("hits", Json::from(self.function_memo.hits)),
+                    ("misses", Json::from(self.function_memo.misses)),
+                    ("admissions", Json::from(self.function_memo.admissions)),
+                    ("evictions", Json::from(self.function_memo.evictions)),
+                    ("bytes", Json::from(self.function_memo.bytes)),
+                    ("entries", Json::from(self.function_memo.entries)),
+                ]),
+            ),
             ("shards", Json::Arr(shards)),
             (
                 "relax",
@@ -625,6 +644,7 @@ mod tests {
                 RelaxTotals::default(),
                 Vec::new(),
                 FrontendStats::default(),
+                FunctionMemoStats::default(),
             )
             .to_json()
     }
@@ -741,6 +761,7 @@ mod tests {
                 RelaxTotals::default(),
                 Vec::new(),
                 FrontendStats::default(),
+                FunctionMemoStats::default(),
             )
             .to_json();
         let disk = snap.get("result_cache").unwrap().get("disk").unwrap();
@@ -800,6 +821,7 @@ mod tests {
                     total_us: 42,
                 }],
                 FrontendStats::default(),
+                FunctionMemoStats::default(),
             )
             .to_json();
         let spans = snap.get("spans").unwrap().as_arr().unwrap();

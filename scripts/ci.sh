@@ -40,6 +40,9 @@ SMOKE_LOG=$(mktemp)
 trap 'rm -f "$SMOKE_LOG"' EXIT
 target/release/mao check --smoke | tee "$SMOKE_LOG"
 grep -q 'aarch64 structural leg' "$SMOKE_LOG"
+# The matrix carries the function-memo path, and it must actually splice
+# stored functions in: dropping the path, or a memo that never hits, fails.
+grep -Eq 'memo leg -> [1-9][0-9]* function-memo hits' "$SMOKE_LOG"
 rm -f "$SMOKE_LOG"
 trap - EXIT
 target/release/mao check --inject-miscompile > /dev/null
