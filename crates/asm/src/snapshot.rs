@@ -4,25 +4,18 @@
 //! A snapshot lets repeated builds of mostly-unchanged assembly skip text
 //! parsing entirely: the CLI (`mao --emit-snapshot` / `--snapshot-dir`) and
 //! `maod` key snapshots by the input's content hash and load the IR straight
-//! from bytes. The format follows the same discipline as the PR 6/7 disk
-//! caches — versioned magic, embedded content key, checksummed body — so a
-//! corrupt, truncated, or version-skewed file is *detected and rejected*,
-//! never served (the stores evict such files on sight; `mao check`'s
-//! snapshot execution path proves byte-identical results against the text
-//! path).
+//! from bytes. A snapshot is a [`Kind::Snapshot`] artifact in the shared
+//! container, keyed by that content hash and stamped with the unit's ISA,
+//! so a corrupt, truncated, or version-skewed file is *detected and
+//! rejected*, never served (the stores evict such files on sight; `mao
+//! check`'s snapshot execution path proves byte-identical results against
+//! the text path).
 //!
-//! Layout (all integers little-endian; `varint`/`zigzag` are LEB128):
+//! Body layout (`varint`/`zigzag` are LEB128):
 //!
 //! ```text
-//! magic    8B  b"MAOSNAP\x01"
-//! version  u32
-//! isa_tag  u32             which ISA the unit's instructions belong to
-//! body_len u64
-//! body:
-//!   key          u128      content hash of the source text (0 if unkeyed)
-//!   strtab_count varint    distinct strings, then per string: len + bytes
-//!   entry_count  varint    then per entry: tag byte + payload
-//! checksum u64             word-wise FNV-1a over body
+//! strtab_count varint    distinct strings, then per string: len + bytes
+//! entry_count  varint    then per entry: tag byte + payload
 //! ```
 //!
 //! Strings are deduplicated through a string table; symbol-typed fields
@@ -31,17 +24,10 @@
 //! Mnemonics and registers serialize through stable numeric codes
 //! ([`mao_x86::Mnemonic::snapshot_code`], [`mao_x86::RegId::index`],
 //! [`mao_aarch64::A64Mnemonic::snapshot_code`]); any table reordering
-//! requires a [`SNAPSHOT_VERSION`] bump.
-//!
-//! Version history: v1 was x86-only (the pre-ISA-boundary format; its
-//! `isa_tag` slot was a reserved zero). v2 stamps the unit's [`IsaId`] in
-//! the header and adds the AArch64 instruction entry tag. v1 files are
-//! rejected as [`SnapshotError::StaleVersion`] and evicted by the stores,
-//! exactly like any other version skew.
-
-use std::fmt;
+//! requires a [`Kind::Snapshot`] version bump.
 
 use mao_aarch64::{A64Insn, A64Mnemonic, A64Operand, A64Reg};
+use mao_isa::container::{self, ContainerError, Kind};
 use mao_isa::{Insn, IsaId};
 use mao_x86::insn::Instruction;
 use mao_x86::operand::{Disp, Mem, Operand, Operands};
@@ -51,74 +37,9 @@ use mao_x86::Mnemonic;
 
 use crate::entry::{Align, DataItem, DataWidth, Directive, Entry};
 
-/// Magic prefix of a snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MAOSNAP\x01";
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
-/// Fixed header length (magic + version + reserved + body_len).
-const HEADER_LEN: usize = 8 + 4 + 4 + 8;
-
-/// Why a snapshot failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// Structurally invalid: bad magic, truncation, unknown tag, bad UTF-8.
-    Malformed(&'static str),
-    /// Valid container written by a different format version.
-    StaleVersion(u32),
-    /// Embedded content key does not match the expected key.
-    WrongKey,
-    /// Checksum mismatch: bit rot or a torn write.
-    Corrupt,
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Malformed(what) => write!(f, "malformed snapshot: {what}"),
-            SnapshotError::StaleVersion(v) => {
-                write!(f, "snapshot version {v} != {SNAPSHOT_VERSION}")
-            }
-            SnapshotError::WrongKey => write!(f, "snapshot content key mismatch"),
-            SnapshotError::Corrupt => write!(f, "snapshot checksum mismatch"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
 /// 128-bit FNV-1a content hash of source text — the snapshot store key.
 pub fn content_key(text: &str) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut h = OFFSET;
-    for &b in text.as_bytes() {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// Word-wise FNV-1a over `bytes`: 8 bytes per round so checksumming does not
-/// dominate snapshot load time (the byte-wise variant the result cache uses
-/// costs about a cycle per byte, which would eat the 10x load budget).
-fn checksum64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h ^= u64::from_le_bytes(c.try_into().unwrap());
-        h = h.wrapping_mul(PRIME);
-    }
-    let rest = chunks.remainder();
-    if !rest.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rest.len()].copy_from_slice(rest);
-        tail[7] = rest.len() as u8; // disambiguate zero-padding from zeros
-        h ^= u64::from_le_bytes(tail);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    mao_x86::fnv::fnv1a128(text.as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -416,7 +337,7 @@ fn width_code(w: Option<Width>) -> u8 {
     }
 }
 
-fn width_from_code(c: u8) -> Result<Option<Width>, SnapshotError> {
+fn width_from_code(c: u8) -> Result<Option<Width>, ContainerError> {
     Ok(match c {
         0 => None,
         1 => Some(Width::B1),
@@ -424,7 +345,7 @@ fn width_from_code(c: u8) -> Result<Option<Width>, SnapshotError> {
         3 => Some(Width::B4),
         4 => Some(Width::B8),
         5 => Some(Width::B16),
-        _ => return Err(SnapshotError::Malformed("width code")),
+        _ => return Err(ContainerError::Body("width code")),
     })
 }
 
@@ -437,13 +358,13 @@ fn data_width_code(w: DataWidth) -> u8 {
     }
 }
 
-fn data_width_from_code(c: u8) -> Result<DataWidth, SnapshotError> {
+fn data_width_from_code(c: u8) -> Result<DataWidth, ContainerError> {
     Ok(match c {
         0 => DataWidth::Byte,
         1 => DataWidth::Word,
         2 => DataWidth::Long,
         3 => DataWidth::Quad,
-        _ => return Err(SnapshotError::Malformed("data width code")),
+        _ => return Err(ContainerError::Body("data width code")),
     })
 }
 
@@ -472,30 +393,20 @@ pub fn encode(entries: &[Entry], key: u128) -> Vec<u8> {
         w.entry(e);
     }
     let entry_bytes = std::mem::take(&mut w.buf);
+    let table = std::mem::take(&mut w.table);
 
-    let mut body = Vec::with_capacity(entry_bytes.len() + w.table.len() * 12 + 32);
-    body.extend_from_slice(&key.to_le_bytes());
-    let mut head = Writer {
-        buf: body,
-        strings: std::collections::HashMap::new(),
-        table: Vec::new(),
-    };
-    head.varint(w.table.len() as u64);
-    for &s in &w.table {
-        head.varint(s.len() as u64);
-        head.buf.extend_from_slice(s.as_bytes());
-    }
-    let mut body = head.buf;
-    body.extend_from_slice(&entry_bytes);
-
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len() + 8);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&unit_isa(entries).tag().to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&checksum64(&body).to_le_bytes());
-    out
+    let capacity = entry_bytes.len() + table.len() * 12 + 16;
+    let isa = Some(unit_isa(entries));
+    container::seal(Kind::Snapshot, isa, key, capacity, |body| {
+        w.buf = std::mem::take(body);
+        w.varint(table.len() as u64);
+        for s in &table {
+            w.varint(s.len() as u64);
+            w.buf.extend_from_slice(s.as_bytes());
+        }
+        w.buf.extend_from_slice(&entry_bytes);
+        *body = w.buf;
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -513,9 +424,9 @@ struct Reader<'a, 's> {
 
 impl<'a, 's> Reader<'a, 's> {
     #[inline]
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ContainerError> {
         if n > self.rest.len() {
-            return Err(SnapshotError::Malformed("truncated body"));
+            return Err(ContainerError::Body("truncated body"));
         }
         let (head, tail) = self.rest.split_at(n);
         self.rest = tail;
@@ -523,18 +434,18 @@ impl<'a, 's> Reader<'a, 's> {
     }
 
     #[inline(always)]
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
+    fn u8(&mut self) -> Result<u8, ContainerError> {
         match self.rest.split_first() {
             Some((&b, tail)) => {
                 self.rest = tail;
                 Ok(b)
             }
-            None => Err(SnapshotError::Malformed("truncated body")),
+            None => Err(ContainerError::Body("truncated body")),
         }
     }
 
     #[inline(always)]
-    fn varint(&mut self) -> Result<u64, SnapshotError> {
+    fn varint(&mut self) -> Result<u64, ContainerError> {
         // Single-byte fast path: the overwhelming majority of varints in a
         // snapshot (operand counts, string indices, small displacements).
         if let Some((&b, tail)) = self.rest.split_first() {
@@ -546,13 +457,13 @@ impl<'a, 's> Reader<'a, 's> {
         self.varint_multi()
     }
 
-    fn varint_multi(&mut self) -> Result<u64, SnapshotError> {
+    fn varint_multi(&mut self) -> Result<u64, ContainerError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
             let b = self.u8()?;
             if shift >= 64 {
-                return Err(SnapshotError::Malformed("varint overflow"));
+                return Err(ContainerError::Body("varint overflow"));
             }
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
@@ -563,36 +474,35 @@ impl<'a, 's> Reader<'a, 's> {
     }
 
     #[inline(always)]
-    fn zigzag(&mut self) -> Result<i64, SnapshotError> {
+    fn zigzag(&mut self) -> Result<i64, ContainerError> {
         let v = self.varint()?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
 
     #[inline(always)]
-    fn sym(&mut self) -> Result<Sym, SnapshotError> {
+    fn sym(&mut self) -> Result<Sym, ContainerError> {
         let idx = self.varint()? as usize;
         self.syms
             .get(idx)
             .copied()
-            .ok_or(SnapshotError::Malformed("string index out of range"))
+            .ok_or(ContainerError::Body("string index out of range"))
     }
 
-    fn string(&mut self) -> Result<String, SnapshotError> {
+    fn string(&mut self) -> Result<String, ContainerError> {
         Ok(self.sym()?.as_str().to_owned())
     }
 
     #[inline(always)]
-    fn reg(&mut self) -> Result<Reg, SnapshotError> {
+    fn reg(&mut self) -> Result<Reg, ContainerError> {
         let (id, wb) = match self.rest.split_first_chunk::<2>() {
             Some((&[id, wb], tail)) => {
                 self.rest = tail;
                 (id, wb)
             }
-            None => return Err(SnapshotError::Malformed("truncated body")),
+            None => return Err(ContainerError::Body("truncated body")),
         };
-        let id = RegId::from_index(id as usize).ok_or(SnapshotError::Malformed("register id"))?;
-        let width =
-            width_from_code(wb & 0x7f)?.ok_or(SnapshotError::Malformed("register width"))?;
+        let id = RegId::from_index(id as usize).ok_or(ContainerError::Body("register id"))?;
+        let width = width_from_code(wb & 0x7f)?.ok_or(ContainerError::Body("register width"))?;
         Ok(Reg {
             id,
             width,
@@ -601,7 +511,7 @@ impl<'a, 's> Reader<'a, 's> {
     }
 
     #[inline]
-    fn mem(&mut self) -> Result<Mem, SnapshotError> {
+    fn mem(&mut self) -> Result<Mem, ContainerError> {
         let flags = self.u8()?;
         let base = if flags & 1 != 0 {
             Some(self.reg()?)
@@ -621,7 +531,7 @@ impl<'a, 's> Reader<'a, 's> {
                 name: self.sym()?,
                 addend: self.zigzag()?,
             },
-            _ => return Err(SnapshotError::Malformed("displacement kind")),
+            _ => return Err(ContainerError::Body("displacement kind")),
         };
         Ok(Mem {
             disp,
@@ -632,7 +542,7 @@ impl<'a, 's> Reader<'a, 's> {
     }
 
     #[inline]
-    fn operand(&mut self) -> Result<Operand, SnapshotError> {
+    fn operand(&mut self) -> Result<Operand, ContainerError> {
         Ok(match self.u8()? {
             0 => Operand::Imm(self.zigzag()?),
             1 => Operand::Reg(self.reg()?),
@@ -640,16 +550,16 @@ impl<'a, 's> Reader<'a, 's> {
             3 => Operand::Label(self.sym()?),
             4 => Operand::IndirectReg(self.reg()?),
             5 => Operand::IndirectMem(self.mem()?),
-            _ => return Err(SnapshotError::Malformed("operand tag")),
+            _ => return Err(ContainerError::Body("operand tag")),
         })
     }
 
     #[inline]
-    fn a64_reg(&mut self) -> Result<A64Reg, SnapshotError> {
+    fn a64_reg(&mut self) -> Result<A64Reg, ContainerError> {
         let b = self.u8()?;
         let num = b & 0x3f;
         if num > 31 {
-            return Err(SnapshotError::Malformed("a64 register number"));
+            return Err(ContainerError::Body("a64 register number"));
         }
         Ok(A64Reg {
             num,
@@ -659,7 +569,7 @@ impl<'a, 's> Reader<'a, 's> {
     }
 
     #[inline]
-    fn a64_operand(&mut self) -> Result<A64Operand, SnapshotError> {
+    fn a64_operand(&mut self) -> Result<A64Operand, ContainerError> {
         Ok(match self.u8()? {
             0 => A64Operand::Reg(self.a64_reg()?),
             1 => A64Operand::Imm(self.zigzag()?),
@@ -668,24 +578,24 @@ impl<'a, 's> Reader<'a, 's> {
                 offset: self.zigzag()?,
             },
             3 => A64Operand::Label(self.sym()?),
-            _ => return Err(SnapshotError::Malformed("a64 operand tag")),
+            _ => return Err(ContainerError::Body("a64 operand tag")),
         })
     }
 
     #[inline]
-    fn a64_insn(&mut self) -> Result<A64Insn, SnapshotError> {
+    fn a64_insn(&mut self) -> Result<A64Insn, ContainerError> {
         let code = match self.rest.split_first_chunk::<2>() {
             Some((&[c0, c1], tail)) => {
                 self.rest = tail;
                 u16::from_le_bytes([c0, c1])
             }
-            None => return Err(SnapshotError::Malformed("truncated body")),
+            None => return Err(ContainerError::Body("truncated body")),
         };
         let mnemonic = A64Mnemonic::from_snapshot_code(code)
-            .ok_or(SnapshotError::Malformed("a64 mnemonic code"))?;
+            .ok_or(ContainerError::Body("a64 mnemonic code"))?;
         let n = self.varint()? as usize;
         if n > 4 {
-            return Err(SnapshotError::Malformed("a64 operand count"));
+            return Err(ContainerError::Body("a64 operand count"));
         }
         let mut operands = Vec::with_capacity(n);
         for _ in 0..n {
@@ -695,23 +605,23 @@ impl<'a, 's> Reader<'a, 's> {
     }
 
     #[inline]
-    fn insn(&mut self) -> Result<Instruction, SnapshotError> {
+    fn insn(&mut self) -> Result<Instruction, ContainerError> {
         // One 3-byte chunk read for the fixed head (code + flags).
         let (code, flags) = match self.rest.split_first_chunk::<3>() {
             Some((&[c0, c1, flags], tail)) => {
                 self.rest = tail;
                 (u16::from_le_bytes([c0, c1]), flags)
             }
-            None => return Err(SnapshotError::Malformed("truncated body")),
+            None => return Err(ContainerError::Body("truncated body")),
         };
         let mnemonic =
-            Mnemonic::from_snapshot_code(code).ok_or(SnapshotError::Malformed("mnemonic code"))?;
+            Mnemonic::from_snapshot_code(code).ok_or(ContainerError::Body("mnemonic code"))?;
         let op_width = width_from_code(flags & 0x7)?;
         let src_width = width_from_code((flags >> 3) & 0x7)?;
         let lock = flags & 0x40 != 0;
         let n = self.varint()? as usize;
         if n > 8 {
-            return Err(SnapshotError::Malformed("operand count"));
+            return Err(ContainerError::Body("operand count"));
         }
         let mut operands = Operands::new();
         for _ in 0..n {
@@ -729,7 +639,7 @@ impl<'a, 's> Reader<'a, 's> {
     /// Decode one entry directly into `out` (pushing rather than returning
     /// keeps the ~112-byte `Entry` from being moved through two stack
     /// copies per entry on the hot decode path).
-    fn entry_into(&mut self, out: &mut Vec<Entry>) -> Result<(), SnapshotError> {
+    fn entry_into(&mut self, out: &mut Vec<Entry>) -> Result<(), ContainerError> {
         out.push(match self.u8()? {
             0 => Entry::Label(self.sym()?),
             1 => Entry::Insn(Insn::X86(self.insn()?)),
@@ -738,7 +648,7 @@ impl<'a, 's> Reader<'a, 's> {
                 let name = self.sym()?;
                 let n = self.varint()? as usize;
                 if n > 64 {
-                    return Err(SnapshotError::Malformed("section arg count"));
+                    return Err(ContainerError::Body("section arg count"));
                 }
                 let mut args = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -779,14 +689,14 @@ impl<'a, 's> Reader<'a, 's> {
                 let width = data_width_from_code(self.u8()?)?;
                 let n = self.varint()? as usize;
                 if n > 1 << 24 {
-                    return Err(SnapshotError::Malformed("data item count"));
+                    return Err(ContainerError::Body("data item count"));
                 }
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
                     items.push(match self.u8()? {
                         0 => DataItem::Imm(self.zigzag()?),
                         1 => DataItem::Symbol(self.sym()?),
-                        _ => return Err(SnapshotError::Malformed("data item tag")),
+                        _ => return Err(ContainerError::Body("data item tag")),
                     });
                 }
                 Entry::Directive(Directive::Data { width, items })
@@ -800,7 +710,7 @@ impl<'a, 's> Reader<'a, 's> {
                 let align = match self.u8()? {
                     0 => None,
                     1 => Some(self.varint()?),
-                    _ => return Err(SnapshotError::Malformed("comm align flag")),
+                    _ => return Err(ContainerError::Body("comm align flag")),
                 };
                 Entry::Directive(Directive::Comm {
                     symbol,
@@ -812,7 +722,7 @@ impl<'a, 's> Reader<'a, 's> {
                 name: self.sym()?,
                 args: self.string()?,
             }),
-            _ => return Err(SnapshotError::Malformed("entry tag")),
+            _ => return Err(ContainerError::Body("entry tag")),
         });
         Ok(())
     }
@@ -820,59 +730,22 @@ impl<'a, 's> Reader<'a, 's> {
 
 /// The content key embedded in a snapshot, without a full decode.
 ///
-/// Validates magic/version/length/checksum (the cheap part) so callers can
-/// reject junk before trusting the key.
-pub fn snapshot_key(bytes: &[u8]) -> Result<u128, SnapshotError> {
-    let (body, _) = validate(bytes)?;
-    Ok(u128::from_le_bytes(body[..16].try_into().unwrap()))
+/// Validates the container (the cheap part) so callers can reject junk
+/// before trusting the key.
+pub fn snapshot_key(bytes: &[u8]) -> Result<u128, ContainerError> {
+    Ok(container::read(bytes, Kind::Snapshot)?.key)
 }
 
 /// The ISA tag stamped in a snapshot's header, without a full decode.
-pub fn snapshot_isa(bytes: &[u8]) -> Result<IsaId, SnapshotError> {
-    let (_, isa) = validate(bytes)?;
-    Ok(isa)
-}
-
-/// Validate container framing and checksum, returning the body slice and
-/// the header's ISA tag.
-fn validate(bytes: &[u8]) -> Result<(&[u8], IsaId), SnapshotError> {
-    if bytes.len() < HEADER_LEN + 16 + 8 {
-        return Err(SnapshotError::Malformed("too short"));
-    }
-    if bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::Malformed("bad magic"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::StaleVersion(version));
-    }
-    let isa_tag = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let isa = IsaId::from_tag(isa_tag).ok_or(SnapshotError::Malformed("isa tag"))?;
-    let body_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-    let Some(total) = HEADER_LEN
-        .checked_add(body_len)
-        .and_then(|n| n.checked_add(8))
-    else {
-        return Err(SnapshotError::Malformed("length overflow"));
-    };
-    if bytes.len() != total {
-        return Err(SnapshotError::Malformed("length mismatch"));
-    }
-    let body = &bytes[HEADER_LEN..HEADER_LEN + body_len];
-    let expect = u64::from_le_bytes(bytes[HEADER_LEN + body_len..].try_into().unwrap());
-    if checksum64(body) != expect {
-        return Err(SnapshotError::Corrupt);
-    }
-    if body.len() < 16 {
-        return Err(SnapshotError::Malformed("body too short"));
-    }
-    Ok((body, isa))
+pub fn snapshot_isa(bytes: &[u8]) -> Result<IsaId, ContainerError> {
+    let isa = container::read(bytes, Kind::Snapshot)?.isa;
+    IsaId::from_tag(isa).ok_or(ContainerError::WrongIsa(isa))
 }
 
 /// A loaded (validated, indexed) snapshot whose entries decode on demand.
 ///
 /// This is the mmap-style load boundary: [`Snapshot::load`] verifies the
-/// container (magic, version, length, checksum), checks the content key,
+/// container (magic, kind, version, length, checksum), checks the content key,
 /// and interns the string table — everything a consumer must pay *before
 /// the first entry* — but touches none of the entry region. Entries are
 /// then decoded straight out of the borrowed byte buffer, either streamed
@@ -898,21 +771,20 @@ impl<'a> Snapshot<'a> {
     pub fn load(
         bytes: &'a [u8],
         expected_key: Option<u128>,
-    ) -> Result<Snapshot<'a>, SnapshotError> {
-        let (body, isa) = validate(bytes)?;
-        let key = u128::from_le_bytes(body[..16].try_into().unwrap());
-        if let Some(expect) = expected_key {
-            if key != expect {
-                return Err(SnapshotError::WrongKey);
-            }
+    ) -> Result<Snapshot<'a>, ContainerError> {
+        let framed = container::read(bytes, Kind::Snapshot)?;
+        let isa = IsaId::from_tag(framed.isa).ok_or(ContainerError::WrongIsa(framed.isa))?;
+        let key = framed.key;
+        if expected_key.is_some_and(|expect| expect != key) {
+            return Err(ContainerError::WrongKey);
         }
         let mut r = Reader {
-            rest: &body[16..],
+            rest: framed.body,
             syms: &[],
         };
         let nstrings = r.varint()? as usize;
         if nstrings > 1 << 24 {
-            return Err(SnapshotError::Malformed("string table size"));
+            return Err(ContainerError::Body("string table size"));
         }
         // Every string costs at least one body byte, so a lying count cannot
         // force an allocation larger than the snapshot itself.
@@ -920,13 +792,13 @@ impl<'a> Snapshot<'a> {
         for _ in 0..nstrings {
             let len = r.varint()? as usize;
             let raw = r.take(len)?;
-            let s = std::str::from_utf8(raw)
-                .map_err(|_| SnapshotError::Malformed("string not UTF-8"))?;
+            let s =
+                std::str::from_utf8(raw).map_err(|_| ContainerError::Body("string not UTF-8"))?;
             syms.push(Sym::intern(s));
         }
         let nentries = r.varint()? as usize;
         if nentries > 1 << 28 {
-            return Err(SnapshotError::Malformed("entry count"));
+            return Err(ContainerError::Body("entry count"));
         }
         Ok(Snapshot {
             key,
@@ -959,7 +831,7 @@ impl<'a> Snapshot<'a> {
 
     /// Decode every entry into a `Vec` (the eager path the optimizer
     /// pipeline uses — it needs the whole unit).
-    pub fn to_entries(&self) -> Result<Vec<Entry>, SnapshotError> {
+    pub fn to_entries(&self) -> Result<Vec<Entry>, ContainerError> {
         let mut r = Reader {
             rest: self.entry_bytes,
             syms: &self.syms,
@@ -971,7 +843,7 @@ impl<'a> Snapshot<'a> {
             r.entry_into(&mut entries)?;
         }
         if !r.rest.is_empty() {
-            return Err(SnapshotError::Malformed("trailing bytes"));
+            return Err(ContainerError::Body("trailing bytes"));
         }
         Ok(entries)
     }
@@ -1004,13 +876,13 @@ pub struct SnapshotEntries<'a, 's> {
 }
 
 impl Iterator for SnapshotEntries<'_, '_> {
-    type Item = Result<Entry, SnapshotError>;
+    type Item = Result<Entry, ContainerError>;
 
-    fn next(&mut self) -> Option<Result<Entry, SnapshotError>> {
+    fn next(&mut self) -> Option<Result<Entry, ContainerError>> {
         if self.remaining == 0 {
             if !self.r.rest.is_empty() {
                 self.r.rest = &[];
-                return Some(Err(SnapshotError::Malformed("trailing bytes")));
+                return Some(Err(ContainerError::Body("trailing bytes")));
             }
             return None;
         }
@@ -1032,7 +904,7 @@ impl Iterator for SnapshotEntries<'_, '_> {
 }
 
 /// Decode a snapshot back into the entry list (load + full materialization).
-pub fn decode(bytes: &[u8], expected_key: Option<u128>) -> Result<Vec<Entry>, SnapshotError> {
+pub fn decode(bytes: &[u8], expected_key: Option<u128>) -> Result<Vec<Entry>, ContainerError> {
     Snapshot::load(bytes, expected_key)?.to_entries()
 }
 
@@ -1077,55 +949,9 @@ mod tests {
     fn wrong_key_is_rejected() {
         let entries = parse("nop\n").unwrap();
         let bytes = encode(&entries, 7);
-        assert_eq!(decode(&bytes, Some(8)), Err(SnapshotError::WrongKey));
+        assert_eq!(decode(&bytes, Some(8)), Err(ContainerError::WrongKey));
         assert!(decode(&bytes, Some(7)).is_ok());
         assert!(decode(&bytes, None).is_ok());
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let entries = parse(SAMPLE).unwrap();
-        let mut bytes = encode(&entries, 1);
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        assert!(matches!(
-            decode(&bytes, None),
-            Err(SnapshotError::Corrupt) | Err(SnapshotError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let entries = parse(SAMPLE).unwrap();
-        let bytes = encode(&entries, 1);
-        for cut in [0, 4, HEADER_LEN, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                decode(&bytes[..cut], None).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn version_skew_is_detected() {
-        let entries = parse("nop\n").unwrap();
-        let mut bytes = encode(&entries, 1);
-        bytes[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-        assert_eq!(
-            decode(&bytes, None),
-            Err(SnapshotError::StaleVersion(SNAPSHOT_VERSION + 1))
-        );
-    }
-
-    #[test]
-    fn bad_magic_is_detected() {
-        let entries = parse("nop\n").unwrap();
-        let mut bytes = encode(&entries, 1);
-        bytes[0] = b'X';
-        assert_eq!(
-            decode(&bytes, None),
-            Err(SnapshotError::Malformed("bad magic"))
-        );
     }
 
     #[test]
@@ -1172,17 +998,6 @@ mod tests {
         // Directive-only units default to the x86 tag.
         let entries = parse(".text\n").unwrap();
         assert_eq!(snapshot_isa(&encode(&entries, 0)).unwrap(), IsaId::X86_64);
-    }
-
-    #[test]
-    fn unknown_isa_tag_is_rejected() {
-        let entries = parse("nop\n").unwrap();
-        let mut bytes = encode(&entries, 0);
-        bytes[12..16].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            decode(&bytes, None),
-            Err(SnapshotError::Malformed("isa tag"))
-        );
     }
 
     #[test]

@@ -1295,7 +1295,7 @@ fn cmd_oneshot(args: &[String]) -> ExitCode {
     // pass" (§III.A). The front end is snapshot-aware: a binary IR snapshot
     // file, or a `--snapshot-dir` entry keyed by the input's content hash,
     // replaces text parsing with a direct IR load.
-    let (mut unit, snapshot_key) = if raw.starts_with(&mao_asm::snapshot::SNAPSHOT_MAGIC) {
+    let (mut unit, snapshot_key) = if mao::isa::container::is_artifact(&raw) {
         let key = match mao_asm::snapshot::snapshot_key(&raw) {
             Ok(k) => k,
             Err(e) => {

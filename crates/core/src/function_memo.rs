@@ -53,7 +53,8 @@ use std::time::Instant;
 use mao_asm::{DataItem, Directive, Entry};
 use mao_obs::{Counter, Metrics, TraceEvent};
 
-use crate::isa::x86::sym::{FnvHasher, Sym};
+use crate::isa::x86::fnv::FnvHasher;
+use crate::isa::x86::sym::Sym;
 use crate::isa::{x86, IsaId};
 use crate::pass::{registry, scope_of, PassFactory, PassInvocation, PassScope, PassStats};
 use crate::unit::{Function, MaoUnit};

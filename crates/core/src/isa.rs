@@ -20,4 +20,5 @@ pub use mao_isa::{
 };
 
 pub use mao_isa::aarch64;
+pub use mao_isa::container;
 pub use mao_isa::x86;

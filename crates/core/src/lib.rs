@@ -17,6 +17,8 @@
 //! * [`profile`] — PMU-sample and reuse-distance annotations.
 //! * [`edgeprof`] — edge profiles from hardware samples (the paper's
 //!   stated future work, after Chen et al.).
+//! * [`store`] — the content-addressed artifact store under every
+//!   persistent cache tier.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@ pub mod pass;
 pub mod passes;
 pub mod profile;
 pub mod relax;
+pub mod store;
 pub mod unit;
 
 /// The telemetry crate (spans, metrics, Prometheus/Chrome-trace export),
@@ -62,4 +65,5 @@ pub use relax::{
     relax, relax_reference, relax_totals, BranchForm, Layout, LayoutCache, LayoutCacheStats,
     RelaxError, RelaxMetrics, RelaxTotals,
 };
+pub use store::{ArtifactStore, StoreConfig, StoreStats};
 pub use unit::{EditSet, EntryId, Function, MaoUnit, Section};

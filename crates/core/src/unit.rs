@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 
 use mao_asm::{Directive, Entry, ParseError};
 
-use crate::isa::x86::sym::FnvHasher;
+use crate::isa::x86::fnv::FnvHasher;
 use crate::isa::x86::Instruction;
 use crate::isa::{Insn, IsaId};
 

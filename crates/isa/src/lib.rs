@@ -25,6 +25,8 @@
 //! add an [`IsaId`] variant + an [`Insn`] arm, implement [`Isa`], and
 //! register it in [`isa()`]. DESIGN.md §15 walks through it.
 
+pub mod container;
+
 use std::fmt;
 
 /// Re-export of the x86-64 model. Core crates import x86 types through

@@ -1,99 +1,26 @@
-//! Content-addressed on-disk result store: the persistent cache tier.
+//! The persistent result tier: whole optimize outcomes as `.mc`
+//! artifacts in an [`ArtifactStore`], so a daemon restart begins warm and
+//! `maod` instances can share results through one directory. This module
+//! owns only the body codec; the frame, validation and file management are
+//! shared (DESIGN.md, "On-disk artifacts").
 //!
-//! One self-verifying `.mc` file per 128-bit [`RequestKey`], so a daemon
-//! restart begins warm and multiple `maod` instances can share artifacts
-//! through a common directory. This module owns only the *entry codec* —
-//! magic+version stamp, embedded key, explicit lengths, FNV-1a body
-//! checksum ([`encode_entry`]/[`decode_entry`]); the file management
-//! (atomic writes, validated evict-never-serve reads, segmented
-//! scan-resistant LRU eviction, compact startup index) is the shared
-//! [`ArtifactStore`] machinery, which the layout and snapshot tiers reuse.
-//! The on-disk entry format is unchanged from when this module carried its
-//! own store: caches written by earlier builds are read back verbatim.
-//!
-//! The version stamp ([`DISK_FORMAT_VERSION`]) must be bumped whenever the
-//! serialized [`OptimizeOutcome`] shape *or the meaning of a cached result*
-//! changes (new pass semantics, changed emission), invalidating every
-//! existing entry at once. Pass configuration does not need a stamp: the
-//! pass string is part of the request key itself.
+//! Bump [`Kind::Result`]'s version whenever the serialized
+//! [`OptimizeOutcome`] shape *or the meaning of a cached result* changes
+//! (new pass semantics, changed emission). Pass configuration needs no
+//! bump: the pass string is part of the request key, which also covers
+//! the ISA, so result files carry ISA tag 0.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+use mao::isa::container::{self, ContainerError, Kind};
+use mao::{ArtifactStore, StoreConfig, StoreStats};
 
 use crate::protocol::OptimizeOutcome;
 use crate::result_cache::RequestKey;
-use crate::store::{ArtifactStore, StoreConfig, StoreStats};
 
-/// Bumped whenever the entry encoding or the meaning of a cached result
-/// changes; entries with any other version are treated as stale and
-/// evicted on contact.
-pub const DISK_FORMAT_VERSION: u32 = 1;
-
-/// 8-byte file magic. The trailing byte doubles as a human-readable format
-/// generation in hexdumps.
-const MAGIC: &[u8; 8] = b"MAODC\0\0\x01";
-
-/// Entry file extension.
-const EXT: &str = "mc";
-
-/// Construction parameters for a [`DiskCache`].
-#[derive(Debug, Clone)]
-pub struct DiskCacheConfig {
-    /// Directory holding the entries (created if missing).
-    pub dir: PathBuf,
-    /// Total byte budget across entries (0 = unbounded).
-    pub max_bytes: u64,
-    /// Force file + directory syncs on every write.
-    pub fsync: bool,
-}
-
-impl DiskCacheConfig {
-    /// Defaults: unbounded, no fsync.
-    pub fn new(dir: impl Into<PathBuf>) -> DiskCacheConfig {
-        DiskCacheConfig {
-            dir: dir.into(),
-            max_bytes: 0,
-            fsync: false,
-        }
-    }
-}
-
-/// Counters, cumulative over the cache's lifetime (this instance only —
-/// other instances sharing the directory keep their own).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskCacheStats {
-    /// Lookups served from disk.
-    pub hits: u64,
-    /// Lookups that found no (valid) entry.
-    pub misses: u64,
-    /// Entries written.
-    pub insertions: u64,
-    /// Entries deleted to respect the byte budget.
-    pub evictions: u64,
-    /// Corrupt/truncated/stale entries deleted instead of served.
-    pub corrupt: u64,
-    /// Bytes currently resident (as indexed by this instance).
-    pub bytes: u64,
-    /// Entries currently resident (as indexed by this instance).
-    pub entries: u64,
-    /// Configured byte budget (0 = unbounded).
-    pub max_bytes: u64,
-}
-
-impl From<StoreStats> for DiskCacheStats {
-    fn from(s: StoreStats) -> DiskCacheStats {
-        DiskCacheStats {
-            hits: s.hits,
-            misses: s.misses,
-            insertions: s.insertions,
-            evictions: s.evictions,
-            corrupt: s.corrupt,
-            bytes: s.bytes,
-            entries: s.entries,
-            max_bytes: s.max_bytes,
-        }
-    }
-}
+/// The result tier is configured like any store.
+pub type DiskCacheConfig = StoreConfig;
 
 /// The persistent result tier: the `.mc` codec over an [`ArtifactStore`].
 pub struct DiskCache {
@@ -104,14 +31,10 @@ impl DiskCache {
     /// Open (creating if needed) the cache directory and index any entries
     /// already present — the restart-warm path and the shared-directory
     /// path both start here.
-    pub fn open(config: DiskCacheConfig) -> io::Result<DiskCache> {
-        let store = ArtifactStore::open(StoreConfig {
-            dir: config.dir,
-            max_bytes: config.max_bytes,
-            fsync: config.fsync,
-            ext: EXT,
-        })?;
-        Ok(DiskCache { store })
+    pub fn open(config: StoreConfig) -> io::Result<DiskCache> {
+        Ok(DiskCache {
+            store: ArtifactStore::open(config, Kind::Result)?,
+        })
     }
 
     /// The directory entries live in.
@@ -125,53 +48,30 @@ impl DiskCache {
         self.store.attach_metrics(metrics, "mao_result_cache_disk");
     }
 
-    #[cfg(test)]
-    fn path_of(&self, key: RequestKey) -> PathBuf {
-        self.store.path_of(key.raw())
-    }
-
     /// Look up an entry, decoding and verifying it. Invalid entries are
     /// deleted and reported as misses; a hit refreshes the LRU position.
     pub fn get(&self, key: RequestKey) -> Option<OptimizeOutcome> {
-        let mut decoded = None;
         self.store
-            .get_with(key.raw(), |bytes| match decode_entry(bytes, key) {
-                Ok(outcome) => {
-                    decoded = Some(outcome);
-                    true
-                }
-                Err(_) => false,
-            })?;
-        decoded
+            .get_with(key.raw(), |bytes| decode_entry(bytes, key).ok())
     }
 
-    /// Write an entry (atomic tmp+rename), then evict entries past the byte
-    /// budget. Write errors are swallowed — the disk tier is an accelerator,
-    /// not a source of truth.
+    /// Write an entry, then evict entries past the byte budget. Write
+    /// errors are swallowed — the disk tier is an accelerator, not a
+    /// source of truth.
     pub fn put(&self, key: RequestKey, outcome: &OptimizeOutcome) {
         self.store.put(key.raw(), &encode_entry(key, outcome));
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> DiskCacheStats {
-        self.store.stats().into()
+    pub fn stats(&self) -> StoreStats {
+        self.store.stats()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Entry encoding: magic, version, key, body length, body, FNV-1a checksum.
-// All integers little-endian. The body is a length-prefixed dump of the
-// OptimizeOutcome fields.
+// Body: a length-prefixed dump of the OptimizeOutcome fields, integers
+// little-endian.
 // ---------------------------------------------------------------------------
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
@@ -180,108 +80,57 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 
 /// Serialize one entry to its on-disk bytes.
 pub fn encode_entry(key: RequestKey, outcome: &OptimizeOutcome) -> Vec<u8> {
-    let mut body = Vec::with_capacity(outcome.asm.len() + 256);
-    put_bytes(&mut body, outcome.asm.as_bytes());
-    body.extend_from_slice(&(outcome.passes.len() as u32).to_le_bytes());
-    for (name, transformations, matches) in &outcome.passes {
-        put_bytes(&mut body, name.as_bytes());
-        body.extend_from_slice(&(*transformations as u64).to_le_bytes());
-        body.extend_from_slice(&(*matches as u64).to_le_bytes());
-    }
-    body.extend_from_slice(&(outcome.timings_us.len() as u32).to_le_bytes());
-    for (name, us) in &outcome.timings_us {
-        put_bytes(&mut body, name.as_bytes());
-        body.extend_from_slice(&us.to_le_bytes());
-    }
-    body.extend_from_slice(&(outcome.trace.len() as u32).to_le_bytes());
-    for line in &outcome.trace {
-        put_bytes(&mut body, line.as_bytes());
-    }
-
-    let mut out = Vec::with_capacity(body.len() + 48);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&DISK_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.raw().to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out
+    let capacity = outcome.asm.len() + 256;
+    container::seal(Kind::Result, None, key.raw(), capacity, |body| {
+        put_bytes(body, outcome.asm.as_bytes());
+        body.extend_from_slice(&(outcome.passes.len() as u32).to_le_bytes());
+        for (name, transformations, matches) in &outcome.passes {
+            put_bytes(body, name.as_bytes());
+            body.extend_from_slice(&(*transformations as u64).to_le_bytes());
+            body.extend_from_slice(&(*matches as u64).to_le_bytes());
+        }
+        body.extend_from_slice(&(outcome.timings_us.len() as u32).to_le_bytes());
+        for (name, us) in &outcome.timings_us {
+            put_bytes(body, name.as_bytes());
+            body.extend_from_slice(&us.to_le_bytes());
+        }
+        body.extend_from_slice(&(outcome.trace.len() as u32).to_le_bytes());
+        for line in &outcome.trace {
+            put_bytes(body, line.as_bytes());
+        }
+    })
 }
 
-/// Entry decode failure (all variants are handled identically — evict —
-/// but the distinction helps tests and debugging).
-#[derive(Debug, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Too short, bad magic, or declared lengths exceed the file.
-    Malformed,
-    /// Written by a different format generation.
-    StaleVersion,
-    /// The file claims to store a different key than its name implies.
-    WrongKey,
-    /// The body checksum does not match.
-    Corrupt,
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+struct Cursor<'a>(&'a [u8]);
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Malformed)?;
-        if end > self.bytes.len() {
-            return Err(DecodeError::Malformed);
+    fn take(&mut self, n: u64) -> Result<&'a [u8], ContainerError> {
+        if n > self.0.len() as u64 {
+            return Err(ContainerError::Body("truncated result body"));
         }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        let (head, tail) = self.0.split_at(n as usize);
+        self.0 = tail;
+        Ok(head)
     }
 
-    fn u32(&mut self) -> Result<u32, DecodeError> {
+    fn u32(&mut self) -> Result<u32, ContainerError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, DecodeError> {
+    fn u64(&mut self) -> Result<u64, ContainerError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn string(&mut self) -> Result<String, DecodeError> {
-        let len = self.u64()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Corrupt)
+    fn string(&mut self) -> Result<String, ContainerError> {
+        let len = self.u64()?;
+        String::from_utf8(self.take(len)?.to_vec())
+            .map_err(|_| ContainerError::Body("result string not UTF-8"))
     }
 }
 
 /// Decode and verify one entry file's bytes for `expected` key.
-pub fn decode_entry(bytes: &[u8], expected: RequestKey) -> Result<OptimizeOutcome, DecodeError> {
-    let mut c = Cursor { bytes, pos: 0 };
-    if c.take(8)? != MAGIC {
-        return Err(DecodeError::Malformed);
-    }
-    if c.u32()? != DISK_FORMAT_VERSION {
-        return Err(DecodeError::StaleVersion);
-    }
-    let key = u128::from_le_bytes(c.take(16)?.try_into().unwrap());
-    if key != expected.raw() {
-        return Err(DecodeError::WrongKey);
-    }
-    let body_len = c.u64()? as usize;
-    let body_start = c.pos;
-    // The body plus its trailing 8-byte checksum must fit exactly.
-    if bytes.len() != body_start + body_len + 8 {
-        return Err(DecodeError::Malformed);
-    }
-    let body = &bytes[body_start..body_start + body_len];
-    let checksum = u64::from_le_bytes(bytes[body_start + body_len..].try_into().unwrap());
-    if fnv1a(body) != checksum {
-        return Err(DecodeError::Corrupt);
-    }
-
-    let mut c = Cursor {
-        bytes: body,
-        pos: 0,
-    };
+pub fn decode_entry(bytes: &[u8], expected: RequestKey) -> Result<OptimizeOutcome, ContainerError> {
+    let mut c = Cursor(container::open(bytes, Kind::Result, None, expected.raw())?);
     let asm = c.string()?;
     let mut passes = Vec::new();
     for _ in 0..c.u32()? {
@@ -300,8 +149,8 @@ pub fn decode_entry(bytes: &[u8], expected: RequestKey) -> Result<OptimizeOutcom
     for _ in 0..c.u32()? {
         trace.push(c.string()?);
     }
-    if c.pos != body.len() {
-        return Err(DecodeError::Malformed);
+    if !c.0.is_empty() {
+        return Err(ContainerError::Body("trailing result bytes"));
     }
     Ok(OptimizeOutcome {
         asm,
@@ -315,6 +164,7 @@ pub fn decode_entry(bytes: &[u8], expected: RequestKey) -> Result<OptimizeOutcom
 mod tests {
     use super::*;
     use crate::result_cache::request_key;
+    use std::path::PathBuf;
 
     fn outcome(asm: &str) -> OptimizeOutcome {
         OptimizeOutcome {
@@ -345,32 +195,11 @@ mod tests {
     }
 
     #[test]
-    fn truncation_and_corruption_are_rejected() {
-        let key = request_key("nop\n", "DCE", mao::isa::IsaId::X86_64);
-        let bytes = encode_entry(key, &outcome("nop\n"));
-        for cut in [0, 4, 12, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                decode_entry(&bytes[..cut], key).is_err(),
-                "truncated at {cut}"
-            );
-        }
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        assert!(decode_entry(&flipped, key).is_err(), "bit flip detected");
-        let other = request_key("other\n", "DCE", mao::isa::IsaId::X86_64);
-        assert_eq!(decode_entry(&bytes, other), Err(DecodeError::WrongKey));
-        let mut stale = bytes.clone();
-        stale[8] = 99; // version field
-        assert_eq!(decode_entry(&stale, key), Err(DecodeError::StaleVersion));
-    }
-
-    #[test]
     fn put_get_and_restart_reindex() {
         let dir = tempdir("roundtrip");
         let key = request_key("a\n", "DCE", mao::isa::IsaId::X86_64);
         {
-            let cache = DiskCache::open(DiskCacheConfig::new(&dir)).unwrap();
+            let cache = DiskCache::open(StoreConfig::new(&dir)).unwrap();
             assert!(cache.get(key).is_none());
             cache.put(key, &outcome("a\n"));
             assert_eq!(cache.get(key).unwrap().asm, "a\n");
@@ -378,28 +207,9 @@ mod tests {
             assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
         }
         // A fresh instance over the same directory starts warm.
-        let cache = DiskCache::open(DiskCacheConfig::new(&dir)).unwrap();
+        let cache = DiskCache::open(StoreConfig::new(&dir)).unwrap();
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.get(key).unwrap().asm, "a\n");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_file_is_evicted_not_served() {
-        let dir = tempdir("corrupt");
-        let cache = DiskCache::open(DiskCacheConfig::new(&dir)).unwrap();
-        let key = request_key("a\n", "DCE", mao::isa::IsaId::X86_64);
-        cache.put(key, &outcome("a\n"));
-        let path = cache.path_of(key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(cache.get(key).is_none());
-        assert!(!path.exists(), "corrupt entry deleted");
-        let s = cache.stats();
-        assert_eq!(s.corrupt, 1);
-        assert_eq!(s.entries, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -408,10 +218,9 @@ mod tests {
         let dir = tempdir("evict");
         let one_entry =
             encode_entry(request_key("0", "", mao::isa::IsaId::X86_64), &outcome("0")).len() as u64;
-        let cache = DiskCache::open(DiskCacheConfig {
-            dir: dir.clone(),
+        let cache = DiskCache::open(StoreConfig {
             max_bytes: one_entry * 2 + 1,
-            fsync: false,
+            ..StoreConfig::new(&dir)
         })
         .unwrap();
         let k0 = request_key("0", "", mao::isa::IsaId::X86_64);
@@ -431,8 +240,8 @@ mod tests {
     #[test]
     fn two_instances_share_a_directory() {
         let dir = tempdir("share");
-        let a = DiskCache::open(DiskCacheConfig::new(&dir)).unwrap();
-        let b = DiskCache::open(DiskCacheConfig::new(&dir)).unwrap();
+        let a = DiskCache::open(StoreConfig::new(&dir)).unwrap();
+        let b = DiskCache::open(StoreConfig::new(&dir)).unwrap();
         let key = request_key("shared\n", "DCE", mao::isa::IsaId::X86_64);
         a.put(key, &outcome("shared\n"));
         // B never wrote this key but reads A's entry.

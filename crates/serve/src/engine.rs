@@ -53,7 +53,7 @@ use mao::obs::{Histogram, Obs, PromText, Span, US_BUCKETS};
 use mao::pass::{parse_invocations, run_pipeline_observed, PipelineConfig};
 use mao::{CacheStats, FunctionMemo, MaoUnit};
 
-use crate::disk_cache::{DiskCache, DiskCacheConfig};
+use crate::disk_cache::DiskCache;
 use crate::layout_disk::DiskLayoutStore;
 use crate::pool::{ShardCtx, ShardPool};
 use crate::protocol::{
@@ -269,7 +269,7 @@ impl Engine {
             .inc();
         let disk = match &config.cache_dir {
             Some(dir) => Some(
-                DiskCache::open(DiskCacheConfig {
+                DiskCache::open(mao::StoreConfig {
                     dir: dir.clone(),
                     max_bytes: config.cache_max_bytes,
                     fsync: config.cache_fsync,

@@ -7,149 +7,91 @@
 //! restarts and between instances sharing a cache directory, the same
 //! promotion the result cache got from its disk tier.
 //!
-//! Each solved [`Layout`] is serialized as a self-verifying `.ml` frame
-//! (magic, version, embedded unit-content key, FNV-1a checksum) and kept in
-//! an [`ArtifactStore`] — atomic writes, validated evict-never-serve reads,
-//! segmented LRU eviction, startup index. The store plugs into core via the
-//! [`mao::LayoutStore`] trait; `Engine::build` wires one per daemon under
-//! `<cache_dir>/layout`.
+//! Each solved [`Layout`] is an `.ml` artifact (DESIGN.md, "On-disk
+//! artifacts") keyed by the unit's content key and stamped with its ISA —
+//! a layout solved for one instruction set is never served for another.
+//! The store plugs into core via the [`mao::LayoutStore`] trait;
+//! `Engine::build` wires one per daemon under `<cache_dir>/layout`.
 //!
-//! The frame deliberately omits `Layout::metrics` (solver telemetry, not
+//! The body deliberately omits `Layout::metrics` (solver telemetry, not
 //! layout): a loaded layout reports zeroed metrics and `agrees_with`
 //! ignores them.
 
 use std::io;
 
+use mao::isa::container::{self, ContainerError, Kind};
 use mao::isa::IsaId;
 use mao::relax::BranchForm;
-use mao::Layout;
-
-use crate::store::{ArtifactStore, StoreConfig, StoreStats};
-
-/// Bumped whenever the frame encoding or the meaning of a stored layout
-/// changes (e.g. relaxation semantics); other versions are evicted on
-/// contact. Version 2 added the ISA tag after the unit-content key — a
-/// layout solved for one instruction set must never be served for
-/// another, and v1 frames (implicitly x86-64, pre-dating the tag) are
-/// evicted like any other stale version.
-pub const LAYOUT_FORMAT_VERSION: u32 = 2;
-
-/// 8-byte file magic; trailing byte doubles as a format generation.
-const MAGIC: &[u8; 8] = b"MAOLYT\0\x01";
-
-/// Entry file extension.
-const EXT: &str = "ml";
+use mao::{ArtifactStore, Layout, StoreConfig, StoreStats};
 
 /// Hard cap on per-unit entry counts accepted at decode (matches the
 /// snapshot codec's limit; a declared length past this is malformed, not an
 /// allocation request).
-const MAX_ENTRIES: usize = 1 << 28;
+const MAX_ENTRIES: u64 = 1 << 28;
 
-/// Serialize one layout to its on-disk frame.
+/// Bytes per entry in the body: address, size, branch form.
+const ENTRY_BYTES: u64 = 8 + 4 + 1;
+
+/// Serialize one layout to its on-disk artifact.
 pub fn encode_layout(key: u128, isa: IsaId, layout: &Layout) -> Vec<u8> {
     let n = layout.addr.len();
-    let mut body = Vec::with_capacity(20 + n * 13 + 16);
-    body.extend_from_slice(&key.to_le_bytes());
-    body.extend_from_slice(&isa.tag().to_le_bytes());
-    body.extend_from_slice(&(n as u64).to_le_bytes());
-    for &addr in &layout.addr {
-        body.extend_from_slice(&addr.to_le_bytes());
-    }
-    for &size in &layout.size {
-        body.extend_from_slice(&size.to_le_bytes());
-    }
-    for &form in &layout.branch_form {
-        body.push(match form {
+    container::seal(Kind::Layout, Some(isa), key, 16 + n * 13, |body| {
+        body.extend_from_slice(&(n as u64).to_le_bytes());
+        for &addr in &layout.addr {
+            body.extend_from_slice(&addr.to_le_bytes());
+        }
+        for &size in &layout.size {
+            body.extend_from_slice(&size.to_le_bytes());
+        }
+        body.extend(layout.branch_form.iter().map(|form| match form {
             None => 0,
             Some(BranchForm::Rel8) => 1,
             Some(BranchForm::Rel32) => 2,
-        });
-    }
-    body.extend_from_slice(&(layout.iterations as u64).to_le_bytes());
-
-    let mut out = Vec::with_capacity(body.len() + 28);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&LAYOUT_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out
-}
-
-/// Decode and verify one frame for the unit-content key and ISA it claims
-/// to store. Any structural problem — truncation, bad magic, stale
-/// version, wrong key, **wrong ISA**, checksum mismatch, out-of-range form
-/// byte — returns `None`; the caller treats the file as corrupt and evicts
-/// it.
-pub fn decode_layout(bytes: &[u8], expected_key: u128, expected_isa: IsaId) -> Option<Layout> {
-    // Header: magic(8) version(4) body_len(8); trailer: checksum(8).
-    if bytes.len() < 20 + 8 || &bytes[..8] != MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes(bytes[8..12].try_into().unwrap()) != LAYOUT_FORMAT_VERSION {
-        return None;
-    }
-    let body_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-    if bytes.len() != 20 + body_len + 8 {
-        return None;
-    }
-    let body = &bytes[20..20 + body_len];
-    let checksum = u64::from_le_bytes(bytes[20 + body_len..].try_into().unwrap());
-    if fnv1a(body) != checksum {
-        return None;
-    }
-    if body.len() < 28 {
-        return None;
-    }
-    if u128::from_le_bytes(body[..16].try_into().unwrap()) != expected_key {
-        return None;
-    }
-    let isa_tag = u32::from_le_bytes(body[16..20].try_into().unwrap());
-    if IsaId::from_tag(isa_tag) != Some(expected_isa) {
-        return None;
-    }
-    let n = u64::from_le_bytes(body[20..28].try_into().unwrap()) as usize;
-    if n > MAX_ENTRIES || body.len() != 28 + n * 8 + n * 4 + n + 8 {
-        return None;
-    }
-    let mut pos = 28;
-    let mut addr = Vec::with_capacity(n);
-    for _ in 0..n {
-        addr.push(u64::from_le_bytes(body[pos..pos + 8].try_into().unwrap()));
-        pos += 8;
-    }
-    let mut size = Vec::with_capacity(n);
-    for _ in 0..n {
-        size.push(u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()));
-        pos += 4;
-    }
-    let mut branch_form = Vec::with_capacity(n);
-    for _ in 0..n {
-        branch_form.push(match body[pos] {
-            0 => None,
-            1 => Some(BranchForm::Rel8),
-            2 => Some(BranchForm::Rel32),
-            _ => return None,
-        });
-        pos += 1;
-    }
-    let iterations = u64::from_le_bytes(body[pos..pos + 8].try_into().unwrap()) as usize;
-    Some(Layout {
-        addr,
-        size,
-        branch_form,
-        iterations,
-        metrics: Default::default(),
+        }));
+        body.extend_from_slice(&(layout.iterations as u64).to_le_bytes());
     })
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100000001b3);
+/// Decode and verify one artifact for the unit-content key and ISA it
+/// must store.
+pub fn decode_layout(
+    bytes: &[u8],
+    expected_key: u128,
+    expected_isa: IsaId,
+) -> Result<Layout, ContainerError> {
+    let malformed = ContainerError::Body("layout entry count");
+    let body = container::open(bytes, Kind::Layout, Some(expected_isa), expected_key)?;
+    let (n, rest) = body.split_first_chunk::<8>().ok_or(malformed.clone())?;
+    let n = u64::from_le_bytes(*n);
+    if n > MAX_ENTRIES || rest.len() as u64 != n * ENTRY_BYTES + 8 {
+        return Err(malformed);
     }
-    hash
+    let n = n as usize;
+    let (addr, rest) = rest.split_at(n * 8);
+    let (size, rest) = rest.split_at(n * 4);
+    let (forms, iterations) = rest.split_at(n);
+    let branch_form = forms
+        .iter()
+        .map(|&b| match b {
+            0 => Ok(None),
+            1 => Ok(Some(BranchForm::Rel8)),
+            2 => Ok(Some(BranchForm::Rel32)),
+            _ => Err(ContainerError::Body("layout branch form")),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Layout {
+        addr: addr
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect(),
+        size: size
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect(),
+        branch_form,
+        iterations: u64::from_le_bytes(iterations.try_into().unwrap()) as usize,
+        metrics: Default::default(),
+    })
 }
 
 /// The `.ml` codec over an [`ArtifactStore`], implementing
@@ -162,24 +104,18 @@ pub struct DiskLayoutStore {
 }
 
 impl DiskLayoutStore {
-    /// Open (creating if needed) a layout store rooted at `config.dir`.
-    pub fn open(config: StoreConfig) -> io::Result<DiskLayoutStore> {
-        debug_assert_eq!(config.ext, EXT);
-        Ok(DiskLayoutStore {
-            store: ArtifactStore::open(config)?,
-        })
-    }
-
-    /// Convenience: open under `dir` with a byte budget (0 = unbounded).
+    /// Open (creating if needed) a layout store under `dir` with a byte
+    /// budget (0 = unbounded).
     pub fn open_dir(
         dir: impl Into<std::path::PathBuf>,
         max_bytes: u64,
     ) -> io::Result<DiskLayoutStore> {
-        DiskLayoutStore::open(StoreConfig {
-            dir: dir.into(),
+        let config = StoreConfig {
             max_bytes,
-            fsync: false,
-            ext: EXT,
+            ..StoreConfig::new(dir)
+        };
+        Ok(DiskLayoutStore {
+            store: ArtifactStore::open(config, Kind::Layout)?,
         })
     }
 
@@ -196,12 +132,8 @@ impl DiskLayoutStore {
 
 impl mao::LayoutStore for DiskLayoutStore {
     fn load(&self, key: u128, isa: IsaId) -> Option<Layout> {
-        let mut decoded = None;
-        self.store.get_with(key, |bytes| {
-            decoded = decode_layout(bytes, key, isa);
-            decoded.is_some()
-        })?;
-        decoded
+        self.store
+            .get_with(key, |bytes| decode_layout(bytes, key, isa).ok())
     }
 
     fn store(&self, key: u128, isa: IsaId, layout: &Layout) {
@@ -245,70 +177,12 @@ mod tests {
     }
 
     #[test]
-    fn truncation_corruption_and_skew_are_rejected() {
-        let bytes = encode_layout(42, IsaId::X86_64, &layout());
-        for cut in [0, 7, 19, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                decode_layout(&bytes[..cut], 42, IsaId::X86_64).is_none(),
-                "cut at {cut}"
-            );
-        }
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x10;
-        assert!(
-            decode_layout(&flipped, 42, IsaId::X86_64).is_none(),
-            "bit flip"
-        );
-        assert!(
-            decode_layout(&bytes, 43, IsaId::X86_64).is_none(),
-            "wrong key"
-        );
-        let mut stale = bytes.clone();
-        stale[8] = 99; // version field
-        assert!(
-            decode_layout(&stale, 42, IsaId::X86_64).is_none(),
-            "stale version"
-        );
-    }
-
-    #[test]
-    fn wrong_isa_frame_is_rejected_like_corruption() {
-        // A layout solved for aarch64 must never be served for an x86-64
-        // unit sharing the content key, and vice versa.
-        let bytes = encode_layout(42, IsaId::Aarch64, &layout());
-        assert!(decode_layout(&bytes, 42, IsaId::Aarch64).is_some());
-        assert!(
-            decode_layout(&bytes, 42, IsaId::X86_64).is_none(),
-            "wrong isa"
-        );
-        // Same through the store: the mismatched frame is evicted on contact.
-        let dir = tempdir("wrong-isa");
-        let s = DiskLayoutStore::open_dir(&dir, 0).unwrap();
-        s.store(9, IsaId::Aarch64, &layout());
-        assert!(s.load(9, IsaId::X86_64).is_none());
-        let path = dir.join(format!("{:032x}.ml", 9u128));
-        assert!(!path.exists(), "wrong-ISA layout evicted, not served");
-        assert_eq!(s.stats().corrupt, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_roundtrip_and_corrupt_eviction() {
+    fn store_roundtrip() {
         let dir = tempdir("store");
         let s = DiskLayoutStore::open_dir(&dir, 0).unwrap();
         assert!(s.load(7, IsaId::X86_64).is_none());
         s.store(7, IsaId::X86_64, &layout());
         assert!(s.load(7, IsaId::X86_64).unwrap().agrees_with(&layout()));
-        // Corrupt the file on disk: the next load evicts, never serves.
-        let path = dir.join(format!("{:032x}.ml", 7u128));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(s.load(7, IsaId::X86_64).is_none());
-        assert!(!path.exists(), "corrupt layout deleted");
-        assert_eq!(s.stats().corrupt, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

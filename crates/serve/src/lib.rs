@@ -18,14 +18,10 @@
 //! * [`protocol`] — request/response shapes and the frame codec.
 //! * [`result_cache`] — content-addressed tiered cache of whole-request
 //!   results (memory LRU over an optional persistent tier).
-//! * [`store`] — the generic content-addressed artifact store every
-//!   persistent tier shares: atomic writes, validated evict-never-serve
-//!   reads, segmented scan-resistant LRU eviction, and a compact index
-//!   file so startup does not stat the whole directory.
-//! * [`disk_cache`] — the persistent result tier: the self-verifying
-//!   `.mc` frame codec over an [`store::ArtifactStore`].
+//! * [`disk_cache`] — the persistent result tier: the `.mc` body codec
+//!   over a [`mao::ArtifactStore`].
 //! * [`layout_disk`] — the persistent layout tier: solved branch-relaxation
-//!   layouts as self-verifying `.ml` frames over an artifact store.
+//!   layouts as `.ml` artifacts over an artifact store.
 //! * [`snapshot_store`] — the front-end snapshot tier: binary IR snapshots
 //!   (`mao_asm::snapshot`) keyed by input content hash, `.msnap` files
 //!   byte-identical to `mao --emit-snapshot` output.
@@ -61,14 +57,14 @@ pub mod result_cache;
 pub mod server;
 pub mod snapshot_store;
 pub mod stats;
-pub mod store;
 
 pub use batch::run_batch;
 pub use client::Client;
-pub use disk_cache::{DiskCache, DiskCacheConfig, DiskCacheStats, DISK_FORMAT_VERSION};
+pub use disk_cache::{DiskCache, DiskCacheConfig};
 pub use engine::{Engine, EngineConfig};
 pub use json::Json;
 pub use layout_disk::DiskLayoutStore;
+pub use mao::{ArtifactStore, StoreConfig, StoreStats};
 pub use protocol::{
     CacheOutcome, ErrorKind, OptimizeOutcome, OptimizeRequest, Request, Response, Timings,
 };
@@ -79,4 +75,3 @@ pub use stats::{
     AdmissionStats, CostModelStats, RequestCounters, ServerStats, ShardStats, StatsSnapshot,
     SuperoptStats, STATS_SCHEMA_VERSION,
 };
-pub use store::{ArtifactStore, StoreConfig, StoreStats};

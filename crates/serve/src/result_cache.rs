@@ -25,7 +25,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::disk_cache::{DiskCache, DiskCacheStats};
+use crate::disk_cache::DiskCache;
 use crate::protocol::OptimizeOutcome;
 
 /// Registry mirrors of the cache counters (attached at most once).
@@ -94,7 +94,7 @@ pub struct ResultCacheStats {
     /// Configured capacity (entries).
     pub capacity: usize,
     /// Persistent-tier counters (None when no disk tier is configured).
-    pub disk: Option<DiskCacheStats>,
+    pub disk: Option<mao::StoreStats>,
 }
 
 impl ResultCacheStats {
@@ -305,10 +305,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("maod-result-cache-tier-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let open = || {
-            crate::disk_cache::DiskCache::open(crate::disk_cache::DiskCacheConfig::new(&dir))
-                .unwrap()
-        };
+        let open = || crate::disk_cache::DiskCache::open(mao::StoreConfig::new(&dir)).unwrap();
         let k = request_key("nop\n", "DCE", mao::isa::IsaId::X86_64);
         {
             let warm = ResultCache::with_disk(8, Some(open()));

@@ -734,7 +734,7 @@ mod tests {
     fn disk_tier_and_shards_render_when_present() {
         let stats = ServerStats::default();
         let mut result_cache = ResultCacheStats::default();
-        result_cache.disk = Some(crate::disk_cache::DiskCacheStats {
+        result_cache.disk = Some(mao::StoreStats {
             hits: 7,
             misses: 2,
             insertions: 9,
@@ -743,6 +743,7 @@ mod tests {
             bytes: 4096,
             entries: 8,
             max_bytes: 1 << 20,
+            ..mao::StoreStats::default()
         });
         let shard = ShardStats {
             shard: 0,

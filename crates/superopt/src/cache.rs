@@ -8,34 +8,22 @@
 //! results are cached too ("searched, nothing cheaper"), which is what
 //! makes warm runs skip the search entirely.
 //!
-//! The on-disk format follows `crates/serve/src/disk_cache.rs`: one file
-//! per 128-bit key, magic + format-version stamp, explicit lengths, an
-//! FNV-1a body checksum, atomic `.tmp-<pid>-<n>` + rename writes.
-//! Truncated, bit-flipped, stale, or misnamed files fail decode and are
-//! evicted, never served. Rewrites are stored as canonical AT&T text and
-//! reparsed on load — and every cache hit is still re-verified against
-//! the window before being applied, so a corrupted-but-well-formed entry
-//! can degrade performance, never correctness.
+//! On disk, each result is an `.msr` artifact in an unbounded
+//! [`ArtifactStore`] (DESIGN.md, "On-disk artifacts"): damaged or stale
+//! files are evicted, never served. Rewrites are stored as canonical AT&T
+//! text and reparsed on load — and every cache hit is still re-verified
+//! against the window before being applied, so a corrupted-but-well-formed
+//! entry can degrade performance, never correctness.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
-use mao::MaoUnit;
+use mao::isa::container::{self, ContainerError, Kind};
+use mao::isa::IsaId;
+use mao::{ArtifactStore, MaoUnit, StoreConfig};
 use mao_x86::Instruction;
-
-/// Bumped whenever the entry encoding or the meaning of a cached rewrite
-/// changes; entries with any other version are evicted on contact.
-pub const REWRITE_FORMAT_VERSION: u32 = 1;
-
-/// 8-byte file magic ("MAO Superopt Rewrite").
-const MAGIC: &[u8; 8] = b"MAOSR\0\0\x01";
-
-/// Entry file extension.
-const EXT: &str = "msr";
 
 /// What the cache knows about one canonical window.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,18 +49,16 @@ pub struct CacheStats {
 /// Two-tier rewrite store: an in-memory map always, a shared directory
 /// when configured.
 pub struct RewriteCache {
-    dir: Option<PathBuf>,
+    disk: Option<ArtifactStore>,
     mem: Mutex<HashMap<u128, CachedResult>>,
     stats: Mutex<CacheStats>,
 }
-
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl RewriteCache {
     /// In-memory only (the default for one-shot pipeline runs).
     pub fn in_memory() -> RewriteCache {
         RewriteCache {
-            dir: None,
+            disk: None,
             mem: Mutex::new(HashMap::new()),
             stats: Mutex::new(CacheStats::default()),
         }
@@ -81,18 +67,18 @@ impl RewriteCache {
     /// Backed by `dir` (created if missing); entries persist across runs
     /// and may be shared between processes.
     pub fn persistent(dir: impl Into<PathBuf>) -> std::io::Result<RewriteCache> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
         Ok(RewriteCache {
-            dir: Some(dir),
-            mem: Mutex::new(HashMap::new()),
-            stats: Mutex::new(CacheStats::default()),
+            disk: Some(ArtifactStore::open(StoreConfig::new(dir), Kind::Rewrite)?),
+            ..RewriteCache::in_memory()
         })
     }
 
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock().unwrap()
+        CacheStats {
+            corrupt: self.disk.as_ref().map_or(0, |d| d.stats().corrupt),
+            ..*self.stats.lock().unwrap()
+        }
     }
 
     /// Number of entries reachable from memory (loaded or stored this
@@ -103,136 +89,82 @@ impl RewriteCache {
 
     /// Look up a canonical window key.
     pub fn load(&self, key: u128) -> Option<CachedResult> {
-        if let Some(hit) = self.mem.lock().unwrap().get(&key).cloned() {
-            self.stats.lock().unwrap().hits += 1;
-            return Some(hit);
-        }
-        if let Some(dir) = &self.dir {
-            let path = entry_path(dir, key);
-            if let Ok(bytes) = std::fs::read(&path) {
-                match decode_entry(&bytes, key) {
-                    Ok(result) => {
-                        self.mem.lock().unwrap().insert(key, result.clone());
-                        self.stats.lock().unwrap().hits += 1;
-                        return Some(result);
-                    }
-                    Err(_) => {
-                        // Evicted, never served.
-                        let _ = std::fs::remove_file(&path);
-                        self.stats.lock().unwrap().corrupt += 1;
-                    }
-                }
+        let mut hit = self.mem.lock().unwrap().get(&key).cloned();
+        if hit.is_none() {
+            hit = self
+                .disk
+                .as_ref()
+                .and_then(|d| d.get_with(key, |bytes| decode_entry(bytes, key).ok()));
+            if let Some(result) = &hit {
+                self.mem.lock().unwrap().insert(key, result.clone());
             }
         }
-        self.stats.lock().unwrap().misses += 1;
-        None
+        let mut stats = self.stats.lock().unwrap();
+        match hit {
+            Some(_) => stats.hits += 1,
+            None => stats.misses += 1,
+        }
+        hit
     }
 
     /// Record a search result.
     pub fn store(&self, key: u128, result: &CachedResult) {
         self.mem.lock().unwrap().insert(key, result.clone());
-        if let Some(dir) = &self.dir {
-            let bytes = encode_entry(key, result);
-            let _ = write_atomic(dir, key, &bytes);
+        if let Some(disk) = &self.disk {
+            disk.put(key, &encode_entry(key, result));
         }
     }
 }
 
-fn entry_path(dir: &Path, key: u128) -> PathBuf {
-    dir.join(format!("{key:032x}.{EXT}"))
-}
-
-/// FNV-1a over the body (the disk-cache checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Serialize: magic, version, key, body length, body, checksum. Body is a
-/// kind byte plus the rewrite's canonical AT&T text.
-fn encode_entry(key: u128, result: &CachedResult) -> Vec<u8> {
-    let mut body = Vec::new();
-    match result {
-        CachedResult::NoImprovement => body.push(0u8),
-        CachedResult::Rewrite(insns) => {
-            body.push(1u8);
-            let mut text = String::new();
-            for insn in insns {
-                let _ = writeln!(text, "\t{insn}");
+/// Serialize one result. Body: a kind byte, then for a rewrite the
+/// length-prefixed canonical AT&T text. Superoptimization is x86-only, so
+/// every entry is stamped x86-64.
+pub fn encode_entry(key: u128, result: &CachedResult) -> Vec<u8> {
+    container::seal(
+        Kind::Rewrite,
+        Some(IsaId::X86_64),
+        key,
+        64,
+        |body| match result {
+            CachedResult::NoImprovement => body.push(0),
+            CachedResult::Rewrite(insns) => {
+                let mut text = String::new();
+                for insn in insns {
+                    let _ = writeln!(text, "\t{insn}");
+                }
+                body.push(1);
+                body.extend_from_slice(&(text.len() as u64).to_le_bytes());
+                body.extend_from_slice(text.as_bytes());
             }
-            body.extend_from_slice(&(text.len() as u64).to_le_bytes());
-            body.extend_from_slice(text.as_bytes());
-        }
-    }
-    let mut out = Vec::with_capacity(body.len() + 44);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&REWRITE_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out
+        },
+    )
 }
 
 /// Decode and validate one entry file.
-fn decode_entry(bytes: &[u8], expected_key: u128) -> Result<CachedResult, String> {
-    let take = |at: usize, n: usize| -> Result<&[u8], String> {
-        bytes.get(at..at + n).ok_or_else(|| "truncated".to_string())
-    };
-    if take(0, 8)? != MAGIC {
-        return Err("bad magic".into());
-    }
-    let version = u32::from_le_bytes(take(8, 4)?.try_into().unwrap());
-    if version != REWRITE_FORMAT_VERSION {
-        return Err(format!("stale version {version}"));
-    }
-    let key = u128::from_le_bytes(take(12, 16)?.try_into().unwrap());
-    if key != expected_key {
-        return Err("key mismatch (misnamed file)".into());
-    }
-    let body_len = u64::from_le_bytes(take(28, 8)?.try_into().unwrap()) as usize;
-    let body = take(36, body_len)?;
-    let checksum = u64::from_le_bytes(take(36 + body_len, 8)?.try_into().unwrap());
-    if checksum != fnv1a(body) {
-        return Err("checksum mismatch".into());
-    }
-    match body.first() {
-        Some(0) => Ok(CachedResult::NoImprovement),
-        Some(1) => {
-            let text_len =
-                u64::from_le_bytes(body.get(1..9).ok_or("truncated body")?.try_into().unwrap())
-                    as usize;
-            let text = std::str::from_utf8(body.get(9..9 + text_len).ok_or("truncated text")?)
-                .map_err(|_| "non-utf8 rewrite text".to_string())?;
-            let unit = MaoUnit::parse(text).map_err(|e| format!("unparseable rewrite: {e}"))?;
-            let insns: Vec<Instruction> = unit
-                .entries()
-                .iter()
-                .filter_map(|e| e.insn().cloned())
-                .collect();
-            Ok(CachedResult::Rewrite(insns))
+pub fn decode_entry(bytes: &[u8], expected_key: u128) -> Result<CachedResult, ContainerError> {
+    let body = container::open(bytes, Kind::Rewrite, Some(IsaId::X86_64), expected_key)?;
+    match body.split_first() {
+        Some((0, [])) => Ok(CachedResult::NoImprovement),
+        Some((1, rest)) => {
+            let (len, text) = rest
+                .split_first_chunk::<8>()
+                .ok_or(ContainerError::Body("truncated rewrite"))?;
+            if u64::from_le_bytes(*len) != text.len() as u64 {
+                return Err(ContainerError::Body("rewrite text length"));
+            }
+            let text = std::str::from_utf8(text)
+                .map_err(|_| ContainerError::Body("non-utf8 rewrite text"))?;
+            let unit =
+                MaoUnit::parse(text).map_err(|_| ContainerError::Body("unparseable rewrite"))?;
+            Ok(CachedResult::Rewrite(
+                unit.entries()
+                    .iter()
+                    .filter_map(|e| e.insn().cloned())
+                    .collect(),
+            ))
         }
-        _ => Err("unknown entry kind".into()),
+        _ => Err(ContainerError::Body("unknown rewrite entry kind")),
     }
-}
-
-/// Atomic write: `.tmp-<pid>-<seq>` sibling, then rename into place.
-fn write_atomic(dir: &Path, key: u128, bytes: &[u8]) -> std::io::Result<()> {
-    let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = dir.join(format!(".tmp-{}-{n}", std::process::id()));
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        std::fs::rename(&tmp, entry_path(dir, key))
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 #[cfg(test)]
@@ -286,39 +218,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Crafted files whose lengths sit at the integer limits are counted
+    /// corrupt and missed, never a panic: a frame declaring a
+    /// `u64::MAX`-byte body, and a correctly checksummed body whose text
+    /// length is near `usize::MAX`. Both shapes are tried in the
+    /// pre-container `MAOSR` frame and in the container.
     #[test]
-    fn corrupt_entries_are_evicted_never_served() {
-        let dir = tmpdir("corrupt");
-        let key = 41u128;
+    fn crafted_lengths_are_corrupt_not_a_panic() {
+        let dir = tmpdir("crafted");
+        let legacy = |key: u128, body_len: u64, body: &[u8]| {
+            let mut out = b"MAOSR\0\0\x01".to_vec();
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.extend_from_slice(&key.to_le_bytes());
+            out.extend_from_slice(&body_len.to_le_bytes());
+            out.extend_from_slice(body);
+            out.extend_from_slice(&mao_x86::fnv::fnv1a64(body).to_le_bytes());
+            out
+        };
+        let huge_text = [&[1u8][..], &(u64::MAX - 3).to_le_bytes(), b"x"].concat();
+        let mut huge_frame = encode_entry(3, &CachedResult::NoImprovement);
+        huge_frame[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
+        let files = [
+            legacy(1, u64::MAX, &[0]),
+            legacy(2, huge_text.len() as u64, &huge_text),
+            huge_frame,
+            container::seal(Kind::Rewrite, Some(IsaId::X86_64), 4, 0, |body| {
+                body.extend_from_slice(&huge_text)
+            }),
+        ];
         let c = RewriteCache::persistent(&dir).unwrap();
-        c.store(key, &CachedResult::Rewrite(insns("movq %rax, %rcx")));
-        // Flip a byte in the body on disk, then read through a fresh
-        // instance (the first one would answer from memory).
-        let path = entry_path(&dir, key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() - 9;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let c2 = RewriteCache::persistent(&dir).unwrap();
-        assert_eq!(c2.load(key), None);
-        assert!(!path.exists(), "corrupt entry deleted");
-        assert_eq!(c2.stats().corrupt, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_version_is_evicted() {
-        let dir = tmpdir("stale");
-        let key = 43u128;
-        let c = RewriteCache::persistent(&dir).unwrap();
-        c.store(key, &CachedResult::NoImprovement);
-        let path = entry_path(&dir, key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8] = 0xfe; // version field
-        std::fs::write(&path, &bytes).unwrap();
-        let c2 = RewriteCache::persistent(&dir).unwrap();
-        assert_eq!(c2.load(key), None);
-        assert!(!path.exists());
+        for (key, bytes) in (1u128..).zip(&files) {
+            std::fs::write(dir.join(format!("{key:032x}.msr")), bytes).unwrap();
+            assert_eq!(c.load(key), None, "file {key} served");
+        }
+        let stats = c.stats();
+        assert_eq!((stats.misses, stats.corrupt), (4, 4));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -161,14 +161,7 @@ pub fn window_key(canonical: &[Instruction]) -> u128 {
     for insn in canonical {
         let _ = writeln!(text, "{insn}");
     }
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut h = OFFSET;
-    for b in text.as_bytes() {
-        h ^= u128::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    mao_x86::fnv::fnv1a128(text.as_bytes())
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::effects::{def_use, DefUse};
 use crate::flags::Cond;
+use crate::fnv::fnv1a64;
 use crate::insn::Instruction;
 use crate::mnemonic::Mnemonic;
 
@@ -331,9 +332,11 @@ fn cost(latency: u32, port_mask: u64) -> MnemonicCost {
 }
 
 // ---------------------------------------------------------------------------
-// The `.mpt` container: magic + version + checksum, like the serve disk
-// store and the `MAOSNAP` snapshot format. A file that fails any check is
-// rejected before a single field is interpreted.
+// The `.mpt` container: magic + version + checksum. It is a calibrated
+// interchange file users keep, not a cache, so it keeps its own stable
+// layout instead of the shared artifact container (which lives above this
+// crate). A file that fails any check is rejected before a single field
+// is interpreted.
 // ---------------------------------------------------------------------------
 
 /// File magic (8 bytes).
@@ -400,17 +403,6 @@ impl std::fmt::Display for MptError {
 }
 
 impl std::error::Error for MptError {}
-
-/// FNV-1a over the payload (the same checksum family the serve disk store
-/// and snapshot tier use).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -499,7 +491,7 @@ impl CostModel {
         out.extend_from_slice(&MPT_MAGIC);
         out.extend_from_slice(&MPT_VERSION.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
         out
     }
@@ -533,7 +525,7 @@ impl CostModel {
             });
         }
         let payload = &bytes[HEADER..];
-        if fnv1a(payload) != checksum {
+        if fnv1a64(payload) != checksum {
             return Err(MptError::BadChecksum);
         }
 
@@ -620,8 +612,8 @@ impl CostModel {
         })
     }
 
-    /// Write atomically (temp file + rename, like the serve disk store):
-    /// a reader never observes a torn table.
+    /// Write atomically (temp file + rename): a reader never observes a
+    /// torn table.
     pub fn write_mpt(&self, path: &Path) -> Result<(), MptError> {
         let bytes = self.to_mpt_bytes();
         let tmp = path.with_extension("mpt.tmp");
@@ -786,7 +778,7 @@ mod tests {
         v1.extend_from_slice(&MPT_MAGIC);
         v1.extend_from_slice(&1u16.to_le_bytes());
         v1.extend_from_slice(&(v1_payload.len() as u32).to_le_bytes());
-        v1.extend_from_slice(&fnv1a(&v1_payload).to_le_bytes());
+        v1.extend_from_slice(&fnv1a64(&v1_payload).to_le_bytes());
         v1.extend_from_slice(&v1_payload);
 
         let loaded = CostModel::from_mpt_bytes(&v1).expect("v1 container still loads");

@@ -32,11 +32,11 @@ use std::hash::BuildHasherDefault;
 use std::sync::OnceLock;
 
 use crate::flags::Flags;
+use crate::fnv::FnvHasher;
 use crate::insn::Instruction;
 use crate::mnemonic::{fixed_name, Mnemonic};
 use crate::operand::Operand;
 use crate::reg::{parse_reg_name, Reg, RegId, Width};
-use crate::sym::FnvHasher;
 
 /// The side-effect configuration, in the format documented on the module.
 pub const EFFECTS_DEF: &str = r#"

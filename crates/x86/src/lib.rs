@@ -30,6 +30,7 @@ pub mod cost;
 pub mod effects;
 pub mod encode;
 pub mod flags;
+pub mod fnv;
 pub mod insn;
 pub mod mnemonic;
 pub mod operand;

@@ -260,7 +260,7 @@ impl Mnemonic {
                 type Index = std::collections::HashMap<
                     Mnemonic,
                     u16,
-                    std::hash::BuildHasherDefault<crate::sym::FnvHasher>,
+                    std::hash::BuildHasherDefault<crate::fnv::FnvHasher>,
                 >;
                 static INDEX: std::sync::OnceLock<Index> = std::sync::OnceLock::new();
                 let map = INDEX.get_or_init(|| {

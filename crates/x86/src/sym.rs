@@ -36,6 +36,8 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use crate::fnv::{fnv1a64, FnvHasher};
+
 /// log2 of slots per chunk.
 const CHUNK_BITS: u32 = 16;
 /// Slots per chunk of the id → string table.
@@ -62,37 +64,6 @@ static COUNT: AtomicU32 = AtomicU32::new(0);
 /// Total bytes of interned string payload (not counting table overhead).
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 
-/// FNV-1a for maps whose keys are short and not chosen by a client: the
-/// symbol shard maps here (a few bytes to a few dozen, with dense ids as
-/// values), the mnemonic tables and the edit-set maps keyed by entry
-/// position. On such keys FNV beats SipHash by a wide margin, and HashDoS
-/// resistance buys nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
 type ShardMap = HashMap<&'static str, u32, BuildHasherDefault<FnvHasher>>;
 
 /// string → id maps, sharded by a cheap byte hash to keep parse threads from
@@ -103,14 +74,9 @@ fn shards() -> &'static [Mutex<ShardMap>; SHARDS] {
     MAP.get_or_init(|| std::array::from_fn(|_| Mutex::new(ShardMap::default())))
 }
 
-fn shard_of(s: &str) -> usize {
-    // FNV-1a over the bytes; only the low bits matter here.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h as usize) & (SHARDS - 1)
+pub(crate) fn shard_of(s: &str) -> usize {
+    // Only the low bits of the hash matter here.
+    (fnv1a64(s.as_bytes()) as usize) & (SHARDS - 1)
 }
 
 /// Resolve the slot for `id`, creating the owning chunk if needed.

@@ -278,10 +278,14 @@ test ! -e "$WORK/maod.sock"
 echo "==> restart-warm daemon e2e"
 # A daemon with a persistent cache dir computes once, shuts down, and a
 # fresh daemon over the same dir serves the same request from the disk
-# tier — byte-identical, no recompute.
+# tier — byte-identical, no recompute. The snapshot and layout tiers must
+# survive the restart too: a new pass string on the same text loads the
+# stored snapshot instead of parsing and the stored layout instead of
+# solving, and still matches one-shot output.
 CACHE="$WORK/result-cache"
+SNAPS="$WORK/snapshots"
 SOCK2="unix:$WORK/maod2.sock"
-"$MAO" serve --listen "$SOCK2" --cache-dir "$CACHE" &
+"$MAO" serve --listen "$SOCK2" --cache-dir "$CACHE" --snapshot-dir "$SNAPS" &
 DAEMON_PID=$!
 for _ in $(seq 1 50); do
     "$MAO" client --listen "$SOCK2" --ping >/dev/null 2>&1 && break
@@ -291,10 +295,11 @@ done
     > "$WORK/served_cold.s" 2> "$WORK/client_cold.log"
 cmp "$WORK/oneshot.s" "$WORK/served_cold.s"
 grep -q 'cache: miss' "$WORK/client_cold.log"
+"$MAO" client --listen "$SOCK2" --passes BRALIGN "$WORK/in.s" > /dev/null 2>&1
 "$MAO" client --listen "$SOCK2" --shutdown | grep -q '"shutdown":true'
 wait "$DAEMON_PID"
 
-"$MAO" serve --listen "$SOCK2" --cache-dir "$CACHE" &
+"$MAO" serve --listen "$SOCK2" --cache-dir "$CACHE" --snapshot-dir "$SNAPS" &
 DAEMON_PID=$!
 for _ in $(seq 1 50); do
     "$MAO" client --listen "$SOCK2" --ping >/dev/null 2>&1 && break
@@ -306,8 +311,14 @@ done
     > "$WORK/served_warm.s" 2> "$WORK/client_warm.log"
 cmp "$WORK/oneshot.s" "$WORK/served_warm.s"
 grep -q 'cache: hit_disk' "$WORK/client_warm.log"
-"$MAO" client --listen "$SOCK2" --metrics \
-    | grep -q '^mao_result_cache_disk_hits_total 1$'
+"$MAO" --mao=BRALIGN:DCE "$WORK/in.s" > "$WORK/oneshot_bralign.s"
+"$MAO" client --listen "$SOCK2" --passes BRALIGN:DCE "$WORK/in.s" \
+    > "$WORK/served_bralign.s" 2> /dev/null
+cmp "$WORK/oneshot_bralign.s" "$WORK/served_bralign.s"
+"$MAO" client --listen "$SOCK2" --metrics > "$WORK/metrics_restart.txt"
+grep -q '^mao_result_cache_disk_hits_total 1$' "$WORK/metrics_restart.txt"
+grep -q '^mao_frontend_snapshot_store_hits_total 1$' "$WORK/metrics_restart.txt"
+grep -q '^mao_layout_store_disk_hits_total 1$' "$WORK/metrics_restart.txt"
 
 echo "==> loadgen smoke (p99 gate)"
 # Mixed hot/cold/malformed replay against the live daemon; fails on any
