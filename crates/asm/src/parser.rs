@@ -36,7 +36,7 @@ use std::ops::Range;
 use mao_isa::IsaId;
 use mao_x86::insn::Instruction;
 use mao_x86::mnemonic::parse_mnemonic;
-use mao_x86::operand::{Disp, Mem, Operand, Operands};
+use mao_x86::operand::{Disp, Mem, Operand, Operands, MAX_OPERANDS};
 use mao_x86::reg::{parse_reg_name, Reg};
 use mao_x86::sym::Sym;
 
@@ -615,7 +615,7 @@ fn parse_instruction(s: &str, head_len: usize, lineno: usize) -> Result<Instruct
                 b',' if depth == 0 => {
                     let part = fast_trim(&ops_str[start..k]);
                     if !part.is_empty() {
-                        operands.push(parse_operand(part, is_branch, lineno)?);
+                        push_operand(&mut operands, part, is_branch, lineno)?;
                     }
                     start = k + 1;
                 }
@@ -624,7 +624,7 @@ fn parse_instruction(s: &str, head_len: usize, lineno: usize) -> Result<Instruct
         }
         let part = fast_trim(&ops_str[start..]);
         if !part.is_empty() {
-            operands.push(parse_operand(part, is_branch, lineno)?);
+            push_operand(&mut operands, part, is_branch, lineno)?;
         }
     }
     let op_width = parsed
@@ -637,6 +637,27 @@ fn parse_instruction(s: &str, head_len: usize, lineno: usize) -> Result<Instruct
         lock,
         operands,
     })
+}
+
+/// Parse one operand and append it, refusing more than [`MAX_OPERANDS`]
+/// (no x86 form has more than three; the cap bounds what one statement can
+/// make downstream tables hold).
+fn push_operand(
+    operands: &mut Operands,
+    part: &str,
+    is_branch: bool,
+    lineno: usize,
+) -> Result<(), ParseError> {
+    let op = parse_operand(part, is_branch, lineno)?;
+    if operands.len() == MAX_OPERANDS {
+        return Err(too_many_operands(lineno));
+    }
+    operands.push(op);
+    Ok(())
+}
+
+pub(crate) fn too_many_operands(lineno: usize) -> ParseError {
+    err(lineno, format!("more than {MAX_OPERANDS} operands"))
 }
 
 fn unescape(s: &str, lineno: usize) -> Result<String, ParseError> {
@@ -1221,6 +1242,25 @@ mod zero_copy_tests {
         }
         assert_eq!(seq.line, 40_001);
         assert_eq!(&text[seq.offset.clone()], "frobnicate %eax");
+    }
+
+    /// Both parsers take up to `MAX_OPERANDS` operands and refuse one more
+    /// with the same error.
+    #[test]
+    fn operand_lists_are_capped() {
+        let statement = |n: usize| format!("addl {}\n", vec!["%eax"; n].join(", "));
+        let ok = statement(MAX_OPERANDS);
+        assert_eq!(parse(&ok).unwrap(), parse_reference(&ok).unwrap());
+        let long = statement(MAX_OPERANDS + 1);
+        let e = parse(&long).unwrap_err();
+        let r = parse_reference(&long).unwrap_err();
+        assert_eq!((e.line, &e.message), (r.line, &r.message));
+        assert_eq!(e.message, "more than 8 operands");
+        // A malformed operand past the cap still reports itself first.
+        let bad = format!("addl {}, %bogus\n", ["%eax"; MAX_OPERANDS].join(", "));
+        let (e, r) = (parse(&bad).unwrap_err(), parse_reference(&bad).unwrap_err());
+        assert_eq!((e.line, &e.message), (r.line, &r.message));
+        assert!(e.message.contains("bogus"), "{}", e.message);
     }
 
     #[test]

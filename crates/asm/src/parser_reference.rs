@@ -15,7 +15,7 @@
 
 use mao_x86::insn::Instruction;
 use mao_x86::mnemonic::parse_mnemonic;
-use mao_x86::operand::{Disp, Mem, Operand};
+use mao_x86::operand::{Disp, Mem, Operand, MAX_OPERANDS};
 use mao_x86::reg::{parse_reg_name, Reg};
 use mao_x86::sym::Sym;
 
@@ -315,7 +315,11 @@ fn parse_instruction(s: &str, lineno: usize) -> Result<Instruction, ParseError> 
     let mut operands = Vec::new();
     if !ops_str.is_empty() {
         for op in split_operands(ops_str) {
-            operands.push(parse_operand(op, is_branch, lineno)?);
+            let op = parse_operand(op, is_branch, lineno)?;
+            if operands.len() == MAX_OPERANDS {
+                return Err(crate::parser::too_many_operands(lineno));
+            }
+            operands.push(op);
         }
     }
     let mut insn = Instruction {

@@ -30,7 +30,7 @@ use mao_aarch64::{A64Insn, A64Mnemonic, A64Operand, A64Reg};
 use mao_isa::container::{self, ContainerError, Kind};
 use mao_isa::{Insn, IsaId};
 use mao_x86::insn::Instruction;
-use mao_x86::operand::{Disp, Mem, Operand, Operands};
+use mao_x86::operand::{Disp, Mem, Operand, Operands, MAX_OPERANDS};
 use mao_x86::reg::{Reg, RegId, Width};
 use mao_x86::sym::Sym;
 use mao_x86::Mnemonic;
@@ -620,7 +620,7 @@ impl<'a, 's> Reader<'a, 's> {
         let src_width = width_from_code((flags >> 3) & 0x7)?;
         let lock = flags & 0x40 != 0;
         let n = self.varint()? as usize;
-        if n > 8 {
+        if n > MAX_OPERANDS {
             return Err(ContainerError::Body("operand count"));
         }
         let mut operands = Operands::new();

@@ -7,7 +7,10 @@
 //! liveness, and reaching definitions per function, keyed by
 //! [`function_key`]: the function's name and absolute spans, the identity of
 //! its body entries, and the identity of the unit's entries outside every
-//! function span. Any edit that changes or moves a function misses.
+//! function span. Any edit that changes or moves a function misses, except
+//! that [`crate::pass::run_functions`] carries a function's CFG and loop
+//! nest across an edit that leaves its control flow alone, re-based onto
+//! its new positions (see [`AnalysisCache::take_carried`]).
 //!
 //! The body and context identities are memoized on the unit's index (see
 //! `unit.rs`): a body is content-hashed once per index build, and an edit
@@ -28,31 +31,24 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::cfg::Cfg;
+use crate::cfg::{is_plain, Cfg};
 use crate::dataflow::{Liveness, ReachingDefs};
 use crate::function_memo::FunctionMemo;
 use crate::isa::IsaId;
 use crate::loops::{find_loops, LoopNest};
 use crate::relax::{Layout, RelaxError, Relaxed};
-use crate::unit::{Function, MaoUnit};
+use crate::unit::{EditSet, EntryId, Function, MaoUnit};
 
 /// The from-scratch unit content key, the oracle for the memoized
 /// [`MaoUnit::content_key`] (whose value persistent layout stores depend on).
 #[cfg(test)]
 fn unit_key(unit: &MaoUnit) -> u128 {
-    let mut lo = std::collections::hash_map::DefaultHasher::new();
-    let mut hi = std::collections::hash_map::DefaultHasher::new();
-    0x6d616f_u64.hash(&mut lo);
-    0x4c4c564d_u64.hash(&mut hi);
-    // The ISA is part of the key: two directive-only units with identical
-    // entries but different targets must not share a layout slot.
-    unit.isa().tag().hash(&mut lo);
-    unit.isa().tag().hash(&mut hi);
+    let mut h = crate::isa::x86::fnv::Murmur3::new(crate::unit::UNIT_KEY_SEED);
+    unit.isa().tag().hash(&mut h);
     for e in unit.entries() {
-        e.hash(&mut lo);
-        e.hash(&mut hi);
+        e.hash(&mut h);
     }
-    (u128::from(hi.finish()) << 64) | u128::from(lo.finish())
+    h.finish128()
 }
 
 /// Layout slots kept per unit content hash.
@@ -121,7 +117,11 @@ impl FunctionAnalyses {
             "FunctionAnalyses used with a unit/function it was not keyed for"
         );
         self.cfg
-            .get_or_init(|| Arc::new(Cfg::build(unit, function)))
+            .get_or_init(|| {
+                #[cfg(test)]
+                crate::unit::work_counts::bump(&crate::unit::work_counts::CFG_BUILDS, 1);
+                Arc::new(Cfg::build(unit, function))
+            })
             .clone()
     }
 
@@ -145,6 +145,103 @@ impl FunctionAnalyses {
             .get_or_init(|| Arc::new(ReachingDefs::compute(unit, &self.cfg(unit, function))))
             .clone()
     }
+
+    /// The built analyses a carry can reuse, moved out when this is the
+    /// last reference to the slot.
+    #[allow(clippy::type_complexity)]
+    fn into_parts(
+        self: Arc<Self>,
+    ) -> (
+        Option<Arc<Cfg>>,
+        Option<Arc<LoopNest>>,
+        Option<Arc<Liveness>>,
+    ) {
+        match Arc::try_unwrap(self) {
+            Ok(slot) => (
+                slot.cfg.into_inner(),
+                slot.loops.into_inner(),
+                slot.liveness.into_inner(),
+            ),
+            Err(shared) => (
+                shared.cfg.get().cloned(),
+                shared.loops.get().cloned(),
+                shared.liveness.get().cloned(),
+            ),
+        }
+    }
+}
+
+/// One function's analyses in flight across an edit.
+#[derive(Debug)]
+struct Carried {
+    /// Position in the unit's function list (unchanged by a carry-safe
+    /// edit).
+    function: usize,
+    cfg: Cfg,
+    /// Net entry-count change of each block.
+    net: Vec<isize>,
+    loops: Option<Arc<LoopNest>>,
+    liveness: Option<Arc<Liveness>>,
+}
+
+/// Analyses lifted out of an [`AnalysisCache`] before an edit, to be put
+/// back under the edited unit's keys (see [`AnalysisCache::take_carried`]).
+#[derive(Debug)]
+pub(crate) struct CarriedAnalyses {
+    /// The context epoch the edit must keep.
+    epoch: u64,
+    carried: Vec<Carried>,
+}
+
+/// Net entry-count change of each block of `cfg` under `edits`, whose ids
+/// inside the function are `touched` (ascending) — or `None` when the edit
+/// may change the block structure: the CFG resolved or gave up on an
+/// indirect jump, a touched id starts a block, or a touched, inserted or
+/// replacement entry is not plain. The arithmetic mirrors `MaoUnit::apply`;
+/// one walk over the blocks and the ids, O(blocks + touched).
+fn block_growth(
+    unit: &MaoUnit,
+    cfg: &Cfg,
+    touched: &[EntryId],
+    edits: &EditSet,
+) -> Option<Vec<isize>> {
+    if cfg.unresolved_indirect || cfg.resolved_indirect > 0 {
+        return None;
+    }
+    let mut net = vec![0isize; cfg.blocks.len()];
+    let mut b = 0;
+    for &id in touched {
+        // Blocks partition a one-span function's entries in order, so the
+        // block holding `id` is the last one starting at or before it.
+        while cfg
+            .blocks
+            .get(b + 1)
+            .is_some_and(|next| next.entries[0] <= id)
+        {
+            b += 1;
+        }
+        if cfg.blocks[b].entries[0] == id || !is_plain(unit.entry(id)) {
+            return None;
+        }
+        let inserted = [edits.inserted_before(id), edits.inserted_after(id)];
+        let mut delta = 0isize;
+        for entries in inserted.into_iter().flatten() {
+            if !entries.iter().all(is_plain) {
+                return None;
+            }
+            delta += entries.len() as isize;
+        }
+        if edits.is_deleted(id) {
+            delta -= 1;
+        } else if let Some(replacement) = edits.replacement(id) {
+            if !replacement.iter().all(is_plain) {
+                return None;
+            }
+            delta += replacement.len() as isize - 1;
+        }
+        net[b] += delta;
+    }
+    Some(net)
 }
 
 #[derive(Debug, Default)]
@@ -343,9 +440,20 @@ impl AnalysisCache {
             key,
             ..FunctionAnalyses::default()
         });
-        state
-            .map
-            .insert(function.name.clone(), (stamp, fresh.clone()));
+        self.insert(&mut state, stamp, function.name.clone(), fresh.clone());
+        fresh
+    }
+
+    /// Store `slot` under `name` with LRU stamp `stamp`, evicting the least
+    /// recently used slots beyond the capacity bound.
+    fn insert(
+        &self,
+        state: &mut CacheState,
+        stamp: u64,
+        name: String,
+        slot: Arc<FunctionAnalyses>,
+    ) {
+        state.map.insert(name, (stamp, slot));
         let capacity = self.capacity.load(Ordering::Relaxed) as usize;
         if capacity > 0 {
             while state.map.len() > capacity {
@@ -364,7 +472,138 @@ impl AnalysisCache {
                 }
             }
         }
-        fresh
+    }
+
+    /// Lift out of the cache the analyses that `edits` cannot invalidate, to
+    /// be re-based and re-keyed by [`AnalysisCache::restore_carried`] once
+    /// the edits are applied. A function's CFG and loop nest are carried
+    /// when the edit leaves its control flow alone:
+    ///
+    /// * the function has one span (`functions` is the unit's function list
+    ///   before the edit, `touched` the edit set's
+    ///   [`EditSet::touched_ids`]);
+    /// * its CFG has no indirect jump, resolved or not (jump-table
+    ///   resolution reads instructions an edit may change);
+    /// * no touched id is a block's first entry;
+    /// * every touched, inserted or replacement entry is plain
+    ///   ([`is_plain`]).
+    ///
+    /// The caller must also keep the context epoch (checked on restore).
+    /// Liveness rides along only for a function the edit merely shifted;
+    /// reaching definitions hold entry ids and are always dropped. A
+    /// function the edit neither touches nor shifts keeps its key, so it is
+    /// left in place. Taken slots are moved, not cloned, and the lift counts
+    /// as neither a hit nor a miss.
+    pub(crate) fn take_carried(
+        &self,
+        unit: &MaoUnit,
+        functions: &[Function],
+        edits: &EditSet,
+        touched: &[EntryId],
+    ) -> CarriedAnalyses {
+        let epoch = unit.context_epoch();
+        let mut out = CarriedAnalyses {
+            epoch,
+            carried: Vec::new(),
+        };
+        let Some(&first) = touched.first() else {
+            return out;
+        };
+        let keyed: Vec<(usize, u64)> = functions
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| matches!(f.spans.as_slice(), [span] if span.end > first))
+            .map(|(k, f)| (k, function_key(unit, f)))
+            .collect();
+        let mut state = self.state.lock().unwrap();
+        if state.epoch != epoch {
+            return out;
+        }
+        for (k, key) in keyed {
+            let f = &functions[k];
+            let Some((_, slot)) = state.map.get(&f.name) else {
+                continue;
+            };
+            if slot.key != key {
+                continue;
+            }
+            let Some(cfg) = slot.cfg.get() else {
+                continue;
+            };
+            let span = &f.spans[0];
+            let lo = touched.partition_point(|&id| id < span.start);
+            let hi = touched.partition_point(|&id| id < span.end);
+            let inner = &touched[lo..hi];
+            let Some(net) = block_growth(unit, cfg, inner, edits) else {
+                continue;
+            };
+            let (_, slot) = state.map.remove(&f.name).expect("looked up above");
+            let (cfg, loops, liveness) = slot.into_parts();
+            out.carried.push(Carried {
+                function: k,
+                cfg: Arc::unwrap_or_clone(cfg.expect("checked above")),
+                net,
+                loops,
+                liveness: liveness.filter(|_| inner.is_empty()),
+            });
+        }
+        out
+    }
+
+    /// Put analyses lifted by [`AnalysisCache::take_carried`] back under
+    /// their functions' new keys, each CFG re-based onto its function's new
+    /// span. Nothing is restored when the edit changed the context epoch
+    /// (the cache flushes on the next lookup anyway). Restored slots go
+    /// through the same LRU bound as a miss.
+    pub(crate) fn restore_carried(&self, unit: &MaoUnit, carried: CarriedAnalyses) {
+        if carried.carried.is_empty() || unit.context_epoch() != carried.epoch {
+            return;
+        }
+        let functions = unit.functions_cached();
+        let slots: Vec<(String, Arc<FunctionAnalyses>)> = carried
+            .carried
+            .into_iter()
+            .map(|c| {
+                let f = &functions[c.function];
+                let mut cfg = c.cfg;
+                cfg.rebase(f.spans[0].start, &c.net);
+                debug_assert_eq!(
+                    cfg,
+                    Cfg::build(unit, f),
+                    "carried CFG of `{}` diverged from a rebuild",
+                    f.name
+                );
+                debug_assert!(
+                    c.loops.as_deref().is_none_or(|l| *l == find_loops(&cfg)),
+                    "carried loop nest of `{}` diverged from a rebuild",
+                    f.name
+                );
+                debug_assert!(
+                    c.liveness
+                        .as_deref()
+                        .is_none_or(|l| *l == Liveness::compute(unit, &cfg)),
+                    "carried liveness of `{}` diverged from a rebuild",
+                    f.name
+                );
+                let slot = FunctionAnalyses {
+                    key: function_key(unit, f),
+                    cfg: OnceLock::from(Arc::new(cfg)),
+                    loops: c.loops.map(OnceLock::from).unwrap_or_default(),
+                    liveness: c.liveness.map(OnceLock::from).unwrap_or_default(),
+                    reaching: OnceLock::new(),
+                };
+                (f.name.clone(), Arc::new(slot))
+            })
+            .collect();
+        let mut state = self.state.lock().unwrap();
+        if state.epoch != carried.epoch {
+            return;
+        }
+        for (name, slot) in slots {
+            state.clock += 1;
+            let stamp = state.clock;
+            self.insert(&mut state, stamp, name, slot);
+        }
     }
 
     /// The unit's relaxed layout, keyed by a content hash of every entry so
@@ -690,6 +929,29 @@ g:
         assert_eq!(a64.content_key(), unit_key(&a64));
     }
 
+    /// The persistent layout tier is keyed by `content_key`, so its value
+    /// is pinned for fixed units: a change of hash, seed or byte feed fails
+    /// here instead of silently orphaning every stored layout.
+    #[test]
+    fn content_key_values_are_pinned() {
+        let keys = [
+            MaoUnit::parse(TWO_FUNCS).unwrap(),
+            MaoUnit::parse("\tnop\n\tret\n").unwrap(),
+            MaoUnit::parse("").unwrap(),
+            MaoUnit::parse_isa("\tnop\n", IsaId::Aarch64).unwrap(),
+        ]
+        .map(|unit| unit.content_key());
+        assert_eq!(
+            keys,
+            [
+                0xabe4_7629_dda1_ea0d_c954_581a_7785_6f29,
+                0xbf9c_da57_34e6_a166_7fea_dd61_83fa_5bd5,
+                0x3e1a_e771_d039_ed7c_4766_04b0_6ee1_ae9f,
+                0xaaa8_70a5_6960_8181_0a81_9d14_4e44_cd8a,
+            ]
+        );
+    }
+
     /// Functions with the patterns the bench pipeline's passes fire on: a
     /// redundant test, a zero-extension, an add pair, a foldable constant,
     /// a dead block, and small loops for the alignment passes.
@@ -709,7 +971,7 @@ g:
     #[test]
     fn pipeline_hashing_stays_within_budget() {
         use crate::pass::{parse_invocations, run_pipeline_shared, PipelineConfig};
-        use crate::unit::hash_counts::{
+        use crate::unit::work_counts::{
             get, BODY_HASHES, INDEXED_FUNCTIONS, UNIT_HASHES, VERSIONS,
         };
         let passes = "REDZEXT:REDTEST:REDMOV:ADDADD:CONSTFOLD:DCE:SCHED:BRALIGN:LOOP16:LSDFIT";
@@ -747,5 +1009,341 @@ g:
             "{bodies} body hashes is no saving over {} lookups",
             stats.hits + stats.misses
         );
+    }
+
+    /// Functions whose passes' edits are all carry-safe: a redundant test
+    /// and an add pair (after a label, so no edit starts a block), a
+    /// zero-extension and a foldable constant, a loop, and an aligned loop
+    /// (LOOP16 and LSDFIT are unit-level passes, whose edits are not
+    /// carried).
+    const CARRY_UNIT: &str = "\t.text\n\t.type\tf0, @function\nf0:\n\
+        \tsubl\t$16, %r15d\n\ttestl\t%r15d, %r15d\n\tjne\t.L1\n.L0:\n\
+        \taddl\t$3, %eax\n\taddl\t$4, %eax\n.L1:\n\tret\n\
+        \t.type\tf1, @function\nf1:\n\tandl\t$255, %eax\n\tmovl\t%eax, %eax\n\
+        \tmovl\t$2, %ecx\n\taddl\t$5, %ecx\n\tret\n\
+        \t.type\tf2, @function\nf2:\n\tmovl\t$0, %eax\n.L2:\n\taddl\t$1, %eax\n\
+        \tcmpl\t$100, %eax\n\tjne\t.L2\n\tret\n\
+        \t.type\tf3, @function\nf3:\n\tmovl\t$1, %edi\n\t.p2align\t4\n.L3:\n\tsubl\t$1, %edi\n\
+        \tjne\t.L3\n\tret\n";
+
+    /// The benchmark's ten-pass pipeline builds each function's CFG once:
+    /// every later pass gets it from the cache, carried across the edits
+    /// the earlier passes made.
+    #[test]
+    fn pipeline_builds_each_cfg_once() {
+        use crate::pass::{parse_invocations, run_pipeline_shared, PipelineConfig};
+        use crate::unit::work_counts::{get, CFG_BUILDS};
+        let passes = "REDZEXT:REDTEST:REDMOV:ADDADD:CONSTFOLD:DCE:SCHED:BRALIGN:LOOP16:LSDFIT";
+        let mut unit = MaoUnit::parse(CARRY_UNIT).unwrap();
+        let functions = unit.functions().len();
+        let analyses = Arc::new(AnalysisCache::new());
+        let before = get(&CFG_BUILDS);
+        let report = run_pipeline_shared(
+            &mut unit,
+            &parse_invocations(passes).unwrap(),
+            None,
+            &PipelineConfig { jobs: 1 },
+            &analyses,
+        )
+        .unwrap();
+        let builds = get(&CFG_BUILDS) - before;
+        let edited: Vec<&str> = report
+            .passes
+            .iter()
+            .filter(|(_, stats)| stats.transformations > 0)
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert!(edited.len() >= 3, "passes that edited: {edited:?}");
+        assert!(
+            builds <= functions as u64,
+            "{builds} CFG builds for {functions} functions"
+        );
+    }
+}
+
+/// The carry rule of [`AnalysisCache::take_carried`]: carried CFGs and loop
+/// nests equal from-scratch builds, and every exclusion rebuilds.
+#[cfg(test)]
+mod carry_tests {
+    use super::*;
+    use crate::isa::x86::{Cond, Instruction};
+    use crate::pass::{run_functions, PassContext};
+    use crate::unit::work_counts::{get, CFG_BUILDS};
+    use mao_asm::Entry;
+
+    /// Run one function-level pass whose body builds each function's CFG
+    /// and loop nest and returns `edit`'s edits for it. Then look every
+    /// function up again, check its CFG and loop nest against from-scratch
+    /// builds, and return the CFG builds each lookup cost (0 = carried or
+    /// left alone).
+    fn edit_and_relook(
+        unit: &mut MaoUnit,
+        ctx: &mut PassContext,
+        edit: impl Fn(&MaoUnit, &Function, &Cfg) -> EditSet + Sync,
+    ) -> Vec<u64> {
+        run_functions(unit, ctx, |unit, function, fctx| {
+            let cfg = fctx.cfg(unit, function);
+            fctx.loops(unit, function);
+            Ok(edit(unit, function, &cfg))
+        })
+        .unwrap();
+        unit.functions()
+            .iter()
+            .map(|f| {
+                let before = get(&CFG_BUILDS);
+                let slot = ctx.analyses.for_function(unit, f);
+                let cfg = slot.cfg(unit, f);
+                assert_eq!(*cfg, Cfg::build(unit, f), "CFG of `{}`", f.name);
+                assert_eq!(
+                    *slot.loops(unit, f),
+                    find_loops(&cfg),
+                    "loops of `{}`",
+                    f.name
+                );
+                get(&CFG_BUILDS) - before
+            })
+            .collect()
+    }
+
+    fn nop() -> Vec<Entry> {
+        vec![Entry::Insn(Instruction::nop().into())]
+    }
+
+    /// xorshift64*: a seeded stream for the property test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A seeded unit of one-span functions: blocks that open with or
+    /// without a label, plain instructions and calls inside, and forward
+    /// and backward conditional and unconditional branches at their ends.
+    fn random_unit(rng: &mut Rng) -> String {
+        let plain = [
+            "\taddl\t$1, %eax\n",
+            "\tmovl\t%ecx, %edx\n",
+            "\tsubq\t$8, %rsp\n",
+            "\tnop\n",
+            "\tmovq\t8(%rsp), %rdi\n",
+            "\tcall\tg\n",
+            "\t.p2align\t4\n",
+        ];
+        let mut text = String::from("\t.text\n");
+        for f in 0..4 {
+            text += &format!("\t.type\tf{f}, @function\nf{f}:\n");
+            let blocks = 2 + rng.below(6);
+            for b in 0..blocks {
+                if b > 0 && rng.below(3) > 0 {
+                    text += &format!(".L{f}_{b}:\n");
+                }
+                for _ in 0..1 + rng.below(5) {
+                    text += plain[rng.below(plain.len())];
+                }
+                let target = rng.below(blocks);
+                match rng.below(5) {
+                    0 => text += &format!("\tjne\t.L{f}_{target}\n"),
+                    1 => text += &format!("\tjmp\t.L{f}_{target}\n"),
+                    2 if b + 1 == blocks => text += "\tret\n",
+                    _ => {}
+                }
+            }
+            text += "\tret\n";
+        }
+        text
+    }
+
+    /// Seeded plain edit sets — deletes, instruction replacements, and
+    /// inserts before and after — at ids that start no block, over several
+    /// rounds: every function's CFG and loop nest is carried, never
+    /// rebuilt, and equals a from-scratch build.
+    #[test]
+    fn carried_analyses_match_a_rebuild() {
+        let edited = std::sync::atomic::AtomicUsize::new(0);
+        for seed in 1..=40u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let text = random_unit(&mut rng);
+            let mut unit = MaoUnit::parse(&text).unwrap();
+            let mut ctx = PassContext::default();
+            for round in 0..4u64 {
+                let epoch = unit.context_epoch();
+                let builds = edit_and_relook(&mut unit, &mut ctx, |unit, f, cfg| {
+                    let mut rng = Rng((seed << 8 | round) ^ fnv(&f.name) | 1);
+                    let mut edits = EditSet::new();
+                    for block in &cfg.blocks {
+                        for &id in &block.entries[1..] {
+                            if !is_plain(unit.entry(id)) || rng.below(4) > 0 {
+                                continue;
+                            }
+                            match rng.below(5) {
+                                0 => edits.delete(id),
+                                1 => edits.replace_insn(id, Instruction::nop_of_len(2)),
+                                2 => edits.insert_before(id, nop()),
+                                3 => edits.insert_after(id, nop()),
+                                _ => edits.replace(id, [nop(), nop()].concat()),
+                            };
+                        }
+                    }
+                    edited.fetch_add(edits.len(), Ordering::Relaxed);
+                    edits
+                });
+                assert_eq!(unit.context_epoch(), epoch, "seed {seed}: a plain edit");
+                assert!(
+                    builds.iter().all(|&b| b == 0),
+                    "seed {seed} round {round}: CFG rebuilds {builds:?}\n{text}"
+                );
+            }
+        }
+        assert!(
+            edited.into_inner() > 1000,
+            "the edit sets must not be empty"
+        );
+    }
+
+    fn fnv(name: &str) -> u64 {
+        crate::isa::x86::fnv::fnv1a64(name.as_bytes())
+    }
+
+    /// Two functions: `f` with a branch over a fallthrough block and a
+    /// labeled block, and `g`, which every edit to `f` shifts.
+    const BRANCHY: &str = "\t.text\n\t.type\tf, @function\nf:\n\tmovl\t$1, %eax\n\
+        \tjne\t.L1\n\taddl\t$2, %eax\n\taddl\t$3, %eax\n.L1:\n\taddl\t$4, %eax\n\tret\n\
+        \t.type\tg, @function\ng:\n\tnop\n\tnop\n\tret\n";
+
+    /// Apply `edit` to `f` of `text` (leaving the context epoch alone) and
+    /// return the CFG builds each function's next lookup costs.
+    fn rebuilds_after(text: &str, edit: impl Fn(&MaoUnit, &Cfg) -> EditSet + Sync) -> Vec<u64> {
+        let mut unit = MaoUnit::parse(text).unwrap();
+        let mut ctx = PassContext::default();
+        let epoch = unit.context_epoch();
+        let builds = edit_and_relook(&mut unit, &mut ctx, |unit, f, cfg| {
+            if f.name == "f" {
+                edit(unit, cfg)
+            } else {
+                EditSet::new()
+            }
+        });
+        assert_eq!(unit.context_epoch(), epoch, "the index is patched");
+        builds
+    }
+
+    /// A plain edit in `f` carries both functions: the edited one and the
+    /// one it shifts.
+    #[test]
+    fn plain_edit_carries_the_edited_and_the_shifted_function() {
+        let builds = rebuilds_after(BRANCHY, |_, cfg| {
+            let mut edits = EditSet::new();
+            edits.delete(cfg.blocks[1].entries[1]);
+            edits
+        });
+        assert_eq!(builds, [0, 0]);
+    }
+
+    /// Liveness rides along with a function the edit only shifts; the
+    /// edited function's is recomputed (the inserted `movl` reads `%edx`,
+    /// so `f`'s live-in set changes).
+    #[test]
+    fn liveness_is_carried_only_for_a_shifted_function() {
+        let mut unit = MaoUnit::parse(BRANCHY).unwrap();
+        let mut ctx = PassContext::default();
+        let before: Vec<Arc<Liveness>> = unit
+            .functions()
+            .iter()
+            .map(|f| ctx.analyses.for_function(&unit, f).liveness(&unit, f))
+            .collect();
+        run_functions(&mut unit, &mut ctx, |unit, f, fctx| {
+            let cfg = fctx.cfg(unit, f);
+            let mut edits = EditSet::new();
+            if f.name == "f" {
+                let reads_edx = MaoUnit::parse("\tmovl\t%edx, %ebx\n").unwrap();
+                edits.insert_before(cfg.blocks[0].entries[1], reads_edx.entries().to_vec());
+            }
+            Ok(edits)
+        })
+        .unwrap();
+        let after: Vec<Arc<Liveness>> = unit
+            .functions()
+            .iter()
+            .map(|f| {
+                let live = ctx.analyses.for_function(&unit, f).liveness(&unit, f);
+                assert_eq!(*live, Liveness::compute(&unit, &Cfg::build(&unit, f)));
+                live
+            })
+            .collect();
+        assert_ne!(before[0], after[0], "f's live-in set gains %edx");
+        assert!(
+            Arc::ptr_eq(&before[1], &after[1]),
+            "g's liveness is carried"
+        );
+    }
+
+    #[test]
+    fn an_edit_at_a_label_rebuilds() {
+        let builds = rebuilds_after(BRANCHY, |_, cfg| {
+            let mut edits = EditSet::new();
+            edits.insert_before(cfg.blocks[2].entries[0], nop());
+            edits
+        });
+        assert_eq!(builds, [1, 0]);
+    }
+
+    #[test]
+    fn a_replaced_jcc_rebuilds() {
+        let builds = rebuilds_after(BRANCHY, |unit, cfg| {
+            let (jcc, _) = cfg.blocks[0].terminator(unit).unwrap();
+            let mut edits = EditSet::new();
+            edits.replace_insn(jcc, crate::isa::x86::insn::build::jcc(Cond::E, ".L1"));
+            edits
+        });
+        assert_eq!(builds, [1, 0]);
+    }
+
+    #[test]
+    fn an_insert_at_a_blocks_first_entry_rebuilds() {
+        let builds = rebuilds_after(BRANCHY, |_, cfg| {
+            // Block 1 is the fallthrough after `jne`: it opens with an
+            // instruction, not a label.
+            let mut edits = EditSet::new();
+            edits.insert_before(cfg.blocks[1].entries[0], nop());
+            edits
+        });
+        assert_eq!(builds, [1, 0]);
+    }
+
+    #[test]
+    fn a_jump_table_function_rebuilds() {
+        let text = "\t.text\n\t.type\tf, @function\nf:\n\tnop\n\tnop\n\tjmp *.Ltab(,%rax,8)\n\
+            .Lc0:\n\tret\n.Lc1:\n\tret\n\t.type\tg, @function\ng:\n\tnop\n\tret\n\
+            \t.section\t.rodata\n.Ltab:\n\t.quad\t.Lc0\n\t.quad\t.Lc1\n";
+        let builds = rebuilds_after(text, |_, cfg| {
+            assert_eq!(cfg.resolved_indirect, 1);
+            let mut edits = EditSet::new();
+            edits.delete(cfg.blocks[0].entries[1]);
+            edits
+        });
+        assert_eq!(builds, [1, 0]);
+    }
+
+    #[test]
+    fn a_two_span_function_rebuilds() {
+        let text = "\t.text\n\t.type\tf, @function\nf:\n\tnop\n\tnop\n\
+            \t.section\t.rodata\n\t.long\t1\n\t.text\n\tnop\n\tret\n\
+            \t.type\tg, @function\ng:\n\tnop\n\tret\n";
+        let builds = rebuilds_after(text, |unit, cfg| {
+            assert_eq!(unit.find_function("f").unwrap().spans.len(), 2);
+            let mut edits = EditSet::new();
+            edits.delete(cfg.blocks[0].entries[1]);
+            edits
+        });
+        assert_eq!(builds, [1, 0]);
     }
 }

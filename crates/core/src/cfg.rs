@@ -24,7 +24,7 @@ use crate::isa::aarch64::A64Mnemonic;
 use crate::isa::x86::operand::{Disp, Operand};
 use crate::isa::x86::{def_use, Mnemonic, RegId};
 use crate::isa::Insn;
-use crate::unit::{EntryId, Function, MaoUnit};
+use crate::unit::{is_structural, EntryId, Function, MaoUnit};
 
 /// Index of a basic block within a [`Cfg`].
 pub type BlockId = usize;
@@ -287,6 +287,32 @@ impl Cfg {
     /// The block containing entry `id`, if any.
     pub fn block_of(&self, id: EntryId) -> Option<BlockId> {
         self.blocks.iter().position(|b| b.entries.contains(&id))
+    }
+
+    /// Re-base the CFG of a one-span function onto the span's new start
+    /// after an edit that changed no block's shape: block `b` keeps its
+    /// edges and grows by `net[b]` entries, and the blocks are laid end to
+    /// end from `start`. Each block's id list is refilled in place, so the
+    /// update allocates nothing.
+    pub(crate) fn rebase(&mut self, start: EntryId, net: &[isize]) {
+        let mut next = start;
+        for (block, &delta) in self.blocks.iter_mut().zip(net) {
+            let len = block.entries.len().wrapping_add_signed(delta);
+            block.entries.clear();
+            block.entries.extend(next..next + len);
+            next += len;
+        }
+    }
+}
+
+/// Can an edit remove, insert or produce `entry` without changing the block
+/// structure around it? Control-flow instructions (calls included) end or
+/// redirect blocks; the index's structural entries (labels, section and
+/// `.type` directives) start blocks or move function spans.
+pub(crate) fn is_plain(entry: &Entry) -> bool {
+    match entry {
+        Entry::Insn(i) => !i.is_control_flow() && !i.is_call(),
+        _ => !is_structural(entry),
     }
 }
 

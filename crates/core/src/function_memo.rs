@@ -46,14 +46,14 @@
 //! are offered only after the last prefix pass returned.
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mao_asm::{DataItem, Directive, Entry};
 use mao_obs::{Counter, Metrics, TraceEvent};
 
-use crate::isa::x86::fnv::FnvHasher;
+use crate::isa::x86::fnv::{FnvHasher, Murmur3};
 use crate::isa::x86::sym::Sym;
 use crate::isa::{x86, IsaId};
 use crate::pass::{registry, scope_of, PassFactory, PassInvocation, PassScope, PassStats};
@@ -588,130 +588,6 @@ fn isolated(unit: &MaoUnit, functions: &[Function]) -> Vec<bool> {
     ok
 }
 
-/// MurmurHash3 x64-128 (Appleby's public-domain algorithm), fed through
-/// `Hasher`. Writes collect in a small buffer that is mixed in whole
-/// 16-byte blocks every [`MURMUR_FLUSH_BYTES`], so keying a body needs
-/// neither a buffer the size of the body nor a call per tiny write. (Two
-/// SipHash streams over every entry cost several times the lookup they
-/// key.)
-struct Murmur3 {
-    h1: u64,
-    h2: u64,
-    /// Written bytes not yet mixed in.
-    pending: Vec<u8>,
-    /// Bytes mixed in so far.
-    mixed: u64,
-}
-
-/// Pending bytes that trigger mixing.
-const MURMUR_FLUSH_BYTES: usize = 4096;
-
-const C1: u64 = 0x87c3_7b91_1142_53d5;
-const C2: u64 = 0x4cf5_ad43_2745_937f;
-
-fn word(bytes: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    buf[..bytes.len()].copy_from_slice(bytes);
-    u64::from_le_bytes(buf)
-}
-
-fn fmix(mut k: u64) -> u64 {
-    k ^= k >> 33;
-    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    k ^= k >> 33;
-    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    k ^ (k >> 33)
-}
-
-/// Mix whole 16-byte `blocks` into `(h1, h2)`.
-fn mix_blocks(h1: &mut u64, h2: &mut u64, blocks: &[u8]) {
-    for block in blocks.chunks_exact(16) {
-        *h1 ^= word(&block[..8])
-            .wrapping_mul(C1)
-            .rotate_left(31)
-            .wrapping_mul(C2);
-        *h1 = h1
-            .rotate_left(27)
-            .wrapping_add(*h2)
-            .wrapping_mul(5)
-            .wrapping_add(0x52dc_e729);
-        *h2 ^= word(&block[8..])
-            .wrapping_mul(C2)
-            .rotate_left(33)
-            .wrapping_mul(C1);
-        *h2 = h2
-            .rotate_left(31)
-            .wrapping_add(*h1)
-            .wrapping_mul(5)
-            .wrapping_add(0x3849_5ab5);
-    }
-}
-
-impl Murmur3 {
-    fn new(seed: u64) -> Murmur3 {
-        Murmur3 {
-            h1: seed,
-            h2: seed,
-            pending: Vec::with_capacity(MURMUR_FLUSH_BYTES + 64),
-            mixed: 0,
-        }
-    }
-
-    /// Mix every whole pending block in.
-    #[inline(never)]
-    fn flush(&mut self) {
-        let whole = self.pending.len() / 16 * 16;
-        mix_blocks(&mut self.h1, &mut self.h2, &self.pending[..whole]);
-        self.mixed += whole as u64;
-        self.pending.drain(..whole);
-    }
-
-    fn finish128(&self) -> u128 {
-        let (mut h1, mut h2) = (self.h1, self.h2);
-        let whole = self.pending.len() / 16 * 16;
-        mix_blocks(&mut h1, &mut h2, &self.pending[..whole]);
-        let tail = &self.pending[whole..];
-        if tail.len() > 8 {
-            h2 ^= word(&tail[8..])
-                .wrapping_mul(C2)
-                .rotate_left(33)
-                .wrapping_mul(C1);
-        }
-        if !tail.is_empty() {
-            h1 ^= word(&tail[..tail.len().min(8)])
-                .wrapping_mul(C1)
-                .rotate_left(31)
-                .wrapping_mul(C2);
-        }
-        let len = self.mixed + self.pending.len() as u64;
-        h1 ^= len;
-        h2 ^= len;
-        h1 = h1.wrapping_add(h2);
-        h2 = h2.wrapping_add(h1);
-        h1 = fmix(h1);
-        h2 = fmix(h2);
-        h1 = h1.wrapping_add(h2);
-        h2 = h2.wrapping_add(h1);
-        (u128::from(h2) << 64) | u128::from(h1)
-    }
-}
-
-impl Hasher for Murmur3 {
-    // Inlined into the derived `Hash` impls' many small writes; mixing
-    // stays out of line.
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        self.pending.extend_from_slice(bytes);
-        if self.pending.len() >= MURMUR_FLUSH_BYTES {
-            self.flush();
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.finish128() as u64
-    }
-}
-
 /// The 128-bit memo key of every isolated function (`None` for the rest):
 /// a hash of what every function's key shares — ISA, cost model, prefix,
 /// context — then per function that hash, its name and its body.
@@ -758,40 +634,4 @@ fn function_keys(
             Some(h.finish128())
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The published MurmurHash3 x64-128 vector, and the same bytes fed in
-    /// pieces of every size: a key must not depend on how `Hash` impls
-    /// split their writes.
-    #[test]
-    fn murmur3_matches_the_reference_vector_however_it_is_fed() {
-        let text = b"The quick brown fox jumps over the lazy dog";
-        let mut whole = Murmur3::new(0);
-        whole.write(text);
-        assert_eq!(whole.finish128(), 0x7a43_3ca9_c49a_9347_e34b_bc7b_bc07_1b6c);
-        for step in 1..=17 {
-            let mut pieces = Murmur3::new(0);
-            for chunk in text.chunks(step) {
-                pieces.write(chunk);
-            }
-            assert_eq!(pieces.finish128(), whole.finish128(), "pieces of {step}");
-        }
-        // Across the flush threshold too.
-        let long: Vec<u8> = (0..3 * MURMUR_FLUSH_BYTES + 7).map(|i| i as u8).collect();
-        let mut once = Murmur3::new(9);
-        once.write(&long);
-        assert_eq!(once.finish128(), 0x22fb_5118_0aa6_0fb6_dfc3_0176_4193_85ff);
-        for step in [1, 5, 16, 1000, MURMUR_FLUSH_BYTES + 3] {
-            let mut pieces = Murmur3::new(9);
-            for chunk in long.chunks(step) {
-                pieces.write(chunk);
-            }
-            assert_eq!(pieces.finish128(), once.finish128(), "pieces of {step}");
-        }
-        assert_eq!(Murmur3::new(0).finish128(), 0);
-    }
 }

@@ -23,7 +23,7 @@ pub enum LoopKind {
 }
 
 /// One loop in the LSG.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Loop {
     /// Loop header block.
     pub header: BlockId,
@@ -56,7 +56,7 @@ impl Loop {
 }
 
 /// The hierarchical loop structure graph of one function.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoopNest {
     /// All loops, inner loops after their outer loops.
     pub loops: Vec<Loop>,

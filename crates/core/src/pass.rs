@@ -519,7 +519,14 @@ where
         .counter("mao_functions_processed_total")
         .add(work.len() as u64);
     if !merged.is_empty() {
-        unit.apply(merged);
+        // Analyses of functions whose control flow the edit leaves alone
+        // survive it, re-based onto their new positions.
+        let touched = merged.touched_ids();
+        let carried = ctx
+            .analyses
+            .take_carried(unit, &functions, &merged, &touched);
+        unit.apply_touched(merged, touched);
+        ctx.analyses.restore_carried(unit, carried);
     }
     if let Some(mut memo) = memo {
         memo.called();

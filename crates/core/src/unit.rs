@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 
 use mao_asm::{Directive, Entry, ParseError};
 
-use crate::isa::x86::fnv::FnvHasher;
+use crate::isa::x86::fnv::{FnvHasher, Murmur3};
 use crate::isa::x86::Instruction;
 use crate::isa::{Insn, IsaId};
 
@@ -135,8 +135,8 @@ pub(crate) enum BodyKey {
 /// with these spans, computed from scratch.
 fn content_body_key(entries: &[Entry], spans: &[Range<EntryId>]) -> BodyKey {
     #[cfg(test)]
-    hash_counts::bump(&hash_counts::BODY_HASHES, 1);
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    work_counts::bump(&work_counts::BODY_HASHES, 1);
+    let mut h = Murmur3::new(BODY_KEY_SEED);
     for span in spans {
         for e in &entries[span.clone()] {
             e.hash(&mut h);
@@ -145,10 +145,16 @@ fn content_body_key(entries: &[Entry], spans: &[Range<EntryId>]) -> BodyKey {
     BodyKey::Content(h.finish())
 }
 
-/// Per-thread counts of the hashing work the keys cost, for the tests that
-/// pin the hashing budget.
+/// Seeds of the three entry-identity hashes (ASCII `mao-unit`, `mao-body`,
+/// `mao-ctxt`), so equal bytes under different roles hash apart.
+pub(crate) const UNIT_KEY_SEED: u64 = 0x6d61_6f2d_756e_6974;
+const BODY_KEY_SEED: u64 = 0x6d61_6f2d_626f_6479;
+const CONTEXT_KEY_SEED: u64 = 0x6d61_6f2d_6374_7874;
+
+/// Per-thread counts of the hashing the keys cost and of the CFG builds the
+/// analysis cache pays for, for the tests that pin those budgets.
 #[cfg(test)]
-pub(crate) mod hash_counts {
+pub(crate) mod work_counts {
     use std::cell::Cell;
     use std::thread::LocalKey;
 
@@ -161,6 +167,8 @@ pub(crate) mod hash_counts {
         pub(crate) static UNIT_HASHES: Cell<u64> = const { Cell::new(0) };
         /// New unit versions made by `apply` and `entry_mut`.
         pub(crate) static VERSIONS: Cell<u64> = const { Cell::new(0) };
+        /// CFGs built by the analysis cache (carried ones are not built).
+        pub(crate) static CFG_BUILDS: Cell<u64> = const { Cell::new(0) };
     }
 
     pub(crate) fn bump(counter: &'static LocalKey<Cell<u64>>, n: u64) {
@@ -296,7 +304,7 @@ fn build_index(entries: &[Entry]) -> UnitIndex {
     }
 
     #[cfg(test)]
-    hash_counts::bump(&hash_counts::INDEXED_FUNCTIONS, functions.len() as u64);
+    work_counts::bump(&work_counts::INDEXED_FUNCTIONS, functions.len() as u64);
     UnitIndex {
         sections,
         body_keys: functions.iter().map(|_| OnceLock::new()).collect(),
@@ -311,7 +319,7 @@ fn build_index(entries: &[Entry]) -> UnitIndex {
 /// interior edit that shifts a trailing `.rodata` keeps the key; region
 /// lengths are in, so moving an entry from one gap to another does not.
 fn context_key(entries: &[Entry], functions: &[Function]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = Murmur3::new(CONTEXT_KEY_SEED);
     let mut gap_start = 0;
     let gap_ends = functions
         .iter()
@@ -333,7 +341,7 @@ fn context_key(entries: &[Entry], functions: &[Function]) -> u64 {
 /// map and function starts; section directives define section ranges and
 /// which entries count as text; `.type` directives define which labels are
 /// functions. Touching any of these means the index must be rebuilt.
-fn is_structural(e: &Entry) -> bool {
+pub(crate) fn is_structural(e: &Entry) -> bool {
     match e {
         Entry::Label(_) => true,
         Entry::Insn(_) => false,
@@ -503,30 +511,27 @@ impl MaoUnit {
         self.version
     }
 
-    /// 128-bit content key of the whole unit (ISA tag plus every entry, two
-    /// differently seeded hashers), memoized per [`MaoUnit::version`]. The
-    /// layout slot and the persistent layout tier are keyed by it, so its
-    /// value must stay stable across releases. 128 bits because a 64-bit
-    /// collision between distinct units would silently hand a request the
-    /// wrong layout.
+    /// 128-bit content key of the whole unit: one MurmurHash3 x64-128 pass
+    /// over the ISA tag and every entry, memoized per [`MaoUnit::version`].
+    /// The layout slot and the persistent layout tier are keyed by it, so
+    /// its value must stay stable across releases and toolchains: the hash
+    /// is specified (unlike `std`'s `DefaultHasher`), it takes integers as
+    /// fixed-width little-endian bytes, and a test pins its value for fixed
+    /// units. 128 bits because a 64-bit collision between distinct units
+    /// would silently hand a request the wrong layout.
     pub fn content_key(&self) -> u128 {
         *self.content_key.get_or_init(|| {
             #[cfg(test)]
-            hash_counts::bump(&hash_counts::UNIT_HASHES, 1);
-            let mut lo = std::collections::hash_map::DefaultHasher::new();
-            let mut hi = std::collections::hash_map::DefaultHasher::new();
-            0x6d616f_u64.hash(&mut lo);
-            0x4c4c564d_u64.hash(&mut hi);
+            work_counts::bump(&work_counts::UNIT_HASHES, 1);
+            let mut h = Murmur3::new(UNIT_KEY_SEED);
             // The ISA is part of the key: two directive-only units with
             // identical entries but different targets must not share a
             // layout slot.
-            self.isa.tag().hash(&mut lo);
-            self.isa.tag().hash(&mut hi);
+            self.isa.tag().hash(&mut h);
             for e in &self.entries {
-                e.hash(&mut lo);
-                e.hash(&mut hi);
+                e.hash(&mut h);
             }
-            (u128::from(hi.finish()) << 64) | u128::from(lo.finish())
+            h.finish128()
         })
     }
 
@@ -568,7 +573,7 @@ impl MaoUnit {
     /// The entries changed: draw a new version and drop the content key.
     fn new_version(&mut self) {
         #[cfg(test)]
-        hash_counts::bump(&hash_counts::VERSIONS, 1);
+        work_counts::bump(&work_counts::VERSIONS, 1);
         self.version = next_stamp();
         self.content_key = OnceLock::new();
     }
@@ -816,11 +821,17 @@ impl MaoUnit {
     /// patched in place; otherwise it is dropped for a rebuild on next
     /// access and the context epoch is bumped. A non-empty edit set always
     /// draws a new [`MaoUnit::version`].
-    pub fn apply(&mut self, mut edits: EditSet) -> usize {
+    pub fn apply(&mut self, edits: EditSet) -> usize {
+        let touched = edits.touched_ids();
+        self.apply_touched(edits, touched)
+    }
+
+    /// [`MaoUnit::apply`] for a caller that already holds the edit set's
+    /// [`EditSet::touched_ids`], so they are sorted once.
+    pub(crate) fn apply_touched(&mut self, mut edits: EditSet, touched: Vec<EntryId>) -> usize {
         if edits.is_empty() {
             return self.entries.len();
         }
-        let touched = edits.touched_ids();
         let patched = self
             .index
             .get()

@@ -833,6 +833,17 @@ mod tests {
 
     const INPUT: &str = "\t.type\tf, @function\nf:\n\tsubl $16, %r15d\n\ttestl %r15d, %r15d\n\tjne .L1\n\taddl $3, %eax\n\taddl $4, %eax\n.L1:\n\tret\n";
 
+    /// The cost model is process-global, and its fingerprint is part of the
+    /// function memo's key. Tests that install a model, and tests whose
+    /// assertions depend on which model is installed (memo admissions and
+    /// hits, provider reads, outputs compared across engines), hold this
+    /// lock so they run one at a time.
+    static COST_MODEL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn cost_model_lock() -> std::sync::MutexGuard<'static, ()> {
+        COST_MODEL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn engine() -> Engine {
         Engine::new(EngineConfig {
             shards: 2,
@@ -1119,6 +1130,7 @@ mod tests {
 
     #[test]
     fn a_panicking_prefix_leaves_the_function_memo_unchanged() {
+        let _cost_model = cost_model_lock();
         mao::pass::register_extension("FNPANIC", &IsaId::ALL, || Box::new(PanicsOnSecondFunction));
         let engine = engine();
         let asm =
@@ -1169,6 +1181,7 @@ mod tests {
 
     #[test]
     fn function_memo_counters_reach_stats_and_metrics() {
+        let _cost_model = cost_model_lock();
         let engine = engine();
         let asm = format!("{INPUT}\t.type\tg, @function\ng:\n\tnop\n\tret\n");
         for _ in 0..3 {
@@ -1246,6 +1259,7 @@ mod tests {
 
     #[test]
     fn corrupt_cost_model_is_a_startup_error_not_an_install() {
+        let _cost_model = cost_model_lock();
         let dir = tempdir("badmpt");
         let path = dir.join("bad.mpt");
         std::fs::write(&path, b"not a parameter table").unwrap();
@@ -1266,6 +1280,7 @@ mod tests {
 
     #[test]
     fn cost_model_table_loads_installs_and_reports_provenance() {
+        let _cost_model = cost_model_lock();
         let dir = tempdir("mpt");
         let path = dir.join("table.mpt");
         let mut model = mao_x86::cost::CostModel::core2();
@@ -1334,6 +1349,7 @@ mod tests {
 
     #[test]
     fn layout_disk_tier_survives_engine_restart() {
+        let _cost_model = cost_model_lock();
         let dir = tempdir("layout");
         let config = || EngineConfig {
             shards: 1,

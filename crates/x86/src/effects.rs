@@ -28,14 +28,12 @@
 //! Lines starting with `#` are comments.
 
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::OnceLock;
 
 use crate::flags::Flags;
-use crate::fnv::FnvHasher;
 use crate::insn::Instruction;
 use crate::mnemonic::{fixed_name, Mnemonic};
-use crate::operand::Operand;
+use crate::operand::{Operand, MAX_OPERANDS};
 use crate::reg::{parse_reg_name, Reg, RegId, Width};
 
 /// The side-effect configuration, in the format documented on the module.
@@ -338,7 +336,6 @@ fn apply_directive(eff: &mut Effects, directive: &str) -> Result<(), String> {
 }
 
 /// Table key for a mnemonic: conditional families collapse onto one entry.
-/// Borrowed, so the lookup behind every `def_use` allocates nothing.
 fn table_key(m: Mnemonic) -> &'static str {
     match m {
         Mnemonic::Jcc(_) => "jcc",
@@ -353,13 +350,16 @@ fn table_key(m: Mnemonic) -> &'static str {
     }
 }
 
-fn global_table() -> &'static HashMap<String, Effects, BuildHasherDefault<FnvHasher>> {
-    static TABLE: OnceLock<HashMap<String, Effects, BuildHasherDefault<FnvHasher>>> =
-        OnceLock::new();
+/// The builtin table laid out densely by [`Mnemonic::index`], so the lookup
+/// behind every `def_use` is one bounds-checked load: no key string, no
+/// hashing.
+fn global_table() -> &'static [Option<Effects>] {
+    static TABLE: OnceLock<Vec<Option<Effects>>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        build_table(EFFECTS_DEF)
-            .expect("builtin effects config must parse")
-            .into_iter()
+        let mut by_name = build_table(EFFECTS_DEF).expect("builtin effects config must parse");
+        Mnemonic::ALL
+            .iter()
+            .map(|&m| by_name.remove(table_key(m)))
             .collect()
     })
 }
@@ -368,17 +368,90 @@ fn global_table() -> &'static HashMap<String, Effects, BuildHasherDefault<FnvHas
 ///
 /// Returns `None` for mnemonics absent from the table (which would indicate
 /// a gap in [`EFFECTS_DEF`]; a test asserts full coverage).
+#[inline]
 pub fn effects(m: Mnemonic) -> Option<&'static Effects> {
-    global_table().get(table_key(m))
+    global_table()[m.index()].as_ref()
+}
+
+/// Registers one [`DefUse`] can read: at most two per explicit operand
+/// (base and index of a memory operand) over at most [`MAX_OPERANDS`]
+/// operands, plus at most two implicit reads from the table, plus `%rax`
+/// for one-operand `imul`. A test derives the worst case from the table and
+/// checks it fits; [`def_use`] models a longer operand list (which the
+/// parser and the snapshot decoder refuse) as a barrier, so no instruction
+/// can overflow the list.
+pub const MAX_REG_USES: usize = 2 * MAX_OPERANDS + 2 + 1;
+
+/// Registers one [`DefUse`] can write: the source and destination
+/// operands, at most four implicit writes from the table (`cpuid`), plus
+/// `%rax` and `%rdx` for one-operand `imul`. See [`MAX_REG_USES`].
+pub const MAX_REG_DEFS: usize = 2 + 4 + 2;
+
+/// A fixed-capacity register list stored inline: building a [`DefUse`]
+/// allocates nothing. Derefs to `&[Reg]`.
+#[derive(Clone, Copy)]
+pub struct RegList<const N: usize> {
+    len: u8,
+    regs: [Reg; N],
+}
+
+impl<const N: usize> RegList<N> {
+    #[inline]
+    fn push(&mut self, r: Reg) {
+        self.regs[usize::from(self.len)] = r;
+        self.len += 1;
+    }
+}
+
+impl<const N: usize> Default for RegList<N> {
+    fn default() -> RegList<N> {
+        RegList {
+            len: 0,
+            regs: [Reg::new(RegId::Rax, Width::B8); N],
+        }
+    }
+}
+
+impl<const N: usize> std::ops::Deref for RegList<N> {
+    type Target = [Reg];
+
+    #[inline]
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl<'a, const N: usize> IntoIterator for &'a RegList<N> {
+    type Item = &'a Reg;
+    type IntoIter = std::slice::Iter<'a, Reg>;
+
+    #[inline]
+    fn into_iter(self) -> std::slice::Iter<'a, Reg> {
+        self.iter()
+    }
+}
+
+impl<const N: usize> PartialEq for RegList<N> {
+    fn eq(&self, other: &RegList<N>) -> bool {
+        **self == **other
+    }
+}
+
+impl<const N: usize> Eq for RegList<N> {}
+
+impl<const N: usize> std::fmt::Debug for RegList<N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Fully resolved defs/uses of one concrete instruction.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DefUse {
     /// Registers read.
-    pub reg_uses: Vec<Reg>,
+    pub reg_uses: RegList<MAX_REG_USES>,
     /// Registers written.
-    pub reg_defs: Vec<Reg>,
+    pub reg_defs: RegList<MAX_REG_DEFS>,
     /// Flags written with defined values.
     pub flags_def: Flags,
     /// Flags clobbered with undefined values.
@@ -414,8 +487,10 @@ impl DefUse {
 /// table with the instruction's concrete operands.
 pub fn def_use(insn: &Instruction) -> DefUse {
     let mut du = DefUse::default();
-    let Some(eff) = effects(insn.mnemonic) else {
-        // Unknown instruction: treat as a barrier (conservative).
+    let eff = effects(insn.mnemonic).filter(|_| insn.operands.len() <= MAX_OPERANDS);
+    let Some(eff) = eff else {
+        // Unknown instruction, or more operands than any parsed one can
+        // carry: treat as a barrier (conservative).
         du.barrier = true;
         du.mem_read = true;
         du.mem_write = true;
@@ -455,7 +530,9 @@ pub fn def_use(insn: &Instruction) -> DefUse {
             }
             Operand::IndirectReg(r) => du.reg_uses.push(*r),
             Operand::Mem(m) | Operand::IndirectMem(m) => {
-                du.reg_uses.extend(m.regs_used());
+                for r in m.regs_used() {
+                    du.reg_uses.push(r);
+                }
                 if !eff.no_mem_access && !matches!(op, Operand::IndirectMem(_)) {
                     if read {
                         du.mem_read = true;
@@ -565,6 +642,42 @@ mod tests {
         for (i, a) in Mnemonic::ALL.iter().enumerate() {
             for b in &Mnemonic::ALL[i + 1..] {
                 assert_ne!(a, b, "duplicate entry in Mnemonic::ALL");
+            }
+        }
+    }
+
+    /// The inline register lists hold the worst case the table and the
+    /// operand cap allow, derived from the table itself; and every mnemonic
+    /// with the widest operand lists stays inside them (a push past a
+    /// list's capacity panics).
+    #[test]
+    fn def_use_lists_hold_the_worst_case() {
+        use crate::reg::{Reg, RegId};
+        let table: Vec<&Effects> = Mnemonic::ALL.iter().filter_map(|&m| effects(m)).collect();
+        let reads = table.iter().map(|e| e.implicit_reads.len()).max().unwrap();
+        let writes = table.iter().map(|e| e.implicit_writes.len()).max().unwrap();
+        // Two registers per operand, the implicit ones, `imul`'s extras.
+        let (worst_uses, worst_defs) = (2 * MAX_OPERANDS + reads + 1, 2 + writes + 2);
+        assert!(worst_uses <= MAX_REG_USES, "{worst_uses} uses");
+        assert!(worst_defs <= MAX_REG_DEFS, "{worst_defs} defs");
+
+        let mem = Operand::Mem(Mem::base_index(Reg::q(RegId::R8), Reg::q(RegId::Rdi), 1, 0));
+        let reg = Operand::Reg(Reg::q(RegId::Rbx));
+        for m in Mnemonic::ALL {
+            for n in [1, 2, 3, MAX_OPERANDS, MAX_OPERANDS + 1] {
+                let shapes = [
+                    vec![mem; n],
+                    vec![reg; n],
+                    (0..n)
+                        .map(|k| if k == 0 || k + 1 == n { reg } else { mem })
+                        .collect(),
+                ];
+                for ops in shapes {
+                    let du = def_use(&Instruction::new(m, ops));
+                    if n > MAX_OPERANDS {
+                        assert!(du.barrier && du.reg_uses.is_empty(), "{m:?} x{n}");
+                    }
+                }
             }
         }
     }

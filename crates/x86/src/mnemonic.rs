@@ -211,6 +211,101 @@ impl Mnemonic {
         Mnemonic::Endbr64,
     ];
 
+    /// Position of this mnemonic's family in [`Mnemonic::ALL`]: a dense
+    /// index for per-mnemonic tables (the side-effect table, snapshot
+    /// codes). Conditional families share their representative's slot.
+    #[inline]
+    pub const fn index(self) -> usize {
+        match self {
+            Mnemonic::Mov => 0,
+            Mnemonic::Movabs => 1,
+            Mnemonic::Movsx => 2,
+            Mnemonic::Movzx => 3,
+            Mnemonic::Lea => 4,
+            Mnemonic::Xchg => 5,
+            Mnemonic::Push => 6,
+            Mnemonic::Pop => 7,
+            Mnemonic::Add => 8,
+            Mnemonic::Adc => 9,
+            Mnemonic::Sub => 10,
+            Mnemonic::Sbb => 11,
+            Mnemonic::And => 12,
+            Mnemonic::Or => 13,
+            Mnemonic::Xor => 14,
+            Mnemonic::Not => 15,
+            Mnemonic::Neg => 16,
+            Mnemonic::Inc => 17,
+            Mnemonic::Dec => 18,
+            Mnemonic::Cmp => 19,
+            Mnemonic::Test => 20,
+            Mnemonic::Imul => 21,
+            Mnemonic::Mul => 22,
+            Mnemonic::Idiv => 23,
+            Mnemonic::Div => 24,
+            Mnemonic::Shl => 25,
+            Mnemonic::Shr => 26,
+            Mnemonic::Sar => 27,
+            Mnemonic::Rol => 28,
+            Mnemonic::Ror => 29,
+            Mnemonic::Cltq => 30,
+            Mnemonic::Cltd => 31,
+            Mnemonic::Cqto => 32,
+            Mnemonic::Cwtl => 33,
+            Mnemonic::Jmp => 34,
+            Mnemonic::Jcc(_) => 35,
+            Mnemonic::Call => 36,
+            Mnemonic::Ret => 37,
+            Mnemonic::Leave => 38,
+            Mnemonic::Setcc(_) => 39,
+            Mnemonic::Cmovcc(_) => 40,
+            Mnemonic::Nop => 41,
+            Mnemonic::Pause => 42,
+            Mnemonic::Movss => 43,
+            Mnemonic::Movsd => 44,
+            Mnemonic::Movaps => 45,
+            Mnemonic::Movapd => 46,
+            Mnemonic::Movups => 47,
+            Mnemonic::Movd => 48,
+            Mnemonic::Movdq => 49,
+            Mnemonic::Addss => 50,
+            Mnemonic::Addsd => 51,
+            Mnemonic::Subss => 52,
+            Mnemonic::Subsd => 53,
+            Mnemonic::Mulss => 54,
+            Mnemonic::Mulsd => 55,
+            Mnemonic::Divss => 56,
+            Mnemonic::Divsd => 57,
+            Mnemonic::Sqrtss => 58,
+            Mnemonic::Sqrtsd => 59,
+            Mnemonic::Ucomiss => 60,
+            Mnemonic::Ucomisd => 61,
+            Mnemonic::Comiss => 62,
+            Mnemonic::Comisd => 63,
+            Mnemonic::Cvtsi2ss => 64,
+            Mnemonic::Cvtsi2sd => 65,
+            Mnemonic::Cvttss2si => 66,
+            Mnemonic::Cvttsd2si => 67,
+            Mnemonic::Cvtss2sd => 68,
+            Mnemonic::Cvtsd2ss => 69,
+            Mnemonic::Pxor => 70,
+            Mnemonic::Xorps => 71,
+            Mnemonic::Xorpd => 72,
+            Mnemonic::Prefetchnta => 73,
+            Mnemonic::Prefetcht0 => 74,
+            Mnemonic::Prefetcht1 => 75,
+            Mnemonic::Prefetcht2 => 76,
+            Mnemonic::Ud2 => 77,
+            Mnemonic::Int3 => 78,
+            Mnemonic::Hlt => 79,
+            Mnemonic::Cpuid => 80,
+            Mnemonic::Rdtsc => 81,
+            Mnemonic::Mfence => 82,
+            Mnemonic::Lfence => 83,
+            Mnemonic::Sfence => 84,
+            Mnemonic::Endbr64 => 85,
+        }
+    }
+
     /// Is this an unconditional or conditional branch (`jmp`/`jcc`)?
     pub fn is_branch(self) -> bool {
         matches!(self, Mnemonic::Jmp | Mnemonic::Jcc(_))
@@ -256,23 +351,7 @@ impl Mnemonic {
             Mnemonic::Jcc(c) => 0x100 | u16::from(c.encoding()),
             Mnemonic::Setcc(c) => 0x200 | u16::from(c.encoding()),
             Mnemonic::Cmovcc(c) => 0x300 | u16::from(c.encoding()),
-            other => {
-                type Index = std::collections::HashMap<
-                    Mnemonic,
-                    u16,
-                    std::hash::BuildHasherDefault<crate::fnv::FnvHasher>,
-                >;
-                static INDEX: std::sync::OnceLock<Index> = std::sync::OnceLock::new();
-                let map = INDEX.get_or_init(|| {
-                    Mnemonic::ALL
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &m)| (m, i as u16))
-                        .collect()
-                });
-                *map.get(&other)
-                    .expect("mnemonic missing from Mnemonic::ALL")
-            }
+            other => other.index() as u16,
         }
     }
 
@@ -750,6 +829,18 @@ fn parse_mnemonic_uncached(name: &str) -> Option<ParsedMnemonic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `index` is the position in `ALL`, for every condition code of the
+    /// conditional families too.
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, m) in Mnemonic::ALL.into_iter().enumerate() {
+            assert_eq!(m.index(), i, "{m:?}");
+            for c in Cond::ALL {
+                assert_eq!(m.with_cond(c).index(), i, "{m:?} with {c:?}");
+            }
+        }
+    }
 
     #[test]
     fn suffixed_alu() {

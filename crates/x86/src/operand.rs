@@ -263,6 +263,11 @@ impl From<Mem> for Operand {
 /// (`imul $imm, src, dst` is the widest); longer lists spill to the heap.
 const OPERANDS_INLINE: usize = 3;
 
+/// Most operands one instruction may carry. The text parser and the
+/// snapshot decoder reject longer lists, and [`crate::effects::def_use`]
+/// sizes its fixed register lists from it.
+pub const MAX_OPERANDS: usize = 8;
+
 #[derive(Clone)]
 enum OperandsRepr {
     /// `len` live operands at the front of the buffer. Slots past `len` are

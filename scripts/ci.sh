@@ -47,6 +47,13 @@ rm -f "$SMOKE_LOG"
 trap - EXIT
 target/release/mao check --inject-miscompile > /dev/null
 
+# The debug_assert oracles (the patched unit index, carried CFGs and loop
+# nests, edit locality of function passes) compile out of release builds:
+# one smoke sweep from a debug build puts every execution path under them.
+echo "==> differential check (smoke, debug oracles)"
+cargo build -q -p mao-check --bin mao
+target/debug/mao check --smoke > /dev/null
+
 echo "==> cost-model calibration smoke"
 # Probe sweep on the deterministic sim backend, round-tripped through
 # `--show`; the committed golden fixture must load; and a damaged table in
