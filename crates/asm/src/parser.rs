@@ -6,8 +6,9 @@
 //! must understand every instruction it may move or measure.
 //!
 //! This is the zero-copy rewrite of the seed parser (which is preserved as
-//! [`crate::parser_reference::parse_reference`] for benchmarking and
-//! differential testing). The differences that buy the front-end throughput:
+//! [`crate::parser_reference::parse_reference`], a test oracle for
+//! differential checks and speed gates). The differences that buy the
+//! front-end throughput:
 //!
 //! - **No per-token `String`s.** Tokens are `&str` slices of the input
 //!   buffer; symbol-shaped tokens intern directly into the global [`Sym`]

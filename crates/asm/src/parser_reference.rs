@@ -4,14 +4,16 @@
 //! field types of the IR it must now produce: it still walks `char`s,
 //! materializes a `String` per token before interning, splits statements and
 //! operands through intermediate `Vec`s, and re-runs width inference by
-//! constructing a throwaway `Instruction`. It exists for two reasons:
+//! constructing a throwaway `Instruction`. It is an oracle for tests only;
+//! no production code calls it:
 //!
-//! 1. **Honest benchmarking.** `bench_frontend` gates the zero-copy parser
-//!    at >= 2x the *seed* algorithm; measuring the seed algorithm against the
-//!    same IR types keeps the comparison apples-to-apples.
-//! 2. **Differential testing.** `parse(text)` must agree with
-//!    `parse_reference(text)` on every input (see the proptest in
-//!    `tests/frontend.rs`), which pins the rewrite to the seed semantics.
+//! 1. **Differential testing.** `parse(text)` must agree with
+//!    `parse_reference(text)` on every input (see `tests/frontend.rs`),
+//!    which pins the rewrite to the seed semantics.
+//! 2. **Honest speed gates.** The release-only gate in `tests/frontend.rs`
+//!    requires the zero-copy parser to run at >= 2x the *seed* algorithm;
+//!    measuring the seed algorithm against the same IR types keeps the
+//!    comparison apples-to-apples.
 
 use mao_x86::insn::Instruction;
 use mao_x86::mnemonic::parse_mnemonic;

@@ -7,9 +7,16 @@
 //! the streaming decode paths. Inputs are drawn from a deterministic
 //! pseudo-random assembly generator (no external proptest dependency), so
 //! failures reproduce from the printed seed.
+//!
+//! On the synthetic compiler corpus, every front end must also equal the
+//! seed parser, and optimized builds gate two speedups over it: parse at
+//! least 2x, and snapshot load at least 10x the seed parser's text parse.
+
+use std::time::Instant;
 
 use mao_asm::snapshot::{content_key, decode, encode, Snapshot};
 use mao_asm::{parse, parse_reference, parse_with_jobs, Entry};
+use mao_corpus::{generate, GeneratorConfig};
 
 /// Deterministic xorshift64* generator: property inputs reproduce exactly.
 struct Rng(u64);
@@ -209,4 +216,86 @@ fn parse_errors_carry_byte_offsets() {
     assert_eq!(e.line, 2);
     let r = e.offset.clone();
     assert_eq!(&text[r.start..r.end], "bogusinsn %rax");
+}
+
+/// The gate corpus: synthetic compiler output at scale 0.2.
+fn corpus_text() -> String {
+    generate(&GeneratorConfig::core_library(0.2)).asm
+}
+
+/// Every front end over `text` — zero-copy parse, the chunked parser at 4
+/// jobs, eager snapshot decode and the streamed snapshot load — must equal
+/// the seed parser's entry list. Returns the snapshot bytes and their key.
+fn check_front_ends(text: &str) -> (Vec<u8>, u128) {
+    let reference = parse_reference(text).expect("reference parse");
+    assert!(!reference.is_empty());
+    let parsed = parse(text).expect("zero-copy parse");
+    assert!(
+        parsed == reference,
+        "zero-copy parser disagrees with the reference"
+    );
+    let parallel = parse_with_jobs(text, 4).expect("parallel parse");
+    assert!(
+        parallel == reference,
+        "parallel parser disagrees with the reference"
+    );
+    let key = content_key(text);
+    let bytes = encode(&parsed, key);
+    let decoded = decode(&bytes, Some(key)).expect("snapshot decode");
+    assert!(
+        decoded == reference,
+        "snapshot decode disagrees with the reference"
+    );
+    let streamed: Result<Vec<Entry>, _> = Snapshot::load(&bytes, Some(key))
+        .expect("snapshot load")
+        .iter()
+        .collect();
+    assert!(
+        streamed.as_deref() == Ok(&reference[..]),
+        "streamed snapshot entries disagree with the reference"
+    );
+    (bytes, key)
+}
+
+#[test]
+fn corpus_front_ends_match_reference() {
+    check_front_ends(&corpus_text());
+}
+
+/// Median wall-clock microseconds of five runs of `f`.
+fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
+    let mut us: Vec<u64> = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            drop(f());
+            t.elapsed().as_micros() as u64
+        })
+        .collect();
+    us.sort_unstable();
+    us[2] as f64
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "speed gates need an optimized build")]
+fn corpus_front_end_speed_gates() {
+    let text = corpus_text();
+    // A fast wrong front end must fail here, not pass the gates.
+    let (bytes, key) = check_front_ends(&text);
+    let reference_us = median_us(|| parse_reference(&text).unwrap());
+    let parse_us = median_us(|| parse(&text).unwrap());
+    let snapshot_us = median_us(|| Snapshot::load(&bytes, Some(key)).unwrap());
+    let parse_speedup = reference_us / parse_us.max(1.0);
+    let snapshot_speedup = reference_us / snapshot_us.max(1.0);
+    eprintln!(
+        "front end: reference {reference_us:.0}us, parse {parse_us:.0}us \
+         ({parse_speedup:.1}x), snapshot load {snapshot_us:.0}us ({snapshot_speedup:.1}x)"
+    );
+    assert!(
+        parse_speedup >= 2.0,
+        "parse speedup {parse_speedup:.2}x is below the 2x gate"
+    );
+    assert!(
+        snapshot_speedup >= 10.0,
+        "snapshot-load speedup {snapshot_speedup:.2}x is below the 10x gate"
+    );
 }

@@ -5,9 +5,9 @@
 //! Minotaur-style verifiers do, but with the in-tree simulator as the
 //! oracle: generate randomized units, optimize them through **every
 //! execution path shipped** (one-shot driver, parallel driver, `maod`
-//! engine with cold and warm caches, legacy-relax layout), then run
-//! original and optimized in `mao-sim` from the same initial state and
-//! demand observational equivalence.
+//! engine with cold and warm caches, snapshot round-trip, function memo),
+//! then run original and optimized in `mao-sim` from the same initial
+//! state and demand observational equivalence.
 //!
 //! Checked per unit × pass-config:
 //!

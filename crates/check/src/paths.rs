@@ -10,9 +10,6 @@
 //! * **engine** — the `maod` engine, twice: a cold request (cache miss)
 //!   and an identical warm repeat that must be served from the
 //!   content-addressed cache with identical bytes;
-//! * **legacy-relax** — the same pipeline with every pass forced onto the
-//!   reference relaxation solver instead of the incremental fragment
-//!   solver (PR 3 promises identical layouts);
 //! * **snapshot** — parse, round-trip the unit through the binary IR
 //!   snapshot codec (encode → decode → rebuild), then run the pipeline
 //!   over the reloaded unit (the snapshot tier promises the reloaded IR
@@ -38,8 +35,6 @@ pub enum ExecPath {
     Jobs(usize),
     /// The `maod` engine: cold request, then a warm cache-hit repeat.
     Engine,
-    /// The legacy reference relaxation solver.
-    LegacyRelax,
     /// Binary IR snapshot round-trip before the pipeline.
     Snapshot,
     /// The engine with its function-result memo primed by a one-function
@@ -54,7 +49,6 @@ impl ExecPath {
             ExecPath::OneShot => "oneshot".to_string(),
             ExecPath::Jobs(n) => format!("jobs{n}"),
             ExecPath::Engine => "engine".to_string(),
-            ExecPath::LegacyRelax => "legacy-relax".to_string(),
             ExecPath::Snapshot => "snapshot".to_string(),
             ExecPath::Memo => "memo".to_string(),
         }
@@ -65,7 +59,6 @@ impl ExecPath {
         match s {
             "oneshot" => Some(ExecPath::OneShot),
             "engine" => Some(ExecPath::Engine),
-            "legacy-relax" => Some(ExecPath::LegacyRelax),
             "snapshot" => Some(ExecPath::Snapshot),
             "memo" => Some(ExecPath::Memo),
             _ => s
@@ -74,24 +67,6 @@ impl ExecPath {
                 .map(ExecPath::Jobs),
         }
     }
-}
-
-/// Append `legacy-relax` to every pass of an invocation string, so layout
-/// consumers (BRALIGN/LOOP16/LSDFIT/INSTPREP) take the reference solver.
-fn with_legacy_relax(passes: &str) -> String {
-    passes
-        .split(':')
-        .map(|seg| {
-            if seg.is_empty() {
-                seg.to_string()
-            } else if seg.contains('=') {
-                format!("{seg},legacy-relax")
-            } else {
-                format!("{seg}=legacy-relax")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(":")
 }
 
 /// Runs pipelines through every [`ExecPath`]. Holds one resident engine so
@@ -124,7 +99,6 @@ impl PathRunner {
             ExecPath::OneShot,
             ExecPath::Jobs(self.jobs),
             ExecPath::Engine,
-            ExecPath::LegacyRelax,
             ExecPath::Snapshot,
             ExecPath::Memo,
         ]
@@ -149,7 +123,6 @@ impl PathRunner {
         match path {
             ExecPath::OneShot => run_local(asm, passes, 1, isa),
             ExecPath::Jobs(n) => run_local(asm, passes, n, isa),
-            ExecPath::LegacyRelax => run_local(asm, &with_legacy_relax(passes), 1, isa),
             ExecPath::Engine => self.run_engine(asm, passes, isa),
             ExecPath::Snapshot => run_snapshot(asm, passes, isa),
             ExecPath::Memo => self.run_memo(asm, passes, isa),
@@ -280,15 +253,6 @@ mod tests {
     use super::*;
 
     const INPUT: &str = "\t.type\tf, @function\nf:\n\tsubl $16, %r15d\n\ttestl %r15d, %r15d\n\tjne .L1\n\taddl $3, %eax\n\taddl $4, %eax\n.L1:\n\tret\n";
-
-    #[test]
-    fn legacy_relax_option_spelling() {
-        assert_eq!(with_legacy_relax("DCE"), "DCE=legacy-relax");
-        assert_eq!(
-            with_legacy_relax("NOPIN=seed[3],density[0.1]:DCE"),
-            "NOPIN=seed[3],density[0.1],legacy-relax:DCE=legacy-relax"
-        );
-    }
 
     #[test]
     fn memo_path_hits_and_matches_oneshot() {

@@ -62,8 +62,8 @@ pub use pass::{
 };
 pub use profile::{Profile, Sample, Site};
 pub use relax::{
-    relax, relax_reference, relax_totals, BranchForm, Layout, LayoutCache, LayoutCacheStats,
-    RelaxError, RelaxMetrics, RelaxTotals,
+    relax, relax_totals, BranchForm, Layout, LayoutCache, LayoutCacheStats, RelaxError,
+    RelaxMetrics, RelaxTotals,
 };
 pub use store::{ArtifactStore, StoreConfig, StoreStats};
 pub use unit::{EditSet, EntryId, Function, MaoUnit, Section};

@@ -6,58 +6,51 @@ use std::sync::Arc;
 use crate::cfg::Cfg;
 use crate::loops::{Loop, LoopNest};
 use crate::pass::{PassContext, PassError};
-use crate::relax::{relax_reference, Layout, LayoutCache};
+use crate::relax::{Layout, LayoutCache};
 use crate::unit::{EditSet, EntryId, MaoUnit};
 
 /// The layout-consuming passes' window onto relaxation: hands out layouts
 /// and applies edits, keeping the fragment model warm so each edit costs an
 /// incremental [`LayoutCache::patch`] instead of a from-scratch solve, and
-/// full solves are shared through the content-keyed analysis cache. The
-/// `legacy-relax` pass option switches to the reference engine — a full
-/// entry-at-a-time re-relax per step and a plain `MaoUnit::apply` — which is
-/// the baseline `bench_relax` measures against.
+/// full solves are shared through the content-keyed analysis cache.
+///
+/// Debug builds check every layout handed out — freshly solved, patched or
+/// served from a cache tier — against [`crate::relax::relax_reference`],
+/// the entry-at-a-time solver kept as an oracle.
 pub(crate) struct LayoutProvider {
-    legacy: bool,
     cache: LayoutCache,
-    legacy_solves: u64,
 }
 
 impl LayoutProvider {
     pub(crate) fn new(ctx: &PassContext) -> LayoutProvider {
         LayoutProvider {
-            legacy: ctx.options.has("legacy-relax"),
             cache: LayoutCache::with_analyses(ctx.analyses.clone()),
-            legacy_solves: 0,
         }
     }
 
     /// The unit's current layout.
     pub(crate) fn layout(&mut self, unit: &MaoUnit) -> Result<Arc<Layout>, PassError> {
-        if self.legacy {
-            self.legacy_solves += 1;
-            Ok(Arc::new(relax_reference(unit)?))
-        } else {
-            Ok(self.cache.layout(unit)?)
+        let layout = self.cache.layout(unit)?;
+        #[cfg(debug_assertions)]
+        {
+            let reference = crate::relax::relax_reference(unit)?;
+            assert!(
+                layout.agrees_with(&reference),
+                "layout diverges from the reference solver"
+            );
         }
+        Ok(layout)
     }
 
     /// Apply `edits` to the unit, patching the cached layout incrementally.
     pub(crate) fn apply(&mut self, unit: &mut MaoUnit, edits: EditSet) -> Result<(), PassError> {
-        if self.legacy {
-            unit.apply(edits);
-        } else {
-            self.cache.patch(unit, edits)?;
-        }
+        self.cache.patch(unit, edits)?;
         Ok(())
     }
 
     /// One-line relaxation summary for the pass's stats notes; `None` when
     /// the provider was never exercised.
     pub(crate) fn note(&self) -> Option<String> {
-        if self.legacy {
-            return (self.legacy_solves > 0)
-                .then(|| format!("relax: {} legacy full solves", self.legacy_solves));
-        }
         let s = self.cache.stats();
         if s.solves + s.patches + s.hits == 0 {
             return None;

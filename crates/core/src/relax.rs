@@ -25,8 +25,9 @@
 //! keeps the fragment model alive across a pass's edits and re-lays-out
 //! incrementally via [`LayoutCache::patch`]. [`relax_reference`] retains the
 //! original entry-at-a-time algorithm (re-encoding every instruction every
-//! iteration) as the baseline for benchmarks and the equivalence property
-//! tests; both produce identical layouts.
+//! iteration) as an oracle for the equivalence tests and for debug builds,
+//! which check every layout a pass reads against it; it has no production
+//! caller. Both produce identical layouts.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -613,10 +614,10 @@ pub fn relax(unit: &MaoUnit) -> Result<Layout, RelaxError> {
 }
 
 /// The original entry-at-a-time relaxation: every iteration re-walks all N
-/// entries and re-encodes every instruction. Kept as the reference the
-/// fragment engine is checked against (CI smoke + property tests) and as
-/// the benchmark baseline; passes can select it with the `legacy-relax`
-/// option. Produces layouts identical to [`relax`].
+/// entries and re-encodes every instruction. Kept only as the oracle the
+/// fragment engine is checked against: by the property tests, and in debug
+/// builds on every layout a pass reads (no production code calls it).
+/// Produces layouts identical to [`relax`].
 pub fn relax_reference(unit: &MaoUnit) -> Result<Layout, RelaxError> {
     let n = unit.len();
     let (section_of, nsections) = intern_sections(unit);

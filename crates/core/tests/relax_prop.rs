@@ -8,13 +8,21 @@
 //!    the unit and its cached layout identical to applying the same edits
 //!    to a clone and solving from scratch — including edits that force the
 //!    full-solve fallback (section directives).
+//! 3. On the synthetic corpus plus the paper's branch-heavy kernels, a full
+//!    solve, a NOP edit sequence solved three ways, and the
+//!    `BRALIGN:LOOP16:LSDFIT` pipeline all agree with the reference. In
+//!    debug builds the pipeline also checks every layout its passes read
+//!    against the reference.
 //!
 //! The generator derives whole programs from one `u64` via SplitMix64, so
 //! every failure reproduces from the printed seed.
 
+use mao::isa::x86::Instruction;
+use mao::pass::{parse_invocations, run_pipeline_with, PipelineConfig};
 use mao::relax::{relax, relax_reference, LayoutCache};
-use mao::unit::{EditSet, MaoUnit};
+use mao::unit::{EditSet, EntryId, MaoUnit};
 use mao_asm::Entry;
+use mao_corpus::{generate, kernels, GeneratorConfig, Workload};
 use proptest::prelude::*;
 
 fn next(state: &mut u64) -> u64 {
@@ -176,4 +184,120 @@ proptest! {
             );
         }
     }
+}
+
+/// Synthetic compiler output plus the paper's branch-heavy kernels. The
+/// generator plants only forward branches, so the kernels supply the
+/// back-branch and alignment work; labels and entry symbols are uniquified
+/// so several instances coexist in one unit.
+fn corpus_unit() -> MaoUnit {
+    let mut asm = generate(&GeneratorConfig::core_library(0.02)).asm;
+    let instances: Vec<Workload> = vec![
+        kernels::mcf_fig1(false, 8),
+        kernels::mcf_fig1(true, 8),
+        kernels::eon_short_loop(10, 4, 4),
+        kernels::eon_short_loop(3, 4, 4),
+        kernels::hashing(true, 16),
+        kernels::hashing(false, 16),
+        kernels::port_contention(16),
+        kernels::lsd_loop(10, 8),
+        kernels::lsd_loop(2, 8),
+        kernels::image_nest(12, 4),
+        kernels::streaming_with_hot_set(false, 8),
+    ];
+    for (i, w) in instances.into_iter().enumerate() {
+        let text = w
+            .asm
+            .replace(".L", &format!(".Lk{i}_"))
+            .replace(&w.entry, &format!("{}_{i}", w.entry));
+        asm.push_str(&text);
+    }
+    MaoUnit::parse(&asm).expect("corpus parses")
+}
+
+/// `n` instruction ids spread over the unit, descending, so inserting
+/// before one leaves the ids of the sites still to come unchanged.
+fn edit_sites(unit: &MaoUnit, n: usize) -> Vec<EntryId> {
+    let ids: Vec<EntryId> = (0..unit.len())
+        .filter(|&id| unit.insn(id).is_some())
+        .collect();
+    let mut sites: Vec<EntryId> = (1..=n)
+        .map(|k| ids[k * (ids.len() - 1) / (n + 1)])
+        .collect();
+    sites.sort_unstable();
+    sites.dedup();
+    sites.reverse();
+    sites
+}
+
+fn one_nop_before(site: EntryId) -> EditSet {
+    let mut edits = EditSet::new();
+    edits.insert_before(site, vec![Entry::Insn(Instruction::nop_of_len(1).into())]);
+    edits
+}
+
+#[test]
+fn corpus_full_solve_matches_reference() {
+    let unit = corpus_unit();
+    let reference = relax_reference(&unit).expect("reference solve");
+    assert!(reference.branch_form.iter().flatten().count() > 0);
+    assert!(
+        relax(&unit)
+            .expect("fragment solve")
+            .agrees_with(&reference),
+        "fragment layout diverges from the reference solver"
+    );
+}
+
+#[test]
+fn corpus_edit_sequence_agrees_across_solvers() {
+    let base = corpus_unit();
+    let sites = edit_sites(&base, 8);
+    assert_eq!(sites.len(), 8);
+
+    // Each step re-laid-out three ways: reference full solve, fragment full
+    // solve, and an incremental patch of the cached fragment model.
+    let (mut by_reference, mut by_fragments, mut by_patch) =
+        (base.clone(), base.clone(), base.clone());
+    let mut cache = LayoutCache::new();
+    cache.layout(&by_patch).expect("initial solve");
+    for &site in &sites {
+        by_reference.apply(one_nop_before(site));
+        let reference = relax_reference(&by_reference).expect("reference solve");
+        by_fragments.apply(one_nop_before(site));
+        let fragments = relax(&by_fragments).expect("fragment solve");
+        assert!(
+            fragments.agrees_with(&reference),
+            "site {site}: fragment solve diverges"
+        );
+        cache
+            .patch(&mut by_patch, one_nop_before(site))
+            .expect("patch applies");
+    }
+    let text = by_patch.emit();
+    assert_eq!(by_reference.emit(), text, "edit sequences must agree");
+    assert_eq!(by_fragments.emit(), text, "edit sequences must agree");
+    let patched = cache.layout(&by_patch).expect("patched layout");
+    assert!(
+        patched.agrees_with(&relax_reference(&by_patch).expect("final reference solve")),
+        "patched unit's layout diverges from the reference solver"
+    );
+}
+
+#[test]
+fn corpus_alignment_pipeline_agrees_with_reference() {
+    let mut unit = corpus_unit();
+    let before = unit.emit();
+    let invocations = parse_invocations("BRALIGN:LOOP16:LSDFIT").expect("pipeline parses");
+    run_pipeline_with(&mut unit, &invocations, None, &PipelineConfig { jobs: 1 })
+        .expect("pipeline runs");
+    let after = unit.emit();
+    assert_ne!(before, after, "the kernels give the alignment passes work");
+    let reparsed = MaoUnit::parse(&after).expect("output reparses");
+    assert!(
+        relax(&reparsed)
+            .expect("fragment solve")
+            .agrees_with(&relax_reference(&reparsed).expect("reference solve")),
+        "aligned output's layout diverges from the reference solver"
+    );
 }

@@ -8,8 +8,9 @@
 //!
 //! * **Static dispatch on [`Insn`]** for the hot paths. Fragment
 //!   relaxation and the pass pipeline iterate millions of instructions;
-//!   a vtable call per encoded-length query would show up in the bench
-//!   gates (`BENCH_relax.json`). The neutral [`Insn`] enum keeps those
+//!   a vtable call per encoded-length query would show up in the
+//!   per-pass and relaxation times of the `bench_e2e` ledger. The neutral
+//!   [`Insn`] enum keeps those
 //!   call sites monomorphic — the x86 arm compiles to exactly the code
 //!   that existed before the refactor, which is what makes the
 //!   byte-identical bar attainable.

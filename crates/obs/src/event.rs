@@ -5,13 +5,12 @@
 //! need: a verbosity level, the emitting scope (pass name), and key=value
 //! fields. The legacy `[mao] <line>` stderr output is produced by
 //! [`TraceEvent::legacy_line`], so existing tooling that scrapes stderr
-//! keeps working unchanged while the JSON/profiling paths get structure.
+//! keeps working unchanged while in-process consumers read the fields.
 //!
 //! Events are built *lazily*: the tracing entry points take a closure, so a
 //! filtered-out level never formats anything.
 
 use std::fmt::Display;
-use std::fmt::Write as _;
 
 /// One structured trace event.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -54,20 +53,6 @@ impl TraceEvent {
     pub fn legacy_line(&self) -> &str {
         &self.message
     }
-
-    /// The structured rendering: `scope: message key=value ...` — used
-    /// where the consumer wants the fields inline (profiling dumps).
-    pub fn render_structured(&self) -> String {
-        let mut out = String::new();
-        if !self.scope.is_empty() {
-            let _ = write!(out, "[{}] ", self.scope);
-        }
-        out.push_str(&self.message);
-        for (k, v) in &self.fields {
-            let _ = write!(out, " {k}={v}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -80,10 +65,6 @@ mod tests {
             .field("removed", 3)
             .scope("REDTEST");
         assert_eq!(ev.legacy_line(), "REDTEST: 3 removed");
-        assert_eq!(
-            ev.render_structured(),
-            "[REDTEST] REDTEST: 3 removed removed=3"
-        );
     }
 
     #[test]
@@ -92,6 +73,5 @@ mod tests {
         assert_eq!(ev.level, 0);
         assert!(ev.scope.is_empty());
         assert!(ev.fields.is_empty());
-        assert_eq!(ev.render_structured(), "x");
     }
 }

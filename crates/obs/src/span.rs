@@ -11,8 +11,8 @@
 //!
 //! * **Off** — `Span::enter` is one branch; no clock read, no allocation.
 //! * **Aggregating** — only per-(category, name) totals are kept, bounded
-//!   by [`MAX_TOTAL_KEYS`], so a daemon can run forever. This feeds the
-//!   span section of the `stats` snapshot.
+//!   by [`MAX_TOTAL_KEYS`] names per category, so a daemon can run
+//!   forever. This feeds the span section of the `stats` snapshot.
 //! * **Recording** — every span record is kept and
 //!   [`Recorder::chrome_trace_json`] exports them in Chrome trace format
 //!   (load the file in `chrome://tracing` or Perfetto).
@@ -25,9 +25,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Aggregation keys kept by an aggregating recorder before new (category,
-/// name) pairs fold into the `other` bucket. Bounds daemon memory when span
-/// names carry unbounded cardinality (per-function spans).
+/// Names kept per category by an aggregating recorder before new names in
+/// that category fold into its `other` bucket. Bounds daemon memory when
+/// span names carry unbounded cardinality (per-function spans); categories
+/// are string literals, so the cap per category bounds the whole map, and
+/// a flood of function names cannot push a pass out of its own row.
 pub const MAX_TOTAL_KEYS: usize = 1024;
 
 /// What a recorder keeps.
@@ -65,8 +67,8 @@ pub struct SpanRecord {
 pub struct SpanTotal {
     /// Category.
     pub cat: String,
-    /// Name (the literal `"other"` bucket absorbs overflow past
-    /// [`MAX_TOTAL_KEYS`]).
+    /// Name (the literal `"other"` bucket absorbs a category's overflow
+    /// past [`MAX_TOTAL_KEYS`]).
     pub name: String,
     /// Number of spans closed under this key.
     pub count: u64,
@@ -74,21 +76,25 @@ pub struct SpanTotal {
     pub total_us: u64,
 }
 
+/// Category → name → (count, total microseconds). Recording a span under
+/// a key already present allocates nothing.
 #[derive(Debug, Default)]
 struct Totals {
-    map: BTreeMap<(String, String), (u64, u64)>,
+    map: BTreeMap<&'static str, BTreeMap<String, (u64, u64)>>,
 }
 
 impl Totals {
-    fn record(&mut self, cat: &str, name: &str, dur_us: u64) {
-        let key = if self.map.len() >= MAX_TOTAL_KEYS
-            && !self.map.contains_key(&(cat.to_string(), name.to_string()))
-        {
-            (cat.to_string(), "other".to_string())
+    fn record(&mut self, cat: &'static str, name: &str, dur_us: u64) {
+        let names = self.map.entry(cat).or_default();
+        let name = if names.len() >= MAX_TOTAL_KEYS && !names.contains_key(name) {
+            "other"
         } else {
-            (cat.to_string(), name.to_string())
+            name
         };
-        let slot = self.map.entry(key).or_insert((0, 0));
+        let slot = match names.get_mut(name) {
+            Some(slot) => slot,
+            None => names.entry(name.to_string()).or_insert((0, 0)),
+        };
         slot.0 += 1;
         slot.1 += dur_us;
     }
@@ -191,11 +197,13 @@ impl Recorder {
             .unwrap()
             .map
             .iter()
-            .map(|((cat, name), (count, total_us))| SpanTotal {
-                cat: cat.clone(),
-                name: name.clone(),
-                count: *count,
-                total_us: *total_us,
+            .flat_map(|(cat, names)| {
+                names.iter().map(|(name, (count, total_us))| SpanTotal {
+                    cat: cat.to_string(),
+                    name: name.clone(),
+                    count: *count,
+                    total_us: *total_us,
+                })
             })
             .collect()
     }
@@ -430,6 +438,24 @@ mod tests {
         assert_eq!(other.count, 50, "overflow folds into the `other` bucket");
         let total_count: u64 = totals.iter().map(|t| t.count).sum();
         assert_eq!(total_count, (MAX_TOTAL_KEYS + 50) as u64);
+    }
+
+    #[test]
+    fn overflow_in_one_category_leaves_others_their_rows() {
+        let rec = Recorder::aggregating();
+        for i in 0..(MAX_TOTAL_KEYS + 50) {
+            let _s = rec.span("function", &format!("f{i}"));
+        }
+        drop(rec.span("pass", "LOOP16"));
+        let totals = rec.totals();
+        let loop16 = totals
+            .iter()
+            .find(|t| t.cat == "pass" && t.name == "LOOP16")
+            .expect("a pass keeps its own row past the function cap");
+        assert_eq!(loop16.count, 1);
+        assert!(!totals.iter().any(|t| t.cat == "pass" && t.name == "other"));
+        let functions = totals.iter().filter(|t| t.cat == "function").count();
+        assert_eq!(functions, MAX_TOTAL_KEYS + 1, "the cap holds per category");
     }
 
     #[test]

@@ -783,7 +783,6 @@ impl Engine {
                 )
                 .map_err(|e| Response::error(ErrorKind::Pass, e.to_string()))?;
                 let optimize_us = t1.elapsed().as_micros() as u64;
-                self.inner.stats.record_pass_timings(&report.timings_us);
                 Ok((
                     OptimizeOutcome {
                         asm: unit.emit(),

@@ -8,9 +8,7 @@
 //! counters, result-cache stats, analysis-cache stats) and renders through
 //! the single [`StatsSnapshot::to_json`] path.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use mao::obs::{Counter, Metrics, SpanTotal};
@@ -38,8 +36,10 @@ use crate::result_cache::ResultCacheStats;
 /// set, one member per [`mao::isa::IsaId`] name) alongside per-request
 /// ISA selection on the `optimize` request; version 8 added the
 /// `function_memo` object (hits, misses, admissions, evictions, bytes and
-/// entries of the engine's function-result memo).
-pub const STATS_SCHEMA_VERSION: u64 = 8;
+/// entries of the engine's function-result memo); version 9 removed the
+/// per-pass timings array, whose numbers the `spans` array's `pass` rows
+/// already carry (count = invocations, `total_us` = cumulative time).
+pub const STATS_SCHEMA_VERSION: u64 = 9;
 
 /// Cumulative service counters. One instance lives for the daemon's whole
 /// life and is shared by every connection and worker thread. The counters
@@ -60,8 +60,6 @@ pub struct ServerStats {
     /// Optimize requests per instruction set, indexed like
     /// [`mao::isa::IsaId::ALL`].
     isa_requests: Vec<Counter>,
-    /// Pass name → (invocations, cumulative microseconds).
-    pass_timings: Mutex<BTreeMap<String, (u64, u64)>>,
     /// Handles into the `mao_superopt_*` counter families the SUPEROPT
     /// pass increments when it runs inside this engine's pipelines.
     /// Registered here (at zero) so the families exist — and render in
@@ -131,7 +129,6 @@ impl ServerStats {
                 .iter()
                 .map(|isa| metrics.counter_with("mao_requests_isa_total", &[("isa", isa.name())]))
                 .collect(),
-            pass_timings: Mutex::new(BTreeMap::new()),
             superopt: SuperoptCounters::new(metrics),
         }
     }
@@ -191,16 +188,6 @@ impl ServerStats {
         self.shed.inc();
     }
 
-    /// Fold one pipeline run's per-pass timings into the cumulative table.
-    pub fn record_pass_timings(&self, timings_us: &[(String, u64)]) {
-        let mut table = self.pass_timings.lock().unwrap();
-        for (name, us) in timings_us {
-            let entry = table.entry(name.clone()).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += us;
-        }
-    }
-
     /// Requests currently in service.
     pub fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::Relaxed)
@@ -229,13 +216,6 @@ impl ServerStats {
         frontend: FrontendStats,
         function_memo: FunctionMemoStats,
     ) -> StatsSnapshot {
-        let per_pass_timings = self
-            .pass_timings
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, (invocations, total_us))| (name.clone(), *invocations, *total_us))
-            .collect();
         StatsSnapshot {
             schema_version: STATS_SCHEMA_VERSION,
             uptime_s: self.uptime_s(),
@@ -262,7 +242,6 @@ impl ServerStats {
             analysis_cache,
             shards,
             relax,
-            per_pass_timings,
             span_totals,
             superopt: self.superopt.snapshot(),
             frontend,
@@ -391,7 +370,7 @@ pub struct ShardStats {
 
 /// Point-in-time view of the whole service: request counters, admission
 /// control, every cache tier, per-shard breakdowns, relaxation totals,
-/// per-pass timings, and aggregated span totals. The `stats` response is
+/// and aggregated span totals (per-pass time is the `pass` rows). The `stats` response is
 /// exactly [`StatsSnapshot::to_json`]; tests and benchmarks read the typed
 /// fields directly.
 #[derive(Debug, Clone, Default)]
@@ -419,10 +398,8 @@ pub struct StatsSnapshot {
     pub shards: Vec<ShardStats>,
     /// Process-wide relaxation-solver totals.
     pub relax: RelaxTotals,
-    /// Per pass: (name, invocations, cumulative microseconds).
-    pub per_pass_timings: Vec<(String, u64, u64)>,
     /// Aggregated span totals from the engine's recorder, one per
-    /// (category, name).
+    /// (category, name); the `pass` rows are the per-pass clock.
     pub span_totals: Vec<SpanTotal>,
     /// SUPEROPT pass totals (zero until a request runs the pass).
     pub superopt: SuperoptStats,
@@ -456,17 +433,6 @@ impl StatsSnapshot {
     /// The one rendering path for the `stats` response body.
     pub fn to_json(&self) -> Json {
         let analyses = &self.analysis_cache;
-        let per_pass_timings: Vec<Json> = self
-            .per_pass_timings
-            .iter()
-            .map(|(name, invocations, total_us)| {
-                Json::obj(vec![
-                    ("name", Json::from(name.clone())),
-                    ("invocations", Json::from(*invocations)),
-                    ("total_us", Json::from(*total_us)),
-                ])
-            })
-            .collect();
         let spans: Vec<Json> = self
             .span_totals
             .iter()
@@ -598,7 +564,6 @@ impl StatsSnapshot {
                     ("fragments", Json::from(self.relax.fragments)),
                 ]),
             ),
-            ("per_pass_timings", Json::Arr(per_pass_timings)),
             ("spans", Json::Arr(spans)),
             (
                 "superopt",
@@ -633,8 +598,9 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mao::obs::Recorder;
 
-    fn snapshot_of(stats: &ServerStats) -> Json {
+    fn snapshot_with_spans(stats: &ServerStats, span_totals: Vec<SpanTotal>) -> Json {
         stats
             .snapshot(
                 ResultCacheStats::default(),
@@ -642,25 +608,31 @@ mod tests {
                 Vec::new(),
                 0,
                 RelaxTotals::default(),
-                Vec::new(),
+                span_totals,
                 FrontendStats::default(),
                 FunctionMemoStats::default(),
             )
             .to_json()
     }
 
+    fn snapshot_of(stats: &ServerStats) -> Json {
+        snapshot_with_spans(stats, Vec::new())
+    }
+
     #[test]
     fn snapshot_counts() {
         let metrics = Metrics::new();
         let stats = ServerStats::new(&metrics);
+        let recorder = Recorder::aggregating();
         stats.begin_request();
-        stats.record_pass_timings(&[("DCE".into(), 10), ("SCHED".into(), 20)]);
-        stats.record_pass_timings(&[("DCE".into(), 5)]);
+        for pass in ["DCE", "SCHED", "DCE"] {
+            drop(recorder.span("pass", pass));
+        }
         stats.end_request(true);
         stats.begin_request();
         stats.record_panic();
         stats.end_request(false);
-        let snap = snapshot_of(&stats);
+        let snap = snapshot_with_spans(&stats, recorder.totals());
         assert_eq!(
             snap.get("schema_version").unwrap().as_u64(),
             Some(STATS_SCHEMA_VERSION)
@@ -671,11 +643,18 @@ mod tests {
         assert_eq!(requests.get("errors").unwrap().as_u64(), Some(1));
         assert_eq!(requests.get("panics").unwrap().as_u64(), Some(1));
         assert_eq!(snap.get("in_flight").unwrap().as_u64(), Some(0));
-        let timings = snap.get("per_pass_timings").unwrap().as_arr().unwrap();
-        assert_eq!(timings.len(), 2);
-        assert_eq!(timings[0].get("name").unwrap().as_str(), Some("DCE"));
-        assert_eq!(timings[0].get("invocations").unwrap().as_u64(), Some(2));
-        assert_eq!(timings[0].get("total_us").unwrap().as_u64(), Some(15));
+        // Per-pass time is the `pass` rows of the span totals.
+        let spans = snap.get("spans").unwrap().as_arr().unwrap();
+        let passes: Vec<&Json> = spans
+            .iter()
+            .filter(|row| row.get("cat").unwrap().as_str() == Some("pass"))
+            .collect();
+        assert_eq!(passes.len(), 2);
+        assert_eq!(passes[0].get("name").unwrap().as_str(), Some("DCE"));
+        assert_eq!(passes[0].get("count").unwrap().as_u64(), Some(2));
+        assert!(passes[0].get("total_us").unwrap().as_u64().is_some());
+        assert_eq!(passes[1].get("name").unwrap().as_str(), Some("SCHED"));
+        assert_eq!(passes[1].get("count").unwrap().as_u64(), Some(1));
         // The same counters are visible to a Prometheus scrape.
         assert_eq!(metrics.counter_value("mao_requests_total"), 2);
         assert_eq!(metrics.counter_value("mao_request_panics_total"), 1);
@@ -808,23 +787,15 @@ mod tests {
     #[test]
     fn span_totals_render() {
         let stats = ServerStats::default();
-        let snap = stats
-            .snapshot(
-                ResultCacheStats::default(),
-                CacheStats::default(),
-                Vec::new(),
-                0,
-                RelaxTotals::default(),
-                vec![SpanTotal {
-                    cat: "pass".into(),
-                    name: "DCE".into(),
-                    count: 3,
-                    total_us: 42,
-                }],
-                FrontendStats::default(),
-                FunctionMemoStats::default(),
-            )
-            .to_json();
+        let snap = snapshot_with_spans(
+            &stats,
+            vec![SpanTotal {
+                cat: "pass".into(),
+                name: "DCE".into(),
+                count: 3,
+                total_us: 42,
+            }],
+        );
         let spans = snap.get("spans").unwrap().as_arr().unwrap();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].get("cat").unwrap().as_str(), Some("pass"));

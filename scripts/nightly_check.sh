@@ -2,10 +2,11 @@
 # Nightly differential sweep: much deeper than the CI smoke stage.
 #
 # Runs `mao check` over several seeds at 500 cases each (every transforming
-# pass alone plus the full pipeline, through all four execution paths), and
-# finishes with the fault-injection self-test. Any failure is shrunk and
-# persisted under tests/regressions/ — commit the new file so `cargo test`
-# replays it forever after.
+# pass alone plus the full pipeline, through every execution path), then one
+# debug-build sweep whose oracles check every layout a pass reads against
+# the reference relaxation solver, and finishes with the fault-injection
+# self-test. Any failure is shrunk and persisted under tests/regressions/ —
+# commit the new file so `cargo test` replays it forever after.
 #
 # Usage: scripts/nightly_check.sh [seed...]   (default seeds: 1 2 3 42 1337)
 set -euo pipefail
@@ -18,6 +19,7 @@ fi
 CASES=${CASES:-500}
 
 cargo build --release -p mao-check
+cargo build -p mao-check --bin mao
 MAO=target/release/mao
 
 status=0
@@ -27,6 +29,11 @@ for seed in "${SEEDS[@]}"; do
         status=1
     fi
 done
+
+echo "==> mao check --seed 1 --cases 100 (debug oracles)"
+if ! target/debug/mao check --seed 1 --cases 100 --regress-dir tests/regressions; then
+    status=1
+fi
 
 echo "==> injection self-test"
 "$MAO" check --inject-miscompile > /dev/null
