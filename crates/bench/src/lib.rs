@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and criterion benches.
+//! Shared harness for the experiment binaries.
 //!
 //! Each `exp_*` binary regenerates one table or figure of the paper (see
 //! DESIGN.md's per-experiment index); this library holds the common

@@ -292,29 +292,6 @@ pub fn for_each_function(
     }
 }
 
-/// The pre-index driver: recompute every function view after every step.
-///
-/// Kept as the O(F²) baseline the throughput benchmark compares the
-/// incremental index against; passes should use [`for_each_function`] or
-/// [`run_functions`].
-pub fn for_each_function_full_rebuild(
-    unit: &mut MaoUnit,
-    mut body: impl FnMut(&MaoUnit, &Function) -> Result<EditSet, PassError>,
-) -> Result<(), PassError> {
-    let mut k = 0;
-    loop {
-        let functions = unit.functions_rebuilt();
-        let Some(function) = functions.get(k) else {
-            return Ok(());
-        };
-        let edits = body(unit, function)?;
-        if !edits.is_empty() {
-            unit.apply(edits);
-        }
-        k += 1;
-    }
-}
-
 /// Per-function context handed to [`run_functions`] bodies.
 ///
 /// Collects stats and trace output locally so function bodies can run on

@@ -637,13 +637,6 @@ impl MaoUnit {
         &self.index().functions
     }
 
-    /// Compute the function views from scratch, bypassing the cached index.
-    /// This is the pre-index baseline; it exists so benchmarks can compare
-    /// against incremental maintenance. Prefer [`MaoUnit::functions`].
-    pub fn functions_rebuilt(&self) -> Vec<Function> {
-        build_index(&self.entries).functions
-    }
-
     /// Find a function view by name.
     pub fn find_function(&self, name: &str) -> Option<Function> {
         self.index()

@@ -13,6 +13,8 @@
 //! * **Aggregating** — only per-(category, name) totals are kept, bounded
 //!   by [`MAX_TOTAL_KEYS`] names per category, so a daemon can run
 //!   forever. This feeds the span section of the `stats` snapshot.
+//!   Opening a span under a known key takes one lock and allocates
+//!   nothing; arguments are dropped.
 //! * **Recording** — every span record is kept and
 //!   [`Recorder::chrome_trace_json`] exports them in Chrome trace format
 //!   (load the file in `chrome://tracing` or Perfetto).
@@ -76,27 +78,36 @@ pub struct SpanTotal {
     pub total_us: u64,
 }
 
-/// Category → name → (count, total microseconds). Recording a span under
-/// a key already present allocates nothing.
+/// One (category, name) row. A span resolves its row when it opens and
+/// bumps it when it closes, so closing takes no lock.
+#[derive(Debug, Default)]
+struct Slot {
+    /// Spans closed under this key.
+    count: AtomicU64,
+    /// Cumulative wall-clock microseconds.
+    total_us: AtomicU64,
+}
+
+/// Category → name → row. Opening a span under a key already present
+/// allocates nothing.
 #[derive(Debug, Default)]
 struct Totals {
-    map: BTreeMap<&'static str, BTreeMap<String, (u64, u64)>>,
+    map: BTreeMap<&'static str, BTreeMap<String, Arc<Slot>>>,
 }
 
 impl Totals {
-    fn record(&mut self, cat: &'static str, name: &str, dur_us: u64) {
+    fn slot(&mut self, cat: &'static str, name: &str) -> Arc<Slot> {
         let names = self.map.entry(cat).or_default();
         let name = if names.len() >= MAX_TOTAL_KEYS && !names.contains_key(name) {
             "other"
         } else {
             name
         };
-        let slot = match names.get_mut(name) {
+        let slot = match names.get(name) {
             Some(slot) => slot,
-            None => names.entry(name.to_string()).or_insert((0, 0)),
+            None => names.entry(name.to_string()).or_default(),
         };
-        slot.0 += 1;
-        slot.1 += dur_us;
+        Arc::clone(slot)
     }
 }
 
@@ -116,7 +127,7 @@ pub struct Recorder {
 }
 
 thread_local! {
-    /// Live span ids on this thread, innermost last. Shared across
+    /// Live recording-span ids on this thread, innermost last. Shared across
     /// recorders: interleaving two live recorders on one thread would
     /// cross-link parents, which no in-tree layer does.
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
@@ -166,22 +177,29 @@ impl Recorder {
         let Some(inner) = &self.inner else {
             return Span { state: None };
         };
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let parent = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let parent = stack.last().copied();
-            stack.push(id);
-            parent
-        });
-        Span {
-            state: Some(SpanState {
+        let slot = inner.totals.lock().unwrap().slot(cat, name);
+        let record = (inner.mode == RecorderMode::Recording).then(|| {
+            let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
+            let parent = SPAN_STACK.with(|stack| {
+                let mut stack = stack.borrow_mut();
+                let parent = stack.last().copied();
+                stack.push(id);
+                parent
+            });
+            OpenRecord {
                 rec: inner.clone(),
                 id,
                 parent,
                 cat,
                 name: name.to_string(),
-                start: Instant::now(),
                 args: Vec::new(),
+            }
+        });
+        Span {
+            state: Some(SpanState {
+                slot,
+                start: Instant::now(),
+                record,
             }),
         }
     }
@@ -198,13 +216,15 @@ impl Recorder {
             .map
             .iter()
             .flat_map(|(cat, names)| {
-                names.iter().map(|(name, (count, total_us))| SpanTotal {
+                names.iter().map(|(name, slot)| SpanTotal {
                     cat: cat.to_string(),
                     name: name.clone(),
-                    count: *count,
-                    total_us: *total_us,
+                    count: slot.count.load(Ordering::Relaxed),
+                    total_us: slot.total_us.load(Ordering::Relaxed),
                 })
             })
+            // A row whose only spans are still open has nothing to report.
+            .filter(|total| total.count > 0)
             .collect()
     }
 
@@ -274,12 +294,20 @@ fn json_str(s: &str) -> String {
 
 #[derive(Debug)]
 struct SpanState {
+    slot: Arc<Slot>,
+    start: Instant,
+    /// What a recording recorder keeps of the span; `None` when
+    /// aggregating, which stores no name copy and no arguments.
+    record: Option<OpenRecord>,
+}
+
+#[derive(Debug)]
+struct OpenRecord {
     rec: Arc<RecorderInner>,
     id: u64,
     parent: Option<u64>,
     cat: &'static str,
     name: String,
-    start: Instant,
     args: Vec<(String, String)>,
 }
 
@@ -297,10 +325,15 @@ impl Span {
         recorder.span(cat, name)
     }
 
-    /// Attach a key=value argument (rendered into the Chrome trace).
+    /// Attach a key=value argument (rendered into the Chrome trace; only a
+    /// recording recorder keeps it).
     pub fn arg(&mut self, key: &'static str, value: impl Display) {
-        if let Some(state) = &mut self.state {
-            state.args.push((key.to_string(), value.to_string()));
+        if let Some(SpanState {
+            record: Some(record),
+            ..
+        }) = &mut self.state
+        {
+            record.args.push((key.to_string(), value.to_string()));
         }
     }
 
@@ -317,35 +350,32 @@ impl Drop for Span {
             return;
         };
         let dur_us = state.start.elapsed().as_micros() as u64;
+        state.slot.count.fetch_add(1, Ordering::Relaxed);
+        state.slot.total_us.fetch_add(dur_us, Ordering::Relaxed);
+        let Some(record) = state.record else {
+            return;
+        };
         SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             // Spans are guards, so this thread's innermost open span is us;
             // be tolerant if a span was moved across threads before drop.
-            if stack.last() == Some(&state.id) {
+            if stack.last() == Some(&record.id) {
                 stack.pop();
             } else {
-                stack.retain(|&id| id != state.id);
+                stack.retain(|&id| id != record.id);
             }
         });
-        state
-            .rec
-            .totals
-            .lock()
-            .unwrap()
-            .record(state.cat, &state.name, dur_us);
-        if state.rec.mode == RecorderMode::Recording {
-            let start_us = state.start.duration_since(state.rec.epoch).as_micros() as u64;
-            state.rec.records.lock().unwrap().push(SpanRecord {
-                id: state.id,
-                parent: state.parent,
-                tid: TID.with(|t| *t),
-                cat: state.cat.to_string(),
-                name: state.name,
-                start_us,
-                dur_us,
-                args: state.args,
-            });
-        }
+        let start_us = state.start.duration_since(record.rec.epoch).as_micros() as u64;
+        record.rec.records.lock().unwrap().push(SpanRecord {
+            id: record.id,
+            parent: record.parent,
+            tid: TID.with(|t| *t),
+            cat: record.cat.to_string(),
+            name: record.name,
+            start_us,
+            dur_us,
+            args: record.args,
+        });
     }
 }
 

@@ -1,7 +1,9 @@
 //! Integration tests of the persistent result-cache tier through the full
 //! engine: a restart over the same cache directory begins warm and serves
-//! byte-identical results from disk, corrupted entries are evicted instead
-//! of served, and two live instances can share one directory.
+//! byte-identical results from disk, a whole round of distinct requests
+//! misses cold, hits memory warm and hits disk after a restart, corrupted
+//! entries are evicted instead of served, and two live instances can share
+//! one directory.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -24,8 +26,12 @@ fn cache_dir() -> std::path::PathBuf {
 }
 
 fn engine_on(dir: &std::path::Path) -> Engine {
+    sharded_engine_on(dir, 1)
+}
+
+fn sharded_engine_on(dir: &std::path::Path, shards: usize) -> Engine {
     Engine::new(EngineConfig {
-        shards: 1,
+        shards,
         cache_dir: Some(dir.to_path_buf()),
         ..EngineConfig::default()
     })
@@ -100,6 +106,50 @@ fn restart_begins_warm_and_serves_byte_identical_results() {
         "memory tier saw the promoted hit"
     );
     second.join_workers();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_tier_answers_a_whole_round_across_shards() {
+    let dir = cache_dir();
+    // Distinct inputs (a comment changes the key, not the work), spread
+    // over two shards.
+    let inputs: Vec<String> = (0..8).map(|i| format!("# request {i}\n{INPUT}")).collect();
+    let round = |engine: &Engine| -> (Vec<String>, Vec<CacheOutcome>) {
+        inputs
+            .iter()
+            .map(|asm| {
+                let (outcome, cache) = expect_optimized(engine.handle(optimize(asm)));
+                (outcome.asm, cache)
+            })
+            .unzip()
+    };
+    let n = inputs.len();
+
+    let first = sharded_engine_on(&dir, 2);
+    let (cold, outcomes) = round(&first);
+    assert_eq!(outcomes, vec![CacheOutcome::Miss; n]);
+    let (warm, outcomes) = round(&first);
+    assert_eq!(outcomes, vec![CacheOutcome::Hit; n]);
+    assert_eq!(warm, cold);
+    let stats = first.snapshot().result_cache;
+    assert_eq!((stats.misses, stats.hits), (n as u64, n as u64));
+    first.join_workers();
+    drop(first);
+
+    // A fresh engine over the same directory: every request comes off
+    // disk, byte-identical to the cold round.
+    let restarted = sharded_engine_on(&dir, 2);
+    let (restart, outcomes) = round(&restarted);
+    assert_eq!(outcomes, vec![CacheOutcome::DiskHit; n]);
+    assert_eq!(restart, cold, "disk tier must round-trip bytes exactly");
+    let disk = restarted
+        .snapshot()
+        .result_cache
+        .disk
+        .expect("disk tier is configured");
+    assert_eq!(disk.hits, n as u64);
+    restarted.join_workers();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

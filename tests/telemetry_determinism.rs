@@ -2,10 +2,12 @@
 //! pipeline records must not depend on the worker count, just like the
 //! assembly output itself. Wall-clock content (histograms, span durations)
 //! is explicitly excluded from the comparison — that is the design split
-//! the metrics registry encodes.
+//! the metrics registry encodes. The overhead guard keeps telemetry-on
+//! within 3% of telemetry-off.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 use mao::pass::{parse_invocations, run_pipeline_observed, PipelineConfig};
 use mao::{AnalysisCache, MaoUnit, Obs};
@@ -13,9 +15,14 @@ use mao_corpus::{generate, GeneratorConfig};
 
 const PIPELINE: &str = "LFIND:REDZEXT:REDTEST:REDMOV:ADDADD:CONSTFOLD:DCE:SCHED";
 
+/// Held by every pipeline run in this file, so the overhead guard's
+/// samples never share the CPUs with another test's pipeline.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Run the observed pipeline over a fixed corpus with a fresh telemetry
 /// bundle and a fresh attached analysis cache.
 fn run(jobs: usize) -> (String, Obs) {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let corpus = generate(&GeneratorConfig::core_library(0.05));
     let mut unit = MaoUnit::parse(&corpus.asm).expect("generated corpus parses");
     let obs = Obs::aggregating();
@@ -89,4 +96,58 @@ fn prometheus_render_of_a_live_run_validates() {
     let text = obs.metrics.render_prometheus();
     mao::obs::prom::validate(&text).expect("exposition text validates");
     assert!(text.contains("# TYPE mao_pass_wall_us histogram"), "{text}");
+}
+
+/// One timed run of the guard's function-level pipeline over a clone of
+/// `base`, with a fresh analysis cache, as the daemon runs it.
+fn observed_seconds(base: &MaoUnit, obs: &Obs, attach: bool) -> f64 {
+    let invs = parse_invocations("REDZEXT:REDTEST:REDMOV:ADDADD:CONSTFOLD:DCE:SCHED").unwrap();
+    let mut unit = base.clone();
+    let analyses = Arc::new(AnalysisCache::new());
+    if attach {
+        analyses.attach_metrics(&obs.metrics);
+    }
+    let config = PipelineConfig { jobs: 4 };
+    let t = Instant::now();
+    run_pipeline_observed(&mut unit, &invs, None, &config, &analyses, obs).expect("pipeline runs");
+    t.elapsed().as_secs_f64()
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the overhead guard needs an optimized build"
+)]
+fn telemetry_overhead_is_within_three_percent() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let corpus = generate(&GeneratorConfig::core_library(0.1));
+    let unit = MaoUnit::parse(&corpus.asm).expect("generated corpus parses");
+    let _ = unit.functions_cached();
+    let off = Obs::off();
+    // Warm both arms up (page in code, fill allocator pools).
+    observed_seconds(&unit, &off, false);
+    observed_seconds(&unit, &Obs::aggregating(), true);
+    // Interleaved so both arms share scheduling noise; a fresh aggregating
+    // bundle per sample is the steady-state daemon shape.
+    let (mut t_off, mut t_on) = (Vec::new(), Vec::new());
+    for _ in 0..5 {
+        t_off.push(observed_seconds(&unit, &off, false));
+        t_on.push(observed_seconds(&unit, &Obs::aggregating(), true));
+    }
+    let (off_s, on_s) = (median(t_off), median(t_on));
+    // 3% relative plus 2 ms absolute: small corpora finish in a few
+    // milliseconds, where scheduler jitter alone exceeds 3%.
+    let allowed_s = off_s * 0.03 + 0.002;
+    let overhead_pct = (on_s - off_s) / off_s * 100.0;
+    eprintln!("telemetry guard: off {off_s:.6}s, on {on_s:.6}s, overhead {overhead_pct:+.2}%");
+    assert!(
+        on_s - off_s <= allowed_s,
+        "telemetry-on costs {overhead_pct:.2}% over telemetry-off \
+         (allowance 3% + 2 ms = {allowed_s:.6}s)"
+    );
 }
