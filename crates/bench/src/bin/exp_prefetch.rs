@@ -57,8 +57,8 @@ fn main() {
     let mut unit = MaoUnit::parse(&plain.asm).expect("parses");
     let mut ctx = PassContext::from_options(PassOptions::new());
     ctx.profile = Some(profile);
-    let pass = mao::pass::registry()["PREFNTA"]();
-    let stats = pass.run(&mut unit, &mut ctx).expect("PREFNTA runs");
+    let pass = mao::pass::descriptor("PREFNTA").expect("PREFNTA is built in");
+    let stats = (pass.run)(&mut unit, &mut ctx).expect("PREFNTA runs");
     let (c2, h2, m2) = measure(&unit.emit(), &config);
     println!(
         "  PREFNTA pass:      {c2:>8} cycles, {h2:>7} hits {m2:>7} misses ({} prefetches inserted)",

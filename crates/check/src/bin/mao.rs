@@ -63,7 +63,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use mao::pass::{
-    parse_invocations, registry, run_pipeline_observed, PassInvocation, PipelineConfig,
+    descriptors, parse_invocations, resolve, run_pipeline_observed, OptionSpec, PassInvocation,
+    PassScope, PipelineConfig, COMMON_OPTIONS,
 };
 use mao::{AnalysisCache, MaoUnit, Obs};
 use mao_serve::engine::{Engine, EngineConfig};
@@ -832,7 +833,7 @@ fn cmd_superopt(args: &[String]) -> ExitCode {
         spec.push_str(&format!(",cache-dir[{dir}]"));
     }
     if inject {
-        spec.push_str(",inject-bogus-rewrite[1]");
+        spec.push_str(",inject-bogus-rewrite");
     }
     let invocations = match parse_invocations(&spec) {
         Ok(i) => i,
@@ -1269,13 +1270,47 @@ fn cmd_oneshot(args: &[String]) -> ExitCode {
     }
 
     if list_passes {
-        let reg = registry();
-        println!("{:<10} description", "pass");
-        for (name, factory) in &reg {
-            println!("{:<10} {}", name, factory().description());
+        println!("{:<10} {:<9} {:<16} description", "pass", "scope", "isas");
+        let row = |spec: &OptionSpec| println!("{:<10}   {:<20} {}", "", spec.key, spec.kind);
+        for pass in descriptors() {
+            let scope = match pass.scope {
+                PassScope::Unit => "unit",
+                PassScope::Function => "function",
+            };
+            let isas: Vec<String> = pass.isas.iter().map(ToString::to_string).collect();
+            println!(
+                "{:<10} {scope:<9} {:<16} {}",
+                pass.name,
+                isas.join(","),
+                pass.description
+            );
+            pass.options.iter().for_each(row);
         }
+        println!("{:<10} every pass also accepts:", "*");
+        COMMON_OPTIONS.iter().for_each(row);
         println!("{:<10} emit assembly output: ASM=o[path]", "ASM");
         return ExitCode::SUCCESS;
+    }
+
+    let mut invocations: Vec<PassInvocation> = Vec::new();
+    for s in &option_strings {
+        match parse_invocations(s) {
+            Ok(mut invs) => invocations.append(&mut invs),
+            Err(e) => {
+                eprintln!("mao: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    // Every pass and option is checked before the input is read, so a bad
+    // invocation after an `ASM` emission cannot leave a partial run behind.
+    let checked = invocations
+        .iter()
+        .filter(|inv| inv.name != "ASM" && inv.name != "READ")
+        .try_for_each(|inv| resolve(std::slice::from_ref(inv)).map(drop));
+    if let Err(e) = checked {
+        eprintln!("mao: {e}");
+        return ExitCode::FAILURE;
     }
 
     let Some(input) = inputs.first() else {
@@ -1387,17 +1422,6 @@ fn cmd_oneshot(args: &[String]) -> ExitCode {
             "[mao] frontend: wrote snapshot to {path} ({} bytes)",
             bytes.len()
         );
-    }
-
-    let mut invocations: Vec<PassInvocation> = Vec::new();
-    for s in &option_strings {
-        match parse_invocations(s) {
-            Ok(mut invs) => invocations.append(&mut invs),
-            Err(e) => {
-                eprintln!("mao: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
 
     // Split out ASM pseudo-passes; run optimization segments between them.

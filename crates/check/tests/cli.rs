@@ -74,6 +74,31 @@ fn list_passes_shows_registry() {
     for name in ["REDTEST", "LOOP16", "SCHED", "NOPIN", "LFIND", "ASM"] {
         assert!(stdout.contains(name), "missing {name} in:\n{stdout}");
     }
+    // Options render from the descriptors: SCHED's policy and its spellings.
+    assert!(
+        stdout.contains("policy") && stdout.contains("critical-path|source-order"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn bad_pass_options_fail_before_any_pass_runs() {
+    let input = write_input("in_badopts.s", INPUT);
+    let out = mao()
+        .arg(
+            "--mao=BRALIGN=legacy-relax,nosuchoption[3]:ADDADD=bogus:SCHED=policy[sourc-order]:\
+             NOPIN=trace[256],density[abc]",
+        )
+        .arg(&input)
+        .output()
+        .expect("driver runs");
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "no output for a refused pass string");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("BRALIGN") && stderr.contains("legacy-relax"),
+        "{stderr}"
+    );
 }
 
 #[test]

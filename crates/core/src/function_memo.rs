@@ -56,7 +56,7 @@ use mao_obs::{Counter, Metrics, TraceEvent};
 use crate::isa::x86::fnv::{FnvHasher, Murmur3};
 use crate::isa::x86::sym::Sym;
 use crate::isa::{x86, IsaId};
-use crate::pass::{registry, scope_of, PassFactory, PassInvocation, PassScope, PassStats};
+use crate::pass::{PassDescriptor, PassInvocation, PassScope, PassStats};
 use crate::unit::{Function, MaoUnit};
 
 /// Byte budget of the stored values (encoded bodies plus replay records).
@@ -368,14 +368,16 @@ pub(crate) struct MemoRun {
 impl MemoRun {
     /// Key the unit's functions, look them up, and splice every hit into
     /// `unit` in one pass ([`MaoUnit::splice_ranges`]). `None` when the
-    /// invocation list has no memoizable prefix.
+    /// invocation list has no memoizable prefix. `passes` are the
+    /// invocations' resolved descriptors.
     pub(crate) fn begin(
         memo: &Arc<FunctionMemo>,
         unit: &mut MaoUnit,
         invocations: &[PassInvocation],
+        passes: &[PassDescriptor],
     ) -> Option<MemoRun> {
         let started = Instant::now();
-        let prefix_len = prefix_len(unit.isa(), invocations, &registry());
+        let prefix_len = prefix_len(unit.isa(), invocations, passes);
         if prefix_len == 0 {
             return None;
         }
@@ -499,20 +501,15 @@ fn decode_spans(value: &MemoValue, function: &Function) -> Option<Vec<Vec<Entry>
 }
 
 /// Length of the memoizable prefix of `invocations` on an `isa` unit.
-fn prefix_len(
-    isa: IsaId,
-    invocations: &[PassInvocation],
-    registry: &BTreeMap<&'static str, PassFactory>,
-) -> usize {
+fn prefix_len(isa: IsaId, invocations: &[PassInvocation], passes: &[PassDescriptor]) -> usize {
     invocations
         .iter()
-        .take_while(|inv| {
+        .zip(passes)
+        .take_while(|(inv, pass)| {
             !inv.options.has("dump-before")
                 && !inv.options.has("dump-after")
-                && registry.get(inv.name.as_str()).is_some_and(|factory| {
-                    let (scope, isas) = scope_of(inv.name.as_str(), &*factory());
-                    scope == PassScope::Function && isas.contains(&isa)
-                })
+                && pass.scope == PassScope::Function
+                && pass.isas.contains(&isa)
         })
         .count()
 }

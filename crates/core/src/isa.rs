@@ -11,8 +11,8 @@
 //! The submodules [`x86`] and [`aarch64`] re-export the concrete backends so
 //! genuinely target-specific passes (SCHED, SUPEROPT, LOOP16) can name their
 //! types without a direct `mao_x86`/`mao_aarch64` dependency edge in the
-//! pass source — such passes must also declare their targets via
-//! [`crate::pass::MaoPass::supported_isas`].
+//! pass source — such passes must also list their targets in their
+//! descriptor's [`crate::pass::PassDescriptor::isas`].
 
 pub use mao_isa::{
     branch_lengths, effect_summary, encoded_length, isa, relaxable_branch, AlignPolicy, BranchForm,

@@ -12,7 +12,8 @@
 //! * [`mod@cfg`] — per-function CFGs with jump-table resolution.
 //! * [`dataflow`] — liveness and reaching definitions over registers/flags.
 //! * [`loops`] — Havlak's loop structure graph.
-//! * [`pass`] — registry, option parsing (`--mao=PASS=opt[val]:...`), tracing.
+//! * [`pass`] — pass descriptors and their registry, option parsing and
+//!   checking (`--mao=PASS=opt[val]:...`), tracing.
 //! * [`passes`] — the §III optimization passes.
 //! * [`profile`] — PMU-sample and reuse-distance annotations.
 //! * [`edgeprof`] — edge profiles from hardware samples (the paper's
@@ -57,8 +58,8 @@ pub use analysis_cache::{AnalysisCache, CacheStats, FunctionAnalyses, LayoutStor
 pub use function_memo::{FunctionMemo, FunctionMemoStats};
 pub use pass::{
     parse_invocations, run_functions, run_pipeline, run_pipeline_observed, run_pipeline_shared,
-    run_pipeline_with, FnCtx, MaoPass, PassContext, PassError, PassScope, PassStats,
-    PipelineConfig, PipelineReport,
+    run_pipeline_with, FnCtx, OptionKind, OptionSpec, PassContext, PassDescriptor, PassError,
+    PassScope, PassStats, PipelineConfig, PipelineReport,
 };
 pub use profile::{Profile, Sample, Site};
 pub use relax::{

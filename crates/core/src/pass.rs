@@ -2,17 +2,19 @@
 //!
 //! Mirrors the paper's §III.A machinery in idiomatic Rust:
 //!
-//! * passes are named and looked up in a registry
-//!   (`REGISTER_FUNC_PASS("MAOPASS", MaoPass)` → [`registry`]);
+//! * a pass is one [`PassDescriptor`] — name, description, scope, ISAs,
+//!   option schema and a `run` fn — in one process-wide registry
+//!   (`REGISTER_FUNC_PASS("MAOPASS", MaoPass)` and `MAO_OPTIONS_DEFINE` →
+//!   a row of [`crate::passes::BUILTINS`], or [`register_extension`]);
 //! * invocation and ordering are controlled by a command-line option string
-//!   (`--mao=LFIND=trace[0]:ASM=o[/dev/null]` → [`parse_invocations`]);
-//! * every pass gets a tracing facility and pass-specific options
-//!   (`MAO_OPTIONS_DEFINE` → [`PassOptions`]).
+//!   (`--mao=LFIND=trace[0]:ASM=o[/dev/null]` → [`parse_invocations`]),
+//!   checked against the registry by [`resolve`] before any pass runs;
+//! * every pass gets a tracing facility and its options ([`PassOptions`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
 
 use mao_obs::{Obs, TraceEvent};
 
@@ -36,7 +38,8 @@ pub enum PassError {
         /// The unit's ISA, which the pass does not declare support for.
         isa: IsaId,
     },
-    /// Malformed `--mao=` option string.
+    /// Malformed `--mao=` option string, or an option the pass's schema
+    /// refuses (the message names the pass and the key).
     BadOptions(String),
     /// Relaxation failed inside a pass.
     Relax(String),
@@ -231,39 +234,157 @@ pub enum PassScope {
     Function,
 }
 
-/// A MAO optimization pass.
-///
-/// The Rust analogue of the paper's `MaoFunctionPass` with its `Go()`
-/// method. Unit-level passes implement [`MaoPass::run`] directly;
-/// function-level passes use the [`for_each_function`] helper.
-pub trait MaoPass {
+/// What a pass option accepts, checked by [`resolve`] before any pass runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum OptionKind {
+    /// Present or absent; takes no value (`count-only`, never `count-only[0]`).
+    Flag,
+    /// An unsigned integer in `min..=max`, as `U64(min, max)`.
+    U64(u64, u64),
+    /// A finite number in `min..=max`, as `F64(min, max)`.
+    F64(f64, f64),
+    /// Any text (a function name, a path).
+    Str,
+    /// One of a fixed set of spellings.
+    Enum(&'static [&'static str]),
+}
+
+/// One pass option: its key and what it accepts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OptionSpec {
+    /// The key as written in `NAME=key[value]`.
+    pub key: &'static str,
+    /// What the value must be.
+    pub kind: OptionKind,
+}
+
+impl OptionSpec {
+    /// A flag (no value).
+    pub const fn flag(key: &'static str) -> OptionSpec {
+        OptionSpec {
+            key,
+            kind: OptionKind::Flag,
+        }
+    }
+
+    /// An unsigned integer in `min..=max`.
+    pub const fn u64(key: &'static str, min: u64, max: u64) -> OptionSpec {
+        OptionSpec {
+            key,
+            kind: OptionKind::U64(min, max),
+        }
+    }
+
+    /// A finite number in `min..=max`.
+    pub const fn f64(key: &'static str, min: f64, max: f64) -> OptionSpec {
+        OptionSpec {
+            key,
+            kind: OptionKind::F64(min, max),
+        }
+    }
+
+    /// Free text.
+    pub const fn text(key: &'static str) -> OptionSpec {
+        OptionSpec {
+            key,
+            kind: OptionKind::Str,
+        }
+    }
+
+    /// One of `spellings`.
+    pub const fn one_of(key: &'static str, spellings: &'static [&'static str]) -> OptionSpec {
+        OptionSpec {
+            key,
+            kind: OptionKind::Enum(spellings),
+        }
+    }
+
+    /// Why `value` is not acceptable, if it is not.
+    fn check(&self, value: &str) -> Result<(), String> {
+        let ok = match self.kind {
+            OptionKind::Flag => value.is_empty(),
+            OptionKind::U64(min, max) => value.parse().is_ok_and(|v| (min..=max).contains(&v)),
+            OptionKind::F64(min, max) => value
+                .parse::<f64>()
+                .is_ok_and(|v| v.is_finite() && (min..=max).contains(&v)),
+            OptionKind::Str => true,
+            OptionKind::Enum(spellings) => spellings.contains(&value),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!(
+                "option `{}` ({}) rejects `{value}`",
+                self.key, self.kind
+            ))
+        }
+    }
+}
+
+impl fmt::Display for OptionKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OptionKind::Flag => write!(f, "flag, no value"),
+            OptionKind::U64(0, u64::MAX) => write!(f, "u64"),
+            OptionKind::U64(min, max) => write!(f, "u64 in {min}..={max}"),
+            OptionKind::F64(min, max) => write!(f, "f64 in {min}..={max}"),
+            OptionKind::Str => write!(f, "text"),
+            OptionKind::Enum(spellings) => write!(f, "one of {}", spellings.join("|")),
+        }
+    }
+}
+
+/// Options every pass accepts: the trace level and the IR dumps of §III.A
+/// ("dumping the current state of the IR before or after a given pass").
+pub const COMMON_OPTIONS: &[OptionSpec] = &[
+    OptionSpec::u64("trace", 0, u8::MAX as u64),
+    OptionSpec::flag("dump-before"),
+    OptionSpec::flag("dump-after"),
+];
+
+/// Everything the pass manager knows about one pass: the paper's
+/// `REGISTER_FUNC_PASS` plus `MAO_OPTIONS_DEFINE` in one row.
+#[derive(Debug, Clone, Copy)]
+pub struct PassDescriptor {
     /// Registry name (`REDTEST`, `LOOP16`, ...).
-    fn name(&self) -> &'static str;
-
+    pub name: &'static str,
     /// One-line description.
-    fn description(&self) -> &'static str;
+    pub description: &'static str,
+    /// Whether the pass's result for a function depends on that function
+    /// alone; only a pass that works entirely through one [`run_functions`]
+    /// call may declare [`PassScope::Function`].
+    pub scope: PassScope,
+    /// The instruction sets the pass runs on; the pipeline refuses any
+    /// other with [`PassError::UnsupportedIsa`]. A pass that matches x86
+    /// mnemonics or operand shapes lists only [`IsaId::X86_64`]; passes
+    /// expressed purely in entries, labels, layout and the neutral
+    /// [`crate::isa::Insn`] surface list [`IsaId::ALL`].
+    pub isas: &'static [IsaId],
+    /// The pass's own options; [`COMMON_OPTIONS`] are accepted as well.
+    pub options: &'static [OptionSpec],
+    /// Run over the unit, mutating it in place (the paper's `Go()`).
+    pub run: fn(&mut MaoUnit, &mut PassContext) -> Result<PassStats, PassError>,
+}
 
-    /// The instruction sets this pass can run on. The pipeline refuses an
-    /// invocation whose unit ISA is not listed ([`PassError::UnsupportedIsa`]).
-    ///
-    /// Defaults to x86-only — the founding instantiation — so a pass that
-    /// pattern-matches x86 mnemonics or operand shapes is safe without any
-    /// declaration. ISA-neutral passes (everything expressed purely in
-    /// entries, labels, layout, and the neutral [`crate::isa::Insn`]
-    /// surface) opt in to `&IsaId::ALL`.
-    fn supported_isas(&self) -> &'static [IsaId] {
-        &[IsaId::X86_64]
+impl PassDescriptor {
+    /// Check `options` against this pass's schema and [`COMMON_OPTIONS`].
+    fn check(&self, options: &PassOptions) -> Result<(), PassError> {
+        let specs = || self.options.iter().chain(COMMON_OPTIONS);
+        for (key, value) in &options.map {
+            let verdict = match specs().find(|spec| spec.key == key) {
+                Some(spec) => spec.check(value),
+                None => {
+                    let known: Vec<&str> = specs().map(|spec| spec.key).collect();
+                    Err(format!(
+                        "unknown option `{key}` (accepted: {})",
+                        known.join(", ")
+                    ))
+                }
+            };
+            verdict.map_err(|m| PassError::BadOptions(format!("{}: {m}", self.name)))?;
+        }
+        Ok(())
     }
-
-    /// The pass's scope. Defaults to [`PassScope::Unit`]; only a pass that
-    /// works entirely through one [`run_functions`] call may declare
-    /// [`PassScope::Function`].
-    fn scope(&self) -> PassScope {
-        PassScope::Unit
-    }
-
-    /// Run over the unit. Returns statistics; mutates the unit in place.
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError>;
 }
 
 /// Run `body` for every function of the unit, applying each function's
@@ -512,63 +633,69 @@ where
     Ok(total)
 }
 
-/// Factory for registry entries.
-pub type PassFactory = fn() -> Box<dyn MaoPass>;
+/// The process-wide pass registry: the built-in table
+/// ([`crate::passes::BUILTINS`]) plus every [`register_extension`] pass.
+fn registered() -> &'static RwLock<BTreeMap<&'static str, PassDescriptor>> {
+    static REGISTRY: OnceLock<RwLock<BTreeMap<&'static str, PassDescriptor>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        RwLock::new(
+            crate::passes::BUILTINS
+                .iter()
+                .map(|d| (d.name, *d))
+                .collect(),
+        )
+    })
+}
 
-/// Runtime-registered extension passes, merged into [`registry`].
+fn read_registry() -> RwLockReadGuard<'static, BTreeMap<&'static str, PassDescriptor>> {
+    registered().read().expect("no registry lock holder panics")
+}
+
+/// Register (or re-register) a pass at runtime.
 ///
-/// The built-in registry is static because every pass in `crates/core`
-/// depends only on the core IR. Passes that live *above* this crate in the
-/// dependency graph (the superoptimizer needs `mao-sim` as its oracle, and
-/// `mao-sim` depends on `mao`) cannot appear in the static table without a
-/// cycle; they call [`register_extension`] once at startup instead — the
-/// paper's `REGISTER_FUNC_PASS` done at runtime rather than link time.
-fn extensions() -> &'static Mutex<BTreeMap<&'static str, (PassFactory, &'static [IsaId])>> {
-    type ExtMap = BTreeMap<&'static str, (PassFactory, &'static [IsaId])>;
-    static EXTENSIONS: std::sync::OnceLock<Mutex<ExtMap>> = std::sync::OnceLock::new();
-    EXTENSIONS.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// Every pass in `crates/core` depends only on the core IR and sits in the
+/// built-in table. Passes that live *above* this crate in the dependency
+/// graph (the superoptimizer needs `mao-sim` as its oracle, and `mao-sim`
+/// depends on `mao`) cannot appear there without a cycle; they call this
+/// once at startup instead — the paper's `REGISTER_FUNC_PASS` done at
+/// runtime rather than link time. Safe to call from multiple threads and
+/// multiple times; the last registration of a name wins, built-ins
+/// included, and registration is process-wide.
+pub fn register_extension(descriptor: PassDescriptor) {
+    registered()
+        .write()
+        .expect("no registry lock holder panics")
+        .insert(descriptor.name, descriptor);
 }
 
-/// Register (or re-register, idempotently) an extension pass under `name`,
-/// declaring the instruction sets it supports (`&[IsaId::X86_64]` for a
-/// target-specific pass like SUPEROPT, `&IsaId::ALL` for a neutral one).
-/// The declaration is authoritative: the pipeline refuses to run the pass
-/// on any other ISA with [`PassError::UnsupportedIsa`].
-///
-/// Extension passes shadow built-ins of the same name; callers should pick
-/// fresh names. Safe to call from multiple threads and multiple times —
-/// last registration wins, and registration is process-wide.
-pub fn register_extension(name: &'static str, isas: &'static [IsaId], factory: PassFactory) {
-    extensions().lock().unwrap().insert(name, (factory, isas));
+/// The registered pass called `name`.
+pub fn descriptor(name: &str) -> Option<PassDescriptor> {
+    read_registry().get(name).copied()
 }
 
-/// The ISA declaration a runtime extension was registered with, if `name`
-/// names an extension pass.
-fn extension_isas(name: &str) -> Option<&'static [IsaId]> {
-    extensions()
-        .lock()
-        .unwrap()
-        .get(name)
-        .map(|(_, isas)| *isas)
-}
-
-/// A pass's scope and the instruction sets it runs on. For a runtime
-/// extension the registration's ISA declaration is authoritative; built-ins
-/// declare through [`MaoPass::supported_isas`].
-pub(crate) fn scope_of(name: &str, pass: &dyn MaoPass) -> (PassScope, &'static [IsaId]) {
-    let isas = extension_isas(name).unwrap_or_else(|| pass.supported_isas());
-    (pass.scope(), isas)
-}
-
-/// The global pass registry: the static built-in table plus every
-/// [`register_extension`] pass. Names follow the paper where it names
+/// Every registered pass, by name. Names follow the paper where it names
 /// passes (`NOPIN`, `NOPKILL`, `REDTEST`, `REDMOV`, `LOOP16`, `SCHED`).
-pub fn registry() -> BTreeMap<&'static str, PassFactory> {
-    let mut m = crate::passes::registry();
-    for (name, (factory, _)) in extensions().lock().unwrap().iter() {
-        m.insert(name, *factory);
-    }
-    m
+pub fn descriptors() -> Vec<PassDescriptor> {
+    read_registry().values().copied().collect()
+}
+
+/// Look up every invocation's pass and check its options, before any pass
+/// runs: an unknown pass is [`PassError::UnknownPass`]; an unknown key, a
+/// malformed value or an out-of-range value is [`PassError::BadOptions`]
+/// naming the pass and the key. Returns the descriptors in invocation
+/// order.
+pub fn resolve(invocations: &[PassInvocation]) -> Result<Vec<PassDescriptor>, PassError> {
+    let registry = read_registry();
+    invocations
+        .iter()
+        .map(|inv| {
+            let descriptor = registry
+                .get(inv.name.as_str())
+                .ok_or_else(|| PassError::UnknownPass(inv.name.clone()))?;
+            descriptor.check(&inv.options)?;
+            Ok(*descriptor)
+        })
+        .collect()
 }
 
 /// One pass invocation, parsed from the command line.
@@ -749,7 +876,17 @@ pub fn run_pipeline_observed(
     analyses: &Arc<AnalysisCache>,
     obs: &Obs,
 ) -> Result<PipelineReport, PassError> {
-    let registry = registry();
+    let passes = resolve(invocations)?;
+    if let Some(inv) = invocations
+        .iter()
+        .zip(&passes)
+        .find_map(|(inv, pass)| (!pass.isas.contains(&unit.isa())).then_some(inv))
+    {
+        return Err(PassError::UnsupportedIsa {
+            pass: inv.name.clone(),
+            isa: unit.isa(),
+        });
+    }
     let mut report = PipelineReport::default();
     let mut profile = profile;
     let jobs = config.effective_jobs();
@@ -761,22 +898,11 @@ pub fn run_pipeline_observed(
     // A profile can steer passes beyond what the memo keys, so runs with
     // one never use it.
     let mut memo_run = match analyses.function_memo() {
-        Some(memo) if profile.is_none() => MemoRun::begin(memo, unit, invocations),
+        Some(memo) if profile.is_none() => MemoRun::begin(memo, unit, invocations, &passes),
         _ => None,
     };
     let prefix_len = memo_run.as_ref().map_or(0, |run| run.prefix_len);
-    for (i, inv) in invocations.iter().enumerate() {
-        let factory = registry
-            .get(inv.name.as_str())
-            .ok_or_else(|| PassError::UnknownPass(inv.name.clone()))?;
-        let pass = factory();
-        let (_, supported) = scope_of(inv.name.as_str(), &*pass);
-        if !supported.contains(&unit.isa()) {
-            return Err(PassError::UnsupportedIsa {
-                pass: inv.name.clone(),
-                isa: unit.isa(),
-            });
-        }
+    for (i, (inv, pass)) in invocations.iter().zip(&passes).enumerate() {
         let mut ctx = PassContext::from_options(inv.options.clone());
         ctx.pass = inv.name.clone();
         ctx.profile = profile.take();
@@ -787,8 +913,7 @@ pub fn run_pipeline_observed(
             .as_ref()
             .filter(|_| i < prefix_len)
             .map(|run| run.pass_ctx(i));
-        // Common options every pass supports (§III.A: "dumping the current
-        // state of the IR before or after a given pass").
+        // The IR dumps of [`COMMON_OPTIONS`].
         if ctx.options.has("dump-before") {
             report.record_event(
                 TraceEvent::new(format!("=== IR before {} ===\n{}", inv.name, unit.emit()))
@@ -797,7 +922,7 @@ pub fn run_pipeline_observed(
         }
         let mut span = mao_obs::Span::enter(&obs.recorder, "pass", &inv.name);
         let start = std::time::Instant::now();
-        let stats = pass.run(unit, &mut ctx)?;
+        let stats = (pass.run)(unit, &mut ctx)?;
         let mut elapsed_us = start.elapsed().as_micros() as u64;
         // Memo work is charged to the prefix's first pass (lookup, decode,
         // splice) and last pass (admission, encode), so per-pass times
@@ -931,33 +1056,30 @@ mod tests {
         assert_eq!(err, PassError::UnknownPass("NOSUCHPASS".into()));
     }
 
-    #[derive(Debug, Default)]
-    struct ExtPass;
+    fn matches_once(_unit: &mut MaoUnit, _ctx: &mut PassContext) -> Result<PassStats, PassError> {
+        let mut stats = PassStats::default();
+        stats.matched(1);
+        Ok(stats)
+    }
 
-    impl MaoPass for ExtPass {
-        fn name(&self) -> &'static str {
-            "EXTTEST"
-        }
-
-        fn description(&self) -> &'static str {
-            "extension-registry test pass"
-        }
-
-        fn run(&self, _unit: &mut MaoUnit, _ctx: &mut PassContext) -> Result<PassStats, PassError> {
-            let mut stats = PassStats::default();
-            stats.matched(1);
-            Ok(stats)
+    fn ext_pass(name: &'static str, isas: &'static [IsaId]) -> PassDescriptor {
+        PassDescriptor {
+            name,
+            description: "extension-registry test pass",
+            scope: PassScope::Unit,
+            isas,
+            options: &[],
+            run: matches_once,
         }
     }
 
     #[test]
     fn extension_passes_join_the_registry_and_run() {
-        register_extension("EXTTEST", &[IsaId::X86_64], || Box::new(ExtPass));
+        register_extension(ext_pass("EXTTEST", &[IsaId::X86_64]));
         // Idempotent re-registration.
-        register_extension("EXTTEST", &[IsaId::X86_64], || Box::new(ExtPass));
-        let reg = registry();
-        assert!(reg.contains_key("EXTTEST"));
-        assert!(reg.contains_key("REDTEST"), "built-ins still present");
+        register_extension(ext_pass("EXTTEST", &[IsaId::X86_64]));
+        assert!(descriptor("EXTTEST").is_some());
+        assert!(descriptor("REDTEST").is_some(), "built-ins still present");
         let mut unit = MaoUnit::parse("nop\n").unwrap();
         let invs = parse_invocations("EXTTEST").unwrap();
         let report = run_pipeline(&mut unit, &invs, None).unwrap();
@@ -967,45 +1089,35 @@ mod tests {
     /// A function-scope pass whose body deletes the first instruction of
     /// the *next* function: it breaks the locality contract the
     /// function-result memo relies on.
-    #[derive(Debug, Default)]
-    struct EditsNeighbour;
-
-    impl MaoPass for EditsNeighbour {
-        fn name(&self) -> &'static str {
-            "EDITSNEIGHBOUR"
-        }
-
-        fn description(&self) -> &'static str {
-            "test pass that edits the function after the one it is given"
-        }
-
-        fn scope(&self) -> PassScope {
-            PassScope::Function
-        }
-
-        fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-            run_functions(unit, ctx, |unit, function, _| {
-                let mut edits = EditSet::new();
-                let next = unit
-                    .functions_cached()
-                    .iter()
-                    .find(|f| f.label_id > function.label_id);
-                if let Some(next) = next {
-                    let insn = next.entry_ids().find(|&id| unit.insn_any(id).is_some());
-                    if let Some(id) = insn {
-                        edits.delete(id);
-                    }
+    fn edits_neighbour(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+        run_functions(unit, ctx, |unit, function, _| {
+            let mut edits = EditSet::new();
+            let next = unit
+                .functions_cached()
+                .iter()
+                .find(|f| f.label_id > function.label_id);
+            if let Some(next) = next {
+                let insn = next.entry_ids().find(|&id| unit.insn_any(id).is_some());
+                if let Some(id) = insn {
+                    edits.delete(id);
                 }
-                Ok(edits)
-            })
-        }
+            }
+            Ok(edits)
+        })
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "edited entries outside function `f`")]
     fn run_functions_asserts_edits_stay_inside_their_function() {
-        register_extension("EDITSNEIGHBOUR", &IsaId::ALL, || Box::new(EditsNeighbour));
+        register_extension(PassDescriptor {
+            name: "EDITSNEIGHBOUR",
+            description: "test pass that edits the function after the one it is given",
+            scope: PassScope::Function,
+            isas: &IsaId::ALL,
+            options: &[],
+            run: edits_neighbour,
+        });
         let mut unit = MaoUnit::parse(
             "\t.type\tf, @function\nf:\n\tnop\n\tret\n\t.type\tg, @function\ng:\n\tnop\n\tret\n",
         )
@@ -1055,8 +1167,8 @@ mod tests {
 
     #[test]
     fn extension_isa_declaration_is_enforced() {
-        register_extension("EXTX86ONLY", &[IsaId::X86_64], || Box::new(ExtPass));
-        register_extension("EXTNEUTRAL", &IsaId::ALL, || Box::new(ExtPass));
+        register_extension(ext_pass("EXTX86ONLY", &[IsaId::X86_64]));
+        register_extension(ext_pass("EXTNEUTRAL", &IsaId::ALL));
         let mut unit = a64_unit();
         let err =
             run_pipeline(&mut unit, &parse_invocations("EXTX86ONLY").unwrap(), None).unwrap_err();
@@ -1067,8 +1179,6 @@ mod tests {
                 isa: IsaId::Aarch64,
             }
         );
-        // The registration declaration is authoritative, even though
-        // `ExtPass` itself inherits the x86-only `supported_isas` default.
         let report =
             run_pipeline(&mut unit, &parse_invocations("EXTNEUTRAL").unwrap(), None).unwrap();
         assert_eq!(report.stats("EXTNEUTRAL").unwrap().matches, 1);

@@ -18,12 +18,8 @@
 use crate::isa::x86::{def_use, Mnemonic, Operand, Width};
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
+use crate::pass::{run_functions, PassContext, PassError, PassStats};
 use crate::unit::{EditSet, MaoUnit};
-
-/// The add/add folding pass.
-#[derive(Debug, Default)]
-pub struct AddAddFold;
 
 /// Is this `add $imm, %reg` or `sub $imm, %reg`? Returns the signed delta.
 fn as_imm_addsub(
@@ -55,78 +51,65 @@ fn folded(delta: i64, reg: crate::isa::x86::Reg, width: Width) -> crate::isa::x8
     }
 }
 
-impl MaoPass for AddAddFold {
-    fn name(&self) -> &'static str {
-        "ADDADD"
-    }
-
-    fn description(&self) -> &'static str {
-        "fold sequences of immediate add/sub on the same register"
-    }
-
-    fn scope(&self) -> PassScope {
-        PassScope::Function
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let analyze_only = ctx.options.has("count-only");
-        let stats = run_functions(unit, ctx, |unit, function, fctx| {
-            let cfg = fctx.cfg(unit, function);
-            let mut edits = EditSet::new();
-            for block in &cfg.blocks {
-                let insns: Vec<_> = block.insns(unit).collect();
-                // A fold consumes two instructions; track consumed first-halves
-                // so chains fold pairwise left-to-right within one run.
-                let mut consumed = vec![false; insns.len()];
-                for (pos, &(first_id, first)) in insns.iter().enumerate() {
-                    if consumed[pos] {
-                        continue;
-                    }
-                    let Some((d1, reg, width)) = as_imm_addsub(first) else {
-                        continue;
-                    };
-                    // Scan forward for the matching second add/sub.
-                    for (off, &(second_id, second)) in insns[pos + 1..].iter().enumerate() {
-                        let between_pos = pos + 1 + off;
-                        if let Some((d2, reg2, width2)) = as_imm_addsub(second) {
-                            if reg2.id == reg.id {
-                                if reg2 == reg && width2 == width {
-                                    let total = match d1.checked_add(d2) {
-                                        Some(t) if i32::try_from(t).is_ok() => t,
-                                        _ => break,
-                                    };
-                                    fctx.stats.matched(1);
-                                    if !analyze_only {
-                                        edits.delete(first_id);
-                                        edits.replace_insn(second_id, folded(total, reg, width));
-                                        consumed[between_pos] = true;
-                                        fctx.stats.transformed(1);
-                                    }
+/// The add/add folding pass.
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let analyze_only = ctx.options.has("count-only");
+    let stats = run_functions(unit, ctx, |unit, function, fctx| {
+        let cfg = fctx.cfg(unit, function);
+        let mut edits = EditSet::new();
+        for block in &cfg.blocks {
+            let insns: Vec<_> = block.insns(unit).collect();
+            // A fold consumes two instructions; track consumed first-halves
+            // so chains fold pairwise left-to-right within one run.
+            let mut consumed = vec![false; insns.len()];
+            for (pos, &(first_id, first)) in insns.iter().enumerate() {
+                if consumed[pos] {
+                    continue;
+                }
+                let Some((d1, reg, width)) = as_imm_addsub(first) else {
+                    continue;
+                };
+                // Scan forward for the matching second add/sub.
+                for (off, &(second_id, second)) in insns[pos + 1..].iter().enumerate() {
+                    let between_pos = pos + 1 + off;
+                    if let Some((d2, reg2, width2)) = as_imm_addsub(second) {
+                        if reg2.id == reg.id {
+                            if reg2 == reg && width2 == width {
+                                let total = match d1.checked_add(d2) {
+                                    Some(t) if i32::try_from(t).is_ok() => t,
+                                    _ => break,
+                                };
+                                fctx.stats.matched(1);
+                                if !analyze_only {
+                                    edits.delete(first_id);
+                                    edits.replace_insn(second_id, folded(total, reg, width));
+                                    consumed[between_pos] = true;
+                                    fctx.stats.transformed(1);
                                 }
-                                break;
                             }
-                        }
-                        // Abort conditions: re-definition/use of rX, use of
-                        // condition codes, or a barrier.
-                        let du = def_use(second);
-                        if du.barrier
-                            || du.defs_reg(reg.id)
-                            || du.uses_reg(reg.id)
-                            || !du.flags_use.is_empty()
-                        {
                             break;
                         }
                     }
+                    // Abort conditions: re-definition/use of rX, use of
+                    // condition codes, or a barrier.
+                    let du = def_use(second);
+                    if du.barrier
+                        || du.defs_reg(reg.id)
+                        || du.uses_reg(reg.id)
+                        || !du.flags_use.is_empty()
+                    {
+                        break;
+                    }
                 }
             }
-            Ok(edits)
-        })?;
-        ctx.trace(1, || {
-            TraceEvent::new(format!("ADDADD: {} folds", stats.transformations))
-                .field("folds", stats.transformations)
-        });
-        Ok(stats)
-    }
+        }
+        Ok(edits)
+    })?;
+    ctx.trace(1, || {
+        TraceEvent::new(format!("ADDADD: {} folds", stats.transformations))
+            .field("folds", stats.transformations)
+    });
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -137,7 +120,7 @@ mod tests {
     fn run(text: &str) -> (MaoUnit, PassStats) {
         let mut unit = MaoUnit::parse(text).unwrap();
         let mut ctx = PassContext::default();
-        let stats = AddAddFold.run(&mut unit, &mut ctx).unwrap();
+        let stats = super::run(&mut unit, &mut ctx).unwrap();
         (unit, stats)
     }
 
@@ -214,7 +197,7 @@ mod tests {
         assert_eq!(stats.transformations, 1);
         let mut unit2 = unit;
         let mut ctx = PassContext::default();
-        let stats2 = AddAddFold.run(&mut unit2, &mut ctx).unwrap();
+        let stats2 = super::run(&mut unit2, &mut ctx).unwrap();
         assert_eq!(stats2.transformations, 1);
         assert!(unit2.emit().contains("addl $6, %eax"));
     }

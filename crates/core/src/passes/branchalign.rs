@@ -15,13 +15,9 @@ use crate::isa::x86::Instruction;
 use mao_asm::Entry;
 use mao_obs::TraceEvent;
 
-use crate::pass::{MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{PassContext, PassError, PassStats};
 use crate::passes::layout_util::LayoutProvider;
 use crate::unit::{EditSet, EntryId, MaoUnit};
-
-/// The branch de-aliasing pass.
-#[derive(Debug, Default)]
-pub struct BranchAlign;
 
 /// Conditional back branches of a function with their addresses.
 fn back_branches(
@@ -45,97 +41,88 @@ fn back_branches(
     out
 }
 
-impl MaoPass for BranchAlign {
-    fn name(&self) -> &'static str {
-        "BRALIGN"
-    }
-
-    fn description(&self) -> &'static str {
-        "separate back branches that alias in the PC>>5-indexed predictor"
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let mut stats = PassStats::default();
-        // Predictor index shift comes from the installed cost model (PC>>5
-        // on the built-in Core-2-like table); an explicit option overrides.
-        let model_shift = u64::from(crate::isa::x86::cost::current().machine.predictor_shift);
-        let shift = ctx.options.get_u64("shift", model_shift.min(16).max(1));
-        let bucket = 1u64 << shift;
-        // A couple of rounds: fixing one pair can move later branches into
-        // (or out of) aliasing.
-        let max_rounds = ctx.options.get_u64("rounds", 8);
-        // Edits go through the provider so each fix costs an incremental
-        // layout patch instead of a from-scratch relaxation.
-        let mut provider = LayoutProvider::new(ctx);
-        let mut trace: Vec<String> = Vec::new();
-        for _ in 0..max_rounds {
-            let before_round = stats.transformations;
-            let mut k = 0;
-            loop {
-                let Some(function) = unit.functions_cached().get(k).cloned() else {
-                    break;
-                };
-                let layout = provider.layout(unit)?;
-                let branches = back_branches(unit, &function, &layout);
-                let mut edits = EditSet::new();
-                for pair in branches.windows(2) {
-                    let (first_id, first_addr) = pair[0];
-                    let (second_id, second_addr) = pair[1];
-                    if first_addr >> shift != second_addr >> shift || first_id == second_id {
-                        continue;
-                    }
-                    stats.matched(1);
-                    let pad = (second_addr / bucket + 1) * bucket - second_addr;
-                    trace.push(format!(
-                        "{}: branches at {:#x}/{:#x} share bucket {:#x}; padding {} bytes",
-                        function.name,
-                        first_addr,
-                        second_addr,
-                        first_addr >> shift,
-                        pad,
-                    ));
-                    let pad_entries: Vec<Entry> = Instruction::nop_pad(pad as usize)
-                        .into_iter()
-                        .map(|i| Entry::Insn(i.into()))
-                        .collect();
-                    edits.insert_before(second_id, pad_entries);
-                    stats.transformed(1);
-                    break; // one fix per function per round, then re-relax
-                }
-                if !edits.is_empty() {
-                    provider.apply(unit, edits)?;
-                }
-                k += 1;
-            }
-            // Fixed point: stop when a full sweep changed nothing.
-            if stats.transformations == before_round {
+/// The branch de-aliasing pass.
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let mut stats = PassStats::default();
+    // Predictor index shift comes from the installed cost model (PC>>5
+    // on the built-in Core-2-like table); an explicit option overrides.
+    let model_shift = u64::from(crate::isa::x86::cost::current().machine.predictor_shift);
+    let shift = ctx.options.get_u64("shift", model_shift.min(16).max(1));
+    let bucket = 1u64 << shift;
+    // A couple of rounds: fixing one pair can move later branches into
+    // (or out of) aliasing.
+    let max_rounds = ctx.options.get_u64("rounds", 8);
+    // Edits go through the provider so each fix costs an incremental
+    // layout patch instead of a from-scratch relaxation.
+    let mut provider = LayoutProvider::new(ctx);
+    let mut trace: Vec<String> = Vec::new();
+    for _ in 0..max_rounds {
+        let before_round = stats.transformations;
+        let mut k = 0;
+        loop {
+            let Some(function) = unit.functions_cached().get(k).cloned() else {
                 break;
-            }
-            // Check for remaining aliasing; if none, stop early.
-            let mut any_alias = false;
+            };
             let layout = provider.layout(unit)?;
-            for function in unit.functions() {
-                let branches = back_branches(unit, &function, &layout);
-                if branches
-                    .windows(2)
-                    .any(|p| p[0].1 >> shift == p[1].1 >> shift)
-                {
-                    any_alias = true;
-                    break;
+            let branches = back_branches(unit, &function, &layout);
+            let mut edits = EditSet::new();
+            for pair in branches.windows(2) {
+                let (first_id, first_addr) = pair[0];
+                let (second_id, second_addr) = pair[1];
+                if first_addr >> shift != second_addr >> shift || first_id == second_id {
+                    continue;
                 }
+                stats.matched(1);
+                let pad = (second_addr / bucket + 1) * bucket - second_addr;
+                trace.push(format!(
+                    "{}: branches at {:#x}/{:#x} share bucket {:#x}; padding {} bytes",
+                    function.name,
+                    first_addr,
+                    second_addr,
+                    first_addr >> shift,
+                    pad,
+                ));
+                let pad_entries: Vec<Entry> = Instruction::nop_pad(pad as usize)
+                    .into_iter()
+                    .map(|i| Entry::Insn(i.into()))
+                    .collect();
+                edits.insert_before(second_id, pad_entries);
+                stats.transformed(1);
+                break; // one fix per function per round, then re-relax
             }
-            if !any_alias {
+            if !edits.is_empty() {
+                provider.apply(unit, edits)?;
+            }
+            k += 1;
+        }
+        // Fixed point: stop when a full sweep changed nothing.
+        if stats.transformations == before_round {
+            break;
+        }
+        // Check for remaining aliasing; if none, stop early.
+        let mut any_alias = false;
+        let layout = provider.layout(unit)?;
+        for function in unit.functions() {
+            let branches = back_branches(unit, &function, &layout);
+            if branches
+                .windows(2)
+                .any(|p| p[0].1 >> shift == p[1].1 >> shift)
+            {
+                any_alias = true;
                 break;
             }
         }
-        if let Some(note) = provider.note() {
-            stats.notes.push(note);
+        if !any_alias {
+            break;
         }
-        for line in trace {
-            ctx.trace(2, || TraceEvent::new(line));
-        }
-        Ok(stats)
     }
+    if let Some(note) = provider.note() {
+        stats.notes.push(note);
+    }
+    for line in trace {
+        ctx.trace(2, || TraceEvent::new(line));
+    }
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -182,7 +169,7 @@ f:
         assert_eq!(before[0] >> 5, before[1] >> 5, "precondition: aliasing");
 
         let mut ctx = PassContext::default();
-        let stats = BranchAlign.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert!(stats.transformations >= 1);
 
         let after = branch_addrs(&unit);
@@ -202,7 +189,7 @@ f:
         }
         let emitted = unit.emit();
         let mut ctx = PassContext::default();
-        let stats = BranchAlign.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
         assert_eq!(unit.emit(), emitted);
     }
@@ -214,7 +201,7 @@ f:
         )
         .unwrap();
         let mut ctx = PassContext::default();
-        let stats = BranchAlign.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
     }
 
@@ -229,7 +216,7 @@ f:
                 .with("shift", "4")
                 .with("rounds", "4"),
         );
-        BranchAlign.run(&mut unit, &mut ctx).unwrap();
+        run(&mut unit, &mut ctx).unwrap();
         let after = branch_addrs(&unit);
         assert_ne!(after[0] >> 4, after[1] >> 4);
     }

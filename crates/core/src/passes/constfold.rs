@@ -9,12 +9,8 @@
 use crate::isa::x86::{def_use, Mnemonic, Operand, Width};
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
+use crate::pass::{run_functions, PassContext, PassError, PassStats};
 use crate::unit::{EditSet, MaoUnit};
-
-/// The constant folding pass.
-#[derive(Debug, Default)]
-pub struct ConstantFold;
 
 /// `mov $imm, %reg` with a 32/64-bit register destination.
 fn as_const_def(insn: &crate::isa::x86::Instruction) -> Option<(i64, crate::isa::x86::Reg)> {
@@ -60,85 +56,72 @@ fn fold(mnemonic: Mnemonic, value: i64, imm: i64, width: Width) -> Option<i64> {
     }
 }
 
-impl MaoPass for ConstantFold {
-    fn name(&self) -> &'static str {
-        "CONSTFOLD"
-    }
-
-    fn description(&self) -> &'static str {
-        "rewrite immediate ALU ops on known-constant registers into movs"
-    }
-
-    fn scope(&self) -> PassScope {
-        PassScope::Function
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let stats = run_functions(unit, ctx, |unit, function, fctx| {
-            let cfg = fctx.cfg(unit, function);
-            let liveness = fctx.liveness(unit, function);
-            let mut edits = EditSet::new();
-            for (b, block) in cfg.blocks.iter().enumerate() {
-                // reg -> known constant.
-                let mut known: std::collections::HashMap<crate::isa::x86::RegId, (i64, Width)> =
-                    std::collections::HashMap::new();
-                for (id, insn) in block.insns(unit) {
-                    let du = def_use(insn);
-                    if du.barrier {
-                        known.clear();
-                        continue;
-                    }
-                    // Try to fold an immediate ALU op on a known register.
-                    let mut folded_this = false;
-                    if let (mnemonic, Some(Operand::Imm(imm)), Some(Operand::Reg(dst))) =
-                        (insn.mnemonic, insn.operands.first(), insn.operands.get(1))
-                    {
-                        if let Some(&(value, w)) = known.get(&dst.id) {
-                            if w == insn.width() && dst.width == w {
-                                if let Some(result) = fold(mnemonic, value, *imm, w) {
-                                    // The op's flags must be dead.
-                                    let flags_after = liveness.flags_live_after(unit, &cfg, b, id);
-                                    if !du.flags_def.intersects(flags_after)
-                                        && !du.flags_undef.intersects(flags_after)
-                                    {
-                                        fctx.stats.matched(1);
-                                        edits.replace_insn(
-                                            id,
-                                            crate::isa::x86::insn::build::mov(
-                                                w,
-                                                Operand::Imm(result),
-                                                *dst,
-                                            ),
-                                        );
-                                        fctx.stats.transformed(1);
-                                        known.insert(dst.id, (result, w));
-                                        folded_this = true;
-                                    }
+/// The constant folding pass.
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let stats = run_functions(unit, ctx, |unit, function, fctx| {
+        let cfg = fctx.cfg(unit, function);
+        let liveness = fctx.liveness(unit, function);
+        let mut edits = EditSet::new();
+        for (b, block) in cfg.blocks.iter().enumerate() {
+            // reg -> known constant.
+            let mut known: std::collections::HashMap<crate::isa::x86::RegId, (i64, Width)> =
+                std::collections::HashMap::new();
+            for (id, insn) in block.insns(unit) {
+                let du = def_use(insn);
+                if du.barrier {
+                    known.clear();
+                    continue;
+                }
+                // Try to fold an immediate ALU op on a known register.
+                let mut folded_this = false;
+                if let (mnemonic, Some(Operand::Imm(imm)), Some(Operand::Reg(dst))) =
+                    (insn.mnemonic, insn.operands.first(), insn.operands.get(1))
+                {
+                    if let Some(&(value, w)) = known.get(&dst.id) {
+                        if w == insn.width() && dst.width == w {
+                            if let Some(result) = fold(mnemonic, value, *imm, w) {
+                                // The op's flags must be dead.
+                                let flags_after = liveness.flags_live_after(unit, &cfg, b, id);
+                                if !du.flags_def.intersects(flags_after)
+                                    && !du.flags_undef.intersects(flags_after)
+                                {
+                                    fctx.stats.matched(1);
+                                    edits.replace_insn(
+                                        id,
+                                        crate::isa::x86::insn::build::mov(
+                                            w,
+                                            Operand::Imm(result),
+                                            *dst,
+                                        ),
+                                    );
+                                    fctx.stats.transformed(1);
+                                    known.insert(dst.id, (result, w));
+                                    folded_this = true;
                                 }
                             }
                         }
                     }
-                    if folded_this {
-                        continue;
-                    }
-                    // Update known constants.
-                    if let Some((v, r)) = as_const_def(insn) {
-                        known.insert(r.id, (v, r.width));
-                    } else {
-                        for d in &du.reg_defs {
-                            known.remove(&d.id);
-                        }
+                }
+                if folded_this {
+                    continue;
+                }
+                // Update known constants.
+                if let Some((v, r)) = as_const_def(insn) {
+                    known.insert(r.id, (v, r.width));
+                } else {
+                    for d in &du.reg_defs {
+                        known.remove(&d.id);
                     }
                 }
             }
-            Ok(edits)
-        })?;
-        ctx.trace(1, || {
-            TraceEvent::new(format!("CONSTFOLD: {} folds", stats.transformations))
-                .field("folds", stats.transformations)
-        });
-        Ok(stats)
-    }
+        }
+        Ok(edits)
+    })?;
+    ctx.trace(1, || {
+        TraceEvent::new(format!("CONSTFOLD: {} folds", stats.transformations))
+            .field("folds", stats.transformations)
+    });
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -149,7 +132,7 @@ mod tests {
     fn run(text: &str) -> (MaoUnit, PassStats) {
         let mut unit = MaoUnit::parse(text).unwrap();
         let mut ctx = PassContext::default();
-        let stats = ConstantFold.run(&mut unit, &mut ctx).unwrap();
+        let stats = super::run(&mut unit, &mut ctx).unwrap();
         (unit, stats)
     }
 

@@ -13,12 +13,8 @@ use mao_asm::{DataItem, Directive, Entry};
 use mao_obs::TraceEvent;
 
 use crate::isa::x86;
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
+use crate::pass::{run_functions, PassContext, PassError, PassStats};
 use crate::unit::{EditSet, MaoUnit};
-
-/// The unreachable-code elimination pass.
-#[derive(Debug, Default)]
-pub struct UnreachableCodeElim;
 
 /// Labels referenced from anywhere: branch targets, memory operands, data.
 fn referenced_labels(unit: &MaoUnit) -> HashSet<String> {
@@ -53,61 +49,44 @@ fn referenced_labels(unit: &MaoUnit) -> HashSet<String> {
     refs
 }
 
-impl MaoPass for UnreachableCodeElim {
-    fn name(&self) -> &'static str {
-        "DCE"
-    }
-
-    fn description(&self) -> &'static str {
-        "remove basic blocks unreachable from the function entry"
-    }
-
-    fn supported_isas(&self) -> &'static [crate::isa::IsaId] {
-        &crate::isa::IsaId::ALL
-    }
-
-    fn scope(&self) -> PassScope {
-        PassScope::Function
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let refs = referenced_labels(unit);
-        let stats = run_functions(unit, ctx, |unit, function, fctx| {
-            let cfg = fctx.cfg(unit, function);
-            let mut edits = EditSet::new();
-            if cfg.unresolved_indirect {
-                // Flagged function: the safe policy is to not touch it.
-                return Ok(edits);
+/// The unreachable-code elimination pass.
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let refs = referenced_labels(unit);
+    let stats = run_functions(unit, ctx, |unit, function, fctx| {
+        let cfg = fctx.cfg(unit, function);
+        let mut edits = EditSet::new();
+        if cfg.unresolved_indirect {
+            // Flagged function: the safe policy is to not touch it.
+            return Ok(edits);
+        }
+        let reachable = cfg.reachable();
+        for (b, block) in cfg.blocks.iter().enumerate() {
+            if reachable[b] {
+                continue;
             }
-            let reachable = cfg.reachable();
-            for (b, block) in cfg.blocks.iter().enumerate() {
-                if reachable[b] {
-                    continue;
-                }
-                for &id in &block.entries {
-                    match unit.entry(id) {
-                        Entry::Insn(_) => {
-                            edits.delete(id);
-                            fctx.stats.transformed(1);
-                        }
-                        Entry::Label(l) if !refs.contains(l.as_str()) => {
-                            edits.delete(id);
-                        }
-                        _ => {}
+            for &id in &block.entries {
+                match unit.entry(id) {
+                    Entry::Insn(_) => {
+                        edits.delete(id);
+                        fctx.stats.transformed(1);
                     }
+                    Entry::Label(l) if !refs.contains(l.as_str()) => {
+                        edits.delete(id);
+                    }
+                    _ => {}
                 }
             }
-            Ok(edits)
-        })?;
-        ctx.trace(1, || {
-            TraceEvent::new(format!(
-                "DCE: removed {} instructions",
-                stats.transformations
-            ))
-            .field("removed", stats.transformations)
-        });
-        Ok(stats)
-    }
+        }
+        Ok(edits)
+    })?;
+    ctx.trace(1, || {
+        TraceEvent::new(format!(
+            "DCE: removed {} instructions",
+            stats.transformations
+        ))
+        .field("removed", stats.transformations)
+    });
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -118,7 +97,7 @@ mod tests {
     fn run(text: &str) -> (MaoUnit, PassStats) {
         let mut unit = MaoUnit::parse(text).unwrap();
         let mut ctx = PassContext::default();
-        let stats = UnreachableCodeElim.run(&mut unit, &mut ctx).unwrap();
+        let stats = super::run(&mut unit, &mut ctx).unwrap();
         (unit, stats)
     }
 

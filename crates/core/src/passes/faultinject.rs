@@ -17,41 +17,24 @@ use mao_obs::TraceEvent;
 
 use crate::isa::x86::Operand;
 
-use crate::pass::{MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{PassContext, PassError, PassStats};
 use crate::unit::{EditSet, MaoUnit};
 
 /// `PANIC` — deliberately panic (fault injection for isolation tests).
-#[derive(Debug, Default)]
-pub struct FaultInject;
-
-impl MaoPass for FaultInject {
-    fn name(&self) -> &'static str {
-        "PANIC"
+pub(crate) fn run_panic(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let sleep_ms = ctx.options.get_u64("sleep_ms", 0);
+    if sleep_ms > 0 {
+        std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
     }
-
-    fn description(&self) -> &'static str {
-        "fault injection: panic (options: func[NAME], sleep_ms[N], error)"
-    }
-
-    fn supported_isas(&self) -> &'static [crate::isa::IsaId] {
-        &crate::isa::IsaId::ALL
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let sleep_ms = ctx.options.get_u64("sleep_ms", 0);
-        if sleep_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
+    if let Some(name) = ctx.options.get("func") {
+        if unit.find_function(name).is_none() {
+            return Ok(PassStats::default());
         }
-        if let Some(name) = ctx.options.get("func") {
-            if unit.find_function(name).is_none() {
-                return Ok(PassStats::default());
-            }
-        }
-        if ctx.options.has("error") {
-            return Err(PassError::Other("injected pass error".to_string()));
-        }
-        panic!("injected pass panic (PANIC fault-injection pass)");
     }
+    if ctx.options.has("error") {
+        return Err(PassError::Other("injected pass error".to_string()));
+    }
+    panic!("injected pass panic (PANIC fault-injection pass)");
 }
 
 /// `MISOPT` — deliberately miscompile the unit (fault injection for the
@@ -66,69 +49,59 @@ impl MaoPass for FaultInject {
 /// The corruption is a *semantic* change with an unchanged-looking unit:
 /// it still parses, lays out, and runs — only the computed values differ.
 /// `mao check` must catch it; if it does not, the oracle is broken.
-#[derive(Debug, Default)]
-pub struct Misoptimize;
-
-impl MaoPass for Misoptimize {
-    fn name(&self) -> &'static str {
-        "MISOPT"
-    }
-
-    fn description(&self) -> &'static str {
-        "fault injection: deliberately miscompile (options: mode[imm|drop], nth[N])"
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let mode = ctx.options.get("mode").unwrap_or("imm").to_string();
-        let nth = ctx.options.get_u64("nth", 0) as usize;
-        let mut stats = PassStats::default();
-        let mut edits = EditSet::new();
-        let mut seen = 0usize;
-        for (id, entry) in unit.entries().iter().enumerate() {
-            let Some(insn) = entry.insn() else { continue };
-            let candidate = match mode.as_str() {
-                "drop" => !insn.mnemonic.is_control_flow(),
-                _ => {
-                    !insn.mnemonic.is_control_flow()
-                        && insn.operands.iter().any(|o| matches!(o, Operand::Imm(_)))
-                }
-            };
-            if !candidate {
-                continue;
+pub(crate) fn run_misopt(
+    unit: &mut MaoUnit,
+    ctx: &mut PassContext,
+) -> Result<PassStats, PassError> {
+    let mode = ctx.options.get("mode").unwrap_or("imm").to_string();
+    let nth = ctx.options.get_u64("nth", 0) as usize;
+    let mut stats = PassStats::default();
+    let mut edits = EditSet::new();
+    let mut seen = 0usize;
+    for (id, entry) in unit.entries().iter().enumerate() {
+        let Some(insn) = entry.insn() else { continue };
+        let candidate = match mode.as_str() {
+            "drop" => !insn.mnemonic.is_control_flow(),
+            _ => {
+                !insn.mnemonic.is_control_flow()
+                    && insn.operands.iter().any(|o| matches!(o, Operand::Imm(_)))
             }
-            if seen < nth {
-                seen += 1;
-                continue;
-            }
-            match mode.as_str() {
-                "drop" => {
-                    edits.delete(id);
-                }
-                _ => {
-                    let mut bad = insn.clone();
-                    for op in &mut bad.operands {
-                        if let Operand::Imm(v) = op {
-                            *v = v.wrapping_add(1);
-                            break;
-                        }
-                    }
-                    edits.replace_insn(id, bad);
-                }
-            }
-            stats.transformed(1);
-            break;
+        };
+        if !candidate {
+            continue;
         }
-        unit.apply(edits);
-        ctx.trace(1, || {
-            TraceEvent::new(format!(
-                "MISOPT: injected {} {mode} corruption(s)",
-                stats.transformations
-            ))
-            .field("mode", &mode)
-            .field("injected", stats.transformations)
-        });
-        Ok(stats)
+        if seen < nth {
+            seen += 1;
+            continue;
+        }
+        match mode.as_str() {
+            "drop" => {
+                edits.delete(id);
+            }
+            _ => {
+                let mut bad = insn.clone();
+                for op in &mut bad.operands {
+                    if let Operand::Imm(v) = op {
+                        *v = v.wrapping_add(1);
+                        break;
+                    }
+                }
+                edits.replace_insn(id, bad);
+            }
+        }
+        stats.transformed(1);
+        break;
     }
+    unit.apply(edits);
+    ctx.trace(1, || {
+        TraceEvent::new(format!(
+            "MISOPT: injected {} {mode} corruption(s)",
+            stats.transformations
+        ))
+        .field("mode", &mode)
+        .field("injected", stats.transformations)
+    });
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -141,7 +114,7 @@ mod tests {
         let mut unit = MaoUnit::parse("nop\n").unwrap();
         let mut ctx = PassContext::default();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = FaultInject.run(&mut unit, &mut ctx);
+            let _ = run_panic(&mut unit, &mut ctx);
         }));
         assert!(r.is_err());
     }
@@ -150,7 +123,7 @@ mod tests {
     fn func_filter_skips_when_absent() {
         let mut unit = MaoUnit::parse(".type f, @function\nf:\n\tret\n").unwrap();
         let mut ctx = PassContext::from_options(PassOptions::new().with("func", "nosuch"));
-        let stats = FaultInject.run(&mut unit, &mut ctx).unwrap();
+        let stats = run_panic(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
     }
 
@@ -158,7 +131,7 @@ mod tests {
     fn error_option_returns_structured_error() {
         let mut unit = MaoUnit::parse("nop\n").unwrap();
         let mut ctx = PassContext::from_options(PassOptions::new().with("error", ""));
-        let err = FaultInject.run(&mut unit, &mut ctx).unwrap_err();
+        let err = run_panic(&mut unit, &mut ctx).unwrap_err();
         assert_eq!(err, PassError::Other("injected pass error".into()));
     }
 
@@ -168,7 +141,7 @@ mod tests {
             MaoUnit::parse(".type f, @function\nf:\n\tmovl $40, %eax\n\taddl $2, %eax\n\tret\n")
                 .unwrap();
         let mut ctx = PassContext::default();
-        let stats = Misoptimize.run(&mut unit, &mut ctx).unwrap();
+        let stats = run_misopt(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 1);
         let text = unit.emit();
         assert!(text.contains("$41"), "first immediate bumped: {text}");
@@ -182,7 +155,7 @@ mod tests {
                 .unwrap();
         let mut ctx =
             PassContext::from_options(PassOptions::new().with("mode", "drop").with("nth", "1"));
-        let stats = Misoptimize.run(&mut unit, &mut ctx).unwrap();
+        let stats = run_misopt(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 1);
         let text = unit.emit();
         assert!(text.contains("movl"), "nth=1 keeps the first insn: {text}");

@@ -8,12 +8,8 @@
 use mao_obs::TraceEvent;
 
 use crate::loops::{LoopKind, LoopNest};
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{run_functions, PassContext, PassError, PassStats};
 use crate::unit::{EditSet, MaoUnit};
-
-/// The loop-finding pass.
-#[derive(Debug, Default)]
-pub struct LoopFinder;
 
 fn describe(nest: &LoopNest, idx: usize, out: &mut Vec<String>, indent: usize) {
     let l = &nest.loops[idx];
@@ -35,53 +31,40 @@ fn describe(nest: &LoopNest, idx: usize, out: &mut Vec<String>, indent: usize) {
     }
 }
 
-impl MaoPass for LoopFinder {
-    fn name(&self) -> &'static str {
-        "LFIND"
-    }
-
-    fn description(&self) -> &'static str {
-        "find loops and report the loop structure graph"
-    }
-
-    fn supported_isas(&self) -> &'static [crate::isa::IsaId] {
-        &crate::isa::IsaId::ALL
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let stats = run_functions(unit, ctx, |unit, function, fctx| {
-            let cfg = fctx.cfg(unit, function);
-            let nest = fctx.loops(unit, function);
-            fctx.stats.matched(nest.len());
-            if nest.is_empty() {
-                return Ok(EditSet::new());
+/// The loop-finding pass.
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let stats = run_functions(unit, ctx, |unit, function, fctx| {
+        let cfg = fctx.cfg(unit, function);
+        let nest = fctx.loops(unit, function);
+        fctx.stats.matched(nest.len());
+        if nest.is_empty() {
+            return Ok(EditSet::new());
+        }
+        let mut lines = vec![format!(
+            "{}: {} loop(s){}",
+            function.name,
+            nest.len(),
+            if cfg.unresolved_indirect {
+                " [function flagged: unresolved indirect branch]"
+            } else {
+                ""
             }
-            let mut lines = vec![format!(
-                "{}: {} loop(s){}",
-                function.name,
-                nest.len(),
-                if cfg.unresolved_indirect {
-                    " [function flagged: unresolved indirect branch]"
-                } else {
-                    ""
-                }
-            )];
-            for (i, l) in nest.loops.iter().enumerate() {
-                if l.parent.is_none() {
-                    describe(&nest, i, &mut lines, 1);
-                }
+        )];
+        for (i, l) in nest.loops.iter().enumerate() {
+            if l.parent.is_none() {
+                describe(&nest, i, &mut lines, 1);
             }
-            for line in lines {
-                fctx.trace(1, || TraceEvent::new(line));
-            }
-            Ok(EditSet::new())
-        })?;
-        ctx.trace(1, || {
-            TraceEvent::new(format!("LFIND: {} loop(s) total", stats.matches))
-                .field("loops", stats.matches)
-        });
-        Ok(stats)
-    }
+        }
+        for line in lines {
+            fctx.trace(1, || TraceEvent::new(line));
+        }
+        Ok(EditSet::new())
+    })?;
+    ctx.trace(1, || {
+        TraceEvent::new(format!("LFIND: {} loop(s) total", stats.matches))
+            .field("loops", stats.matches)
+    });
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -109,7 +92,7 @@ f:
     fn finds_and_reports_nest() {
         let mut unit = MaoUnit::parse(NESTED).unwrap();
         let mut ctx = PassContext::from_options(PassOptions::new().with("trace", "1"));
-        let stats = LoopFinder.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.matches, 2);
         assert_eq!(stats.transformations, 0, "analysis-only");
         let text = ctx.rendered_trace().join("\n");
@@ -122,9 +105,7 @@ f:
     fn does_not_modify_the_unit() {
         let mut unit = MaoUnit::parse(NESTED).unwrap();
         let before = unit.emit();
-        LoopFinder
-            .run(&mut unit, &mut PassContext::default())
-            .unwrap();
+        run(&mut unit, &mut PassContext::default()).unwrap();
         assert_eq!(unit.emit(), before);
     }
 
@@ -134,7 +115,7 @@ f:
             MaoUnit::parse(".type f, @function\nf:\n.L:\n\taddl $1, %eax\n\tjne .L\n\tjmp *%rax\n")
                 .unwrap();
         let mut ctx = PassContext::from_options(PassOptions::new().with("trace", "1"));
-        LoopFinder.run(&mut unit, &mut ctx).unwrap();
+        run(&mut unit, &mut ctx).unwrap();
         let text = ctx.rendered_trace().join("\n");
         assert!(text.contains("flagged"), "{text}");
     }

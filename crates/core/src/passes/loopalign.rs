@@ -13,97 +13,77 @@
 use mao_asm::{Align, Directive, Entry};
 use mao_obs::TraceEvent;
 
-use crate::pass::{MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{PassContext, PassError, PassStats};
 use crate::passes::layout_util::{loop_span, LayoutProvider};
 use crate::unit::{EditSet, MaoUnit};
 
 /// The short-loop 16-byte alignment pass.
-#[derive(Debug, Default)]
-pub struct LoopAlign16;
-
-impl MaoPass for LoopAlign16 {
-    fn name(&self) -> &'static str {
-        "LOOP16"
-    }
-
-    fn description(&self) -> &'static str {
-        "align short innermost loops so they fit one 16-byte decode line"
-    }
-
-    // Explicitly x86-only (the default, spelled out per the ISA-boundary
-    // contract): decode-line geometry and `.p2align` padding are x86
-    // cost-model concepts.
-    fn supported_isas(&self) -> &'static [crate::isa::IsaId] {
-        &[crate::isa::IsaId::X86_64]
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let mut stats = PassStats::default();
-        // Decode-line geometry comes from the installed cost model (16 on
-        // the built-in Core-2-like table); non-power-of-two measurements
-        // cannot be expressed as a `.p2align`, so fall back to 16.
-        let line = match u64::from(crate::isa::x86::cost::current().machine.decode_line) {
-            l if l.is_power_of_two() => l,
-            _ => 16,
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let mut stats = PassStats::default();
+    // Decode-line geometry comes from the installed cost model (16 on
+    // the built-in Core-2-like table); non-power-of-two measurements
+    // cannot be expressed as a `.p2align`, so fall back to 16.
+    let line = match u64::from(crate::isa::x86::cost::current().machine.decode_line) {
+        l if l.is_power_of_two() => l,
+        _ => 16,
+    };
+    // Loops at most this many bytes are candidates (default: one line).
+    let max_size = ctx.options.get_u64("max-size", line);
+    let mut trace: Vec<String> = Vec::new();
+    // Layouts come from the shared cache (free when the unit is
+    // unchanged); edits patch the cached layout incrementally.
+    let mut provider = LayoutProvider::new(ctx);
+    let mut k = 0;
+    loop {
+        let Some(function) = unit.functions_cached().get(k).cloned() else {
+            break;
         };
-        // Loops at most this many bytes are candidates (default: one line).
-        let max_size = ctx.options.get_u64("max-size", line);
-        let mut trace: Vec<String> = Vec::new();
-        // Layouts come from the shared cache (free when the unit is
-        // unchanged); edits patch the cached layout incrementally.
-        let mut provider = LayoutProvider::new(ctx);
-        let mut k = 0;
-        loop {
-            let Some(function) = unit.functions_cached().get(k).cloned() else {
-                break;
+        let layout = provider.layout(unit)?;
+        let analyses = ctx.analyses.for_function(unit, &function);
+        let cfg = analyses.cfg(unit, &function);
+        let nest = analyses.loops(unit, &function);
+        let mut edits = EditSet::new();
+        for &li in &nest.innermost() {
+            let Some(span) = loop_span(&cfg, &nest, &nest.loops[li], &layout) else {
+                continue;
             };
-            let layout = provider.layout(unit)?;
-            let analyses = ctx.analyses.for_function(unit, &function);
-            let cfg = analyses.cfg(unit, &function);
-            let nest = analyses.loops(unit, &function);
-            let mut edits = EditSet::new();
-            for &li in &nest.innermost() {
-                let Some(span) = loop_span(&cfg, &nest, &nest.loops[li], &layout) else {
-                    continue;
-                };
-                if span.size() == 0 || span.size() > max_size {
-                    continue;
-                }
-                if !span.crosses(line) {
-                    continue;
-                }
-                stats.matched(1);
-                trace.push(format!(
-                    "{}: aligning loop at {:#x}..{:#x} ({} bytes)",
-                    function.name,
-                    span.start,
-                    span.end,
-                    span.size()
-                ));
-                edits.insert_before(
-                    span.first_entry,
-                    vec![Entry::Directive(Directive::Align(Align {
-                        alignment: line,
-                        fill: None,
-                        max_skip: Some(line - 1),
-                        p2_form: true,
-                    }))],
-                );
-                stats.transformed(1);
+            if span.size() == 0 || span.size() > max_size {
+                continue;
             }
-            if !edits.is_empty() {
-                provider.apply(unit, edits)?;
+            if !span.crosses(line) {
+                continue;
             }
-            k += 1;
+            stats.matched(1);
+            trace.push(format!(
+                "{}: aligning loop at {:#x}..{:#x} ({} bytes)",
+                function.name,
+                span.start,
+                span.end,
+                span.size()
+            ));
+            edits.insert_before(
+                span.first_entry,
+                vec![Entry::Directive(Directive::Align(Align {
+                    alignment: line,
+                    fill: None,
+                    max_skip: Some(line - 1),
+                    p2_form: true,
+                }))],
+            );
+            stats.transformed(1);
         }
-        if let Some(note) = provider.note() {
-            stats.notes.push(note);
+        if !edits.is_empty() {
+            provider.apply(unit, edits)?;
         }
-        for line in trace {
-            ctx.trace(2, || TraceEvent::new(line));
-        }
-        Ok(stats)
+        k += 1;
     }
+    if let Some(note) = provider.note() {
+        stats.notes.push(note);
+    }
+    for line in trace {
+        ctx.trace(2, || TraceEvent::new(line));
+    }
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -137,7 +117,7 @@ f:
         assert_eq!(layout.addr[start], 10);
 
         let mut ctx = PassContext::default();
-        let stats = LoopAlign16.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 1);
 
         let layout = relax(&unit).unwrap();
@@ -163,7 +143,7 @@ f:
         let mut unit = MaoUnit::parse(text).unwrap();
         let before = unit.emit();
         let mut ctx = PassContext::default();
-        let stats = LoopAlign16.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
         assert_eq!(unit.emit(), before);
     }
@@ -175,7 +155,7 @@ f:
         let text = format!(".type f, @function\nf:\n\tnop\n.Lloop:\n{body}\tjne .Lloop\n\tret\n");
         let mut unit = MaoUnit::parse(&text).unwrap();
         let mut ctx = PassContext::default();
-        let stats = LoopAlign16.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
     }
 
@@ -186,7 +166,7 @@ f:
         let mut unit = MaoUnit::parse(&text).unwrap();
         let mut ctx =
             PassContext::from_options(crate::pass::PassOptions::new().with("max-size", "32"));
-        let stats = LoopAlign16.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 1);
     }
 
@@ -207,9 +187,9 @@ f:
 "#;
         let mut unit = MaoUnit::parse(text).unwrap();
         let mut ctx = PassContext::default();
-        LoopAlign16.run(&mut unit, &mut ctx).unwrap();
+        run(&mut unit, &mut ctx).unwrap();
         let after_first = unit.emit();
-        let stats = LoopAlign16.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
         assert_eq!(unit.emit(), after_first);
     }

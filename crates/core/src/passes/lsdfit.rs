@@ -14,14 +14,10 @@ use crate::isa::x86::Instruction;
 use mao_asm::Entry;
 use mao_obs::TraceEvent;
 
-use crate::pass::{MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{PassContext, PassError, PassStats};
 use crate::passes::layout_util::{loop_span, LayoutProvider};
 use crate::relax::Layout;
 use crate::unit::{EditSet, MaoUnit};
-
-/// The LSD-fitting pass.
-#[derive(Debug, Default)]
-pub struct LsdFit;
 
 /// Smallest shift `k` (in bytes) that brings `[start+k, start+k+size)` to at
 /// most `max_lines` decode lines, if one exists within one line of shifting.
@@ -32,79 +28,70 @@ pub(crate) fn fitting_shift(start: u64, size: u64, max_lines: u64) -> Option<u64
     (0..16).find(|k| Layout::decode_lines(start + k, start + k + size) <= max_lines)
 }
 
-impl MaoPass for LsdFit {
-    fn name(&self) -> &'static str {
-        "LSDFIT"
-    }
-
-    fn description(&self) -> &'static str {
-        "shift loops into the Loop Stream Detector's decode-line window"
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let mut stats = PassStats::default();
-        // The LSD window in decode lines (4 on Core-2 era parts; the paper
-        // notes the requirement changes across generations). The default
-        // comes from the installed cost model — a calibrated table retargets
-        // the pass without recompiling; an explicit option still overrides.
-        let model_lines = u64::from(crate::isa::x86::cost::current().machine.lsd_max_lines);
-        let max_lines = ctx.options.get_u64("max-lines", model_lines.max(1));
-        let mut trace: Vec<String> = Vec::new();
-        // Layouts come from the shared cache; each NOP insertion patches the
-        // cached layout instead of re-relaxing the whole unit.
-        let mut provider = LayoutProvider::new(ctx);
-        let mut k = 0;
-        loop {
-            let Some(function) = unit.functions_cached().get(k).cloned() else {
-                break;
+/// The LSD-fitting pass.
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let mut stats = PassStats::default();
+    // The LSD window in decode lines (4 on Core-2 era parts; the paper
+    // notes the requirement changes across generations). The default
+    // comes from the installed cost model — a calibrated table retargets
+    // the pass without recompiling; an explicit option still overrides.
+    let model_lines = u64::from(crate::isa::x86::cost::current().machine.lsd_max_lines);
+    let max_lines = ctx.options.get_u64("max-lines", model_lines.max(1));
+    let mut trace: Vec<String> = Vec::new();
+    // Layouts come from the shared cache; each NOP insertion patches the
+    // cached layout instead of re-relaxing the whole unit.
+    let mut provider = LayoutProvider::new(ctx);
+    let mut k = 0;
+    loop {
+        let Some(function) = unit.functions_cached().get(k).cloned() else {
+            break;
+        };
+        let layout = provider.layout(unit)?;
+        let analyses = ctx.analyses.for_function(unit, &function);
+        let cfg = analyses.cfg(unit, &function);
+        let nest = analyses.loops(unit, &function);
+        let mut edits = EditSet::new();
+        for &li in &nest.innermost() {
+            let Some(span) = loop_span(&cfg, &nest, &nest.loops[li], &layout) else {
+                continue;
             };
-            let layout = provider.layout(unit)?;
-            let analyses = ctx.analyses.for_function(unit, &function);
-            let cfg = analyses.cfg(unit, &function);
-            let nest = analyses.loops(unit, &function);
-            let mut edits = EditSet::new();
-            for &li in &nest.innermost() {
-                let Some(span) = loop_span(&cfg, &nest, &nest.loops[li], &layout) else {
-                    continue;
-                };
-                if span.decode_lines() <= max_lines {
-                    continue;
-                }
-                let Some(shift) = fitting_shift(span.start, span.size(), max_lines) else {
-                    continue; // too big for the window no matter the placement
-                };
-                if shift == 0 {
-                    continue;
-                }
-                stats.matched(1);
-                trace.push(format!(
-                    "{}: loop at {:#x} spans {} lines; shifting by {} NOP bytes to fit {}",
-                    function.name,
-                    span.start,
-                    span.decode_lines(),
-                    shift,
-                    max_lines,
-                ));
-                let pad: Vec<Entry> = Instruction::nop_pad(shift as usize)
-                    .into_iter()
-                    .map(|i| Entry::Insn(i.into()))
-                    .collect();
-                edits.insert_before(span.first_entry, pad);
-                stats.transformed(1);
+            if span.decode_lines() <= max_lines {
+                continue;
             }
-            if !edits.is_empty() {
-                provider.apply(unit, edits)?;
+            let Some(shift) = fitting_shift(span.start, span.size(), max_lines) else {
+                continue; // too big for the window no matter the placement
+            };
+            if shift == 0 {
+                continue;
             }
-            k += 1;
+            stats.matched(1);
+            trace.push(format!(
+                "{}: loop at {:#x} spans {} lines; shifting by {} NOP bytes to fit {}",
+                function.name,
+                span.start,
+                span.decode_lines(),
+                shift,
+                max_lines,
+            ));
+            let pad: Vec<Entry> = Instruction::nop_pad(shift as usize)
+                .into_iter()
+                .map(|i| Entry::Insn(i.into()))
+                .collect();
+            edits.insert_before(span.first_entry, pad);
+            stats.transformed(1);
         }
-        if let Some(note) = provider.note() {
-            stats.notes.push(note);
+        if !edits.is_empty() {
+            provider.apply(unit, edits)?;
         }
-        for line in trace {
-            ctx.trace(2, || TraceEvent::new(line));
-        }
-        Ok(stats)
+        k += 1;
     }
+    if let Some(note) = provider.note() {
+        stats.notes.push(note);
+    }
+    for line in trace {
+        ctx.trace(2, || TraceEvent::new(line));
+    }
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -143,7 +130,7 @@ mod tests {
         assert_eq!(start, 10);
 
         let mut ctx = PassContext::default();
-        let stats = LsdFit.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 1);
 
         let layout = relax(&unit).unwrap();
@@ -168,7 +155,7 @@ mod tests {
         let mut unit = MaoUnit::parse(&text).unwrap();
         let before = unit.emit();
         let mut ctx = PassContext::default();
-        let stats = LsdFit.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
         assert_eq!(unit.emit(), before);
     }
@@ -179,7 +166,7 @@ mod tests {
         let text = format!(".type f, @function\nf:\n\tnop\n.L:\n{body}\tjne .L\n\tret\n");
         let mut unit = MaoUnit::parse(&text).unwrap();
         let mut ctx = PassContext::default();
-        let stats = LsdFit.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
     }
 
@@ -188,7 +175,7 @@ mod tests {
         // With a 2-line window the figure-4 loop (~62 bytes) can never fit.
         let mut unit = MaoUnit::parse(&figure4_like()).unwrap();
         let mut ctx = PassContext::from_options(PassOptions::new().with("max-lines", "2"));
-        let stats = LsdFit.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
     }
 
@@ -210,7 +197,7 @@ mod tests {
         // synthetic equivalent at offset 10 needs exactly 6 bytes too.
         let mut unit = MaoUnit::parse(&figure4_like()).unwrap();
         let mut ctx = PassContext::default();
-        LsdFit.run(&mut unit, &mut ctx).unwrap();
+        run(&mut unit, &mut ctx).unwrap();
         let nops_before_l0 = unit
             .entries()
             .iter()

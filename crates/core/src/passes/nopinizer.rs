@@ -17,59 +17,46 @@ use mao_obs::TraceEvent;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::pass::{for_each_function, MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{for_each_function, PassContext, PassError, PassStats};
 use crate::unit::{EditSet, MaoUnit};
 
 /// The random NOP-insertion pass.
-#[derive(Debug, Default)]
-pub struct Nopinizer;
-
-impl MaoPass for Nopinizer {
-    fn name(&self) -> &'static str {
-        "NOPIN"
-    }
-
-    fn description(&self) -> &'static str {
-        "insert random NOP sequences to expose micro-architectural cliffs"
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let mut stats = PassStats::default();
-        let seed = ctx.options.get_u64("seed", 0);
-        let density = ctx.options.get_f64("density", 0.05).clamp(0.0, 1.0);
-        let maxlen = ctx.options.get_u64("maxlen", 3).max(1) as usize;
-        let mut rng = StdRng::seed_from_u64(seed);
-        for_each_function(unit, |unit, function| {
-            let mut edits = EditSet::new();
-            for id in function.entry_ids() {
-                if unit.insn(id).is_none() {
-                    continue;
-                }
-                if rng.random::<f64>() >= density {
-                    continue;
-                }
-                let len = rng.random_range(1..=maxlen);
-                let pad: Vec<Entry> = Instruction::nop_pad(len)
-                    .into_iter()
-                    .map(|i| Entry::Insn(i.into()))
-                    .collect();
-                stats.transformed(pad.len());
-                stats.matched(1);
-                edits.insert_before(id, pad);
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let mut stats = PassStats::default();
+    let seed = ctx.options.get_u64("seed", 0);
+    let density = ctx.options.get_f64("density", 0.05).clamp(0.0, 1.0);
+    let maxlen = ctx.options.get_u64("maxlen", 3).max(1) as usize;
+    let mut rng = StdRng::seed_from_u64(seed);
+    for_each_function(unit, |unit, function| {
+        let mut edits = EditSet::new();
+        for id in function.entry_ids() {
+            if unit.insn(id).is_none() {
+                continue;
             }
-            Ok(edits)
-        })?;
-        ctx.trace(1, || {
-            TraceEvent::new(format!(
-                "NOPIN: seed={seed} density={density} -> {} NOPs at {} sites",
-                stats.transformations, stats.matches
-            ))
-            .field("seed", seed)
-            .field("density", density)
-            .field("nops", stats.transformations)
-        });
-        Ok(stats)
-    }
+            if rng.random::<f64>() >= density {
+                continue;
+            }
+            let len = rng.random_range(1..=maxlen);
+            let pad: Vec<Entry> = Instruction::nop_pad(len)
+                .into_iter()
+                .map(|i| Entry::Insn(i.into()))
+                .collect();
+            stats.transformed(pad.len());
+            stats.matched(1);
+            edits.insert_before(id, pad);
+        }
+        Ok(edits)
+    })?;
+    ctx.trace(1, || {
+        TraceEvent::new(format!(
+            "NOPIN: seed={seed} density={density} -> {} NOPs at {} sites",
+            stats.transformations, stats.matches
+        ))
+        .field("seed", seed)
+        .field("density", density)
+        .field("nops", stats.transformations)
+    });
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -94,12 +81,8 @@ mod tests {
         let mut a = MaoUnit::parse(&body()).unwrap();
         let mut b = MaoUnit::parse(&body()).unwrap();
         let opts = PassOptions::new().with("seed", "42").with("density", "0.3");
-        Nopinizer
-            .run(&mut a, &mut PassContext::from_options(opts.clone()))
-            .unwrap();
-        Nopinizer
-            .run(&mut b, &mut PassContext::from_options(opts))
-            .unwrap();
+        run(&mut a, &mut PassContext::from_options(opts.clone())).unwrap();
+        run(&mut b, &mut PassContext::from_options(opts)).unwrap();
         assert_eq!(a.emit(), b.emit());
         assert!(nop_count(&a) > 0);
     }
@@ -108,22 +91,20 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = MaoUnit::parse(&body()).unwrap();
         let mut b = MaoUnit::parse(&body()).unwrap();
-        Nopinizer
-            .run(
-                &mut a,
-                &mut PassContext::from_options(
-                    PassOptions::new().with("seed", "1").with("density", "0.3"),
-                ),
-            )
-            .unwrap();
-        Nopinizer
-            .run(
-                &mut b,
-                &mut PassContext::from_options(
-                    PassOptions::new().with("seed", "2").with("density", "0.3"),
-                ),
-            )
-            .unwrap();
+        run(
+            &mut a,
+            &mut PassContext::from_options(
+                PassOptions::new().with("seed", "1").with("density", "0.3"),
+            ),
+        )
+        .unwrap();
+        run(
+            &mut b,
+            &mut PassContext::from_options(
+                PassOptions::new().with("seed", "2").with("density", "0.3"),
+            ),
+        )
+        .unwrap();
         assert_ne!(a.emit(), b.emit());
     }
 
@@ -131,12 +112,11 @@ mod tests {
     fn density_zero_inserts_nothing() {
         let mut unit = MaoUnit::parse(&body()).unwrap();
         let before = unit.emit();
-        let stats = Nopinizer
-            .run(
-                &mut unit,
-                &mut PassContext::from_options(PassOptions::new().with("density", "0")),
-            )
-            .unwrap();
+        let stats = run(
+            &mut unit,
+            &mut PassContext::from_options(PassOptions::new().with("density", "0")),
+        )
+        .unwrap();
         assert_eq!(stats.transformations, 0);
         assert_eq!(unit.emit(), before);
     }
@@ -144,14 +124,13 @@ mod tests {
     #[test]
     fn density_one_inserts_everywhere() {
         let mut unit = MaoUnit::parse(&body()).unwrap();
-        let stats = Nopinizer
-            .run(
-                &mut unit,
-                &mut PassContext::from_options(
-                    PassOptions::new().with("density", "1").with("maxlen", "1"),
-                ),
-            )
-            .unwrap();
+        let stats = run(
+            &mut unit,
+            &mut PassContext::from_options(
+                PassOptions::new().with("density", "1").with("maxlen", "1"),
+            ),
+        )
+        .unwrap();
         // 101 instructions (100 adds + ret): one site each.
         assert_eq!(stats.matches, 101);
         assert_eq!(nop_count(&unit), 101);
@@ -161,12 +140,11 @@ mod tests {
     fn directives_and_labels_not_targeted() {
         let mut unit =
             MaoUnit::parse(".type f, @function\nf:\n\t.p2align 4\n.Lx:\n\tret\n").unwrap();
-        let stats = Nopinizer
-            .run(
-                &mut unit,
-                &mut PassContext::from_options(PassOptions::new().with("density", "1")),
-            )
-            .unwrap();
+        let stats = run(
+            &mut unit,
+            &mut PassContext::from_options(PassOptions::new().with("density", "1")),
+        )
+        .unwrap();
         assert_eq!(stats.matches, 1, "only the ret is an insertion site");
     }
 }

@@ -13,60 +13,43 @@
 use mao_asm::{Directive, Entry};
 use mao_obs::TraceEvent;
 
-use crate::pass::{MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{PassContext, PassError, PassStats};
 use crate::unit::{EditSet, MaoUnit};
 
 /// The alignment-removal pass.
-#[derive(Debug, Default)]
-pub struct NopKiller;
-
-impl MaoPass for NopKiller {
-    fn name(&self) -> &'static str {
-        "NOPKILL"
-    }
-
-    fn description(&self) -> &'static str {
-        "remove alignment directives and padding NOPs from text sections"
-    }
-
-    fn supported_isas(&self) -> &'static [crate::isa::IsaId] {
-        &crate::isa::IsaId::ALL
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let mut stats = PassStats::default();
-        let kill_aligns = !ctx.options.has("keep-aligns");
-        let kill_nops = !ctx.options.has("keep-nops");
-        let names = unit.section_names();
-        let mut edits = EditSet::new();
-        for (id, entry) in unit.entries().iter().enumerate() {
-            let in_text = names[id] == ".text" || names[id].starts_with(".text.");
-            if !in_text {
-                continue;
-            }
-            match entry {
-                Entry::Directive(Directive::Align(_)) if kill_aligns => {
-                    edits.delete(id);
-                    stats.transformed(1);
-                }
-                Entry::Insn(i) if kill_nops && i.is_nop() => {
-                    edits.delete(id);
-                    stats.transformed(1);
-                }
-                _ => {}
-            }
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let mut stats = PassStats::default();
+    let kill_aligns = !ctx.options.has("keep-aligns");
+    let kill_nops = !ctx.options.has("keep-nops");
+    let names = unit.section_names();
+    let mut edits = EditSet::new();
+    for (id, entry) in unit.entries().iter().enumerate() {
+        let in_text = names[id] == ".text" || names[id].starts_with(".text.");
+        if !in_text {
+            continue;
         }
-        stats.matched(stats.transformations);
-        unit.apply(edits);
-        ctx.trace(1, || {
-            TraceEvent::new(format!(
-                "NOPKILL: removed {} entries",
-                stats.transformations
-            ))
-            .field("removed", stats.transformations)
-        });
-        Ok(stats)
+        match entry {
+            Entry::Directive(Directive::Align(_)) if kill_aligns => {
+                edits.delete(id);
+                stats.transformed(1);
+            }
+            Entry::Insn(i) if kill_nops && i.is_nop() => {
+                edits.delete(id);
+                stats.transformed(1);
+            }
+            _ => {}
+        }
     }
+    stats.matched(stats.transformations);
+    unit.apply(edits);
+    ctx.trace(1, || {
+        TraceEvent::new(format!(
+            "NOPKILL: removed {} entries",
+            stats.transformations
+        ))
+        .field("removed", stats.transformations)
+    });
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -94,9 +77,7 @@ f:
     #[test]
     fn kills_text_aligns_and_nops() {
         let mut unit = MaoUnit::parse(SAMPLE).unwrap();
-        let stats = NopKiller
-            .run(&mut unit, &mut PassContext::default())
-            .unwrap();
+        let stats = run(&mut unit, &mut PassContext::default()).unwrap();
         // 2 p2aligns + 2 nops.
         assert_eq!(stats.transformations, 4);
         let text = unit.emit();
@@ -110,12 +91,11 @@ f:
     #[test]
     fn keep_aligns_option() {
         let mut unit = MaoUnit::parse(SAMPLE).unwrap();
-        let stats = NopKiller
-            .run(
-                &mut unit,
-                &mut PassContext::from_options(PassOptions::new().with("keep-aligns", "")),
-            )
-            .unwrap();
+        let stats = run(
+            &mut unit,
+            &mut PassContext::from_options(PassOptions::new().with("keep-aligns", "")),
+        )
+        .unwrap();
         assert_eq!(stats.transformations, 2);
         assert!(unit.emit().contains(".p2align"));
     }
@@ -123,12 +103,11 @@ f:
     #[test]
     fn keep_nops_option() {
         let mut unit = MaoUnit::parse(SAMPLE).unwrap();
-        let stats = NopKiller
-            .run(
-                &mut unit,
-                &mut PassContext::from_options(PassOptions::new().with("keep-nops", "")),
-            )
-            .unwrap();
+        let stats = run(
+            &mut unit,
+            &mut PassContext::from_options(PassOptions::new().with("keep-nops", "")),
+        )
+        .unwrap();
         assert_eq!(stats.transformations, 2);
         assert!(unit.emit().contains("\tnop"));
     }
@@ -141,9 +120,7 @@ f:
             let l = relax(&unit).unwrap();
             (0..unit.len()).map(|i| u64::from(l.size[i])).sum()
         };
-        NopKiller
-            .run(&mut unit, &mut PassContext::default())
-            .unwrap();
+        run(&mut unit, &mut PassContext::default()).unwrap();
         let after: u64 = {
             let l = relax(&unit).unwrap();
             (0..unit.len()).map(|i| u64::from(l.size[i])).sum()

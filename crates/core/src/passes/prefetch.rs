@@ -17,71 +17,57 @@ use crate::isa::x86::{def_use, Instruction, Mnemonic};
 use mao_asm::Entry;
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{run_functions, PassContext, PassError, PassStats};
 use crate::profile::Site;
 use crate::unit::{EditSet, MaoUnit};
 
 /// The inverse-prefetching pass.
-#[derive(Debug, Default)]
-pub struct InversePrefetch;
-
-impl MaoPass for InversePrefetch {
-    fn name(&self) -> &'static str {
-        "PREFNTA"
-    }
-
-    fn description(&self) -> &'static str {
-        "make low-reuse loads non-temporal via prefetchnta insertion"
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let threshold = ctx.options.get_u64("threshold", 8192);
-        if ctx.profile.is_none() {
-            ctx.trace(1, || {
-                TraceEvent::new("PREFNTA: no profile attached; nothing to do")
-            });
-            return Ok(PassStats::default());
-        }
-        let stats = run_functions(unit, ctx, |unit, function, fctx| {
-            let profile = fctx.profile.expect("checked above");
-            let mut edits = EditSet::new();
-            let mut insn_index = 0usize;
-            for id in function.entry_ids() {
-                let Some(insn) = unit.insn(id) else { continue };
-                let this_index = insn_index;
-                insn_index += 1;
-                // A plain load with an addressable memory source.
-                let du = def_use(insn);
-                if !du.mem_read || du.mem_write || insn.mnemonic == Mnemonic::Prefetchnta {
-                    continue;
-                }
-                let Some(Operand::Mem(mem)) = insn.operands.first() else {
-                    continue;
-                };
-                let site = Site::new(&function.name, this_index);
-                let Some(distance) = profile.reuse_distance(&site) else {
-                    continue;
-                };
-                if distance < threshold {
-                    continue;
-                }
-                fctx.stats.matched(1);
-                let prefetch =
-                    Instruction::new(Mnemonic::Prefetchnta, vec![Operand::Mem(mem.clone())]);
-                edits.insert_before(id, vec![Entry::Insn(prefetch.into())]);
-                fctx.stats.transformed(1);
-            }
-            Ok(edits)
-        })?;
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let threshold = ctx.options.get_u64("threshold", 8192);
+    if ctx.profile.is_none() {
         ctx.trace(1, || {
-            TraceEvent::new(format!(
-                "PREFNTA: {} loads made non-temporal",
-                stats.transformations
-            ))
-            .field("converted", stats.transformations)
+            TraceEvent::new("PREFNTA: no profile attached; nothing to do")
         });
-        Ok(stats)
+        return Ok(PassStats::default());
     }
+    let stats = run_functions(unit, ctx, |unit, function, fctx| {
+        let profile = fctx.profile.expect("checked above");
+        let mut edits = EditSet::new();
+        let mut insn_index = 0usize;
+        for id in function.entry_ids() {
+            let Some(insn) = unit.insn(id) else { continue };
+            let this_index = insn_index;
+            insn_index += 1;
+            // A plain load with an addressable memory source.
+            let du = def_use(insn);
+            if !du.mem_read || du.mem_write || insn.mnemonic == Mnemonic::Prefetchnta {
+                continue;
+            }
+            let Some(Operand::Mem(mem)) = insn.operands.first() else {
+                continue;
+            };
+            let site = Site::new(&function.name, this_index);
+            let Some(distance) = profile.reuse_distance(&site) else {
+                continue;
+            };
+            if distance < threshold {
+                continue;
+            }
+            fctx.stats.matched(1);
+            let prefetch = Instruction::new(Mnemonic::Prefetchnta, vec![Operand::Mem(mem.clone())]);
+            edits.insert_before(id, vec![Entry::Insn(prefetch.into())]);
+            fctx.stats.transformed(1);
+        }
+        Ok(edits)
+    })?;
+    ctx.trace(1, || {
+        TraceEvent::new(format!(
+            "PREFNTA: {} loads made non-temporal",
+            stats.transformations
+        ))
+        .field("converted", stats.transformations)
+    });
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -116,7 +102,7 @@ f:
         profile.set_reuse_distance(Site::new("f", 0), 1_000_000);
         let mut unit = MaoUnit::parse(SAMPLE).unwrap();
         let mut ctx = ctx_with_profile(profile, None);
-        let stats = InversePrefetch.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 1);
         let text = unit.emit();
         let pf = text.find("prefetchnta (%rdi)").expect("prefetch inserted");
@@ -130,7 +116,7 @@ f:
         profile.set_reuse_distance(Site::new("f", 0), 4); // hot data
         let mut unit = MaoUnit::parse(SAMPLE).unwrap();
         let mut ctx = ctx_with_profile(profile, None);
-        let stats = InversePrefetch.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
     }
 
@@ -140,7 +126,7 @@ f:
         profile.set_reuse_distance(Site::new("f", 1), 100);
         let mut unit = MaoUnit::parse(SAMPLE).unwrap();
         let mut ctx = ctx_with_profile(profile, Some("50"));
-        let stats = InversePrefetch.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 1);
         assert!(unit.emit().contains("prefetchnta 8(%rdi)"));
     }
@@ -150,7 +136,7 @@ f:
         let mut unit = MaoUnit::parse(SAMPLE).unwrap();
         let before = unit.emit();
         let mut ctx = PassContext::default();
-        let stats = InversePrefetch.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
         assert_eq!(unit.emit(), before);
     }
@@ -162,7 +148,7 @@ f:
         profile.set_reuse_distance(Site::new("f", 0), 1_000_000);
         let mut unit = MaoUnit::parse(text).unwrap();
         let mut ctx = ctx_with_profile(profile, None);
-        let stats = InversePrefetch.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0);
     }
 
@@ -174,9 +160,9 @@ f:
         profile.set_reuse_distance(Site::new("f", 0), 1_000_000);
         let mut unit = MaoUnit::parse(SAMPLE).unwrap();
         let mut ctx = ctx_with_profile(profile.clone(), None);
-        InversePrefetch.run(&mut unit, &mut ctx).unwrap();
+        run(&mut unit, &mut ctx).unwrap();
         let mut ctx = ctx_with_profile(profile, None);
-        let stats = InversePrefetch.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.transformations, 0, "{}", unit.emit());
     }
 }

@@ -3,37 +3,19 @@
 
 use mao_obs::TraceEvent;
 
-use crate::pass::{MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{PassContext, PassError, PassStats};
 use crate::unit::MaoUnit;
 
 /// `MAOPASS` — prints function names (Fig. 3's `MaoPass`).
-#[derive(Debug, Default)]
-pub struct PrintFunctions;
-
-impl MaoPass for PrintFunctions {
-    fn name(&self) -> &'static str {
-        "MAOPASS"
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let mut stats = PassStats::default();
+    for function in unit.functions_cached() {
+        ctx.trace(3, || {
+            TraceEvent::new(format!("Func: {}", function.name)).field("function", &function.name)
+        });
+        stats.matched(1);
     }
-
-    fn description(&self) -> &'static str {
-        "example pass: print the name of every function"
-    }
-
-    fn supported_isas(&self) -> &'static [crate::isa::IsaId] {
-        &crate::isa::IsaId::ALL
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let mut stats = PassStats::default();
-        for function in unit.functions_cached() {
-            ctx.trace(3, || {
-                TraceEvent::new(format!("Func: {}", function.name))
-                    .field("function", &function.name)
-            });
-            stats.matched(1);
-        }
-        Ok(stats)
-    }
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -47,7 +29,7 @@ mod tests {
             MaoUnit::parse(".type f, @function\nf:\n\tret\n.type g, @function\ng:\n\tret\n")
                 .unwrap();
         let mut ctx = PassContext::from_options(PassOptions::new().with("trace", "3"));
-        let stats = PrintFunctions.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.matches, 2);
         assert_eq!(ctx.rendered_trace(), vec!["Func: f", "Func: g"]);
         assert!(
@@ -60,7 +42,7 @@ mod tests {
     fn silent_at_level_0() {
         let mut unit = MaoUnit::parse(".type f, @function\nf:\n\tret\n").unwrap();
         let mut ctx = PassContext::default();
-        PrintFunctions.run(&mut unit, &mut ctx).unwrap();
+        run(&mut unit, &mut ctx).unwrap();
         assert!(ctx.events.is_empty());
     }
 }

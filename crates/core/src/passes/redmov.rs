@@ -24,12 +24,8 @@ use crate::isa::x86::operand::{Mem, Operand};
 use crate::isa::x86::{def_use, Mnemonic, Reg, Width};
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
+use crate::pass::{run_functions, PassContext, PassError, PassStats};
 use crate::unit::{EditSet, MaoUnit};
-
-/// The redundant memory-access removal pass.
-#[derive(Debug, Default)]
-pub struct RedundantMemMove;
 
 /// Is this a plain GPR load `mov mem, reg`?
 fn as_load(insn: &crate::isa::x86::Instruction) -> Option<(&Mem, Reg, Width)> {
@@ -44,88 +40,75 @@ fn as_load(insn: &crate::isa::x86::Instruction) -> Option<(&Mem, Reg, Width)> {
     }
 }
 
-impl MaoPass for RedundantMemMove {
-    fn name(&self) -> &'static str {
-        "REDMOV"
-    }
+/// The redundant memory-access removal pass.
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let analyze_only = ctx.options.has("count-only");
+    let stats = run_functions(unit, ctx, |unit, function, fctx| {
+        let cfg = fctx.cfg(unit, function);
+        let mut edits = EditSet::new();
+        for block in &cfg.blocks {
+            // Available loads: memory operand -> (dest holding it, width).
+            let mut available: HashMap<Mem, (Reg, Width)> = HashMap::new();
+            for (id, insn) in block.insns(unit) {
+                let du = def_use(insn);
+                if du.barrier || du.mem_write {
+                    available.clear();
+                    // Fall through: a barrier also defines registers via
+                    // reg_defs handling below (calls clobber, but barrier
+                    // already cleared the table).
+                }
 
-    fn description(&self) -> &'static str {
-        "replace repeated identical loads with register moves"
-    }
-
-    fn scope(&self) -> PassScope {
-        PassScope::Function
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let analyze_only = ctx.options.has("count-only");
-        let stats = run_functions(unit, ctx, |unit, function, fctx| {
-            let cfg = fctx.cfg(unit, function);
-            let mut edits = EditSet::new();
-            for block in &cfg.blocks {
-                // Available loads: memory operand -> (dest holding it, width).
-                let mut available: HashMap<Mem, (Reg, Width)> = HashMap::new();
-                for (id, insn) in block.insns(unit) {
-                    let du = def_use(insn);
-                    if du.barrier || du.mem_write {
-                        available.clear();
-                        // Fall through: a barrier also defines registers via
-                        // reg_defs handling below (calls clobber, but barrier
-                        // already cleared the table).
-                    }
-
-                    let mut replaced = false;
-                    if let Some((mem, dest, width)) = as_load(insn) {
-                        if let Some(&(held, held_width)) = available.get(mem) {
-                            if held_width == width && held.id != dest.id {
-                                fctx.stats.matched(1);
-                                if !analyze_only {
-                                    edits.replace_insn(
-                                        id,
-                                        crate::isa::x86::insn::build::mov(width, held, dest),
-                                    );
-                                    fctx.stats.transformed(1);
-                                }
-                                replaced = true;
+                let mut replaced = false;
+                if let Some((mem, dest, width)) = as_load(insn) {
+                    if let Some(&(held, held_width)) = available.get(mem) {
+                        if held_width == width && held.id != dest.id {
+                            fctx.stats.matched(1);
+                            if !analyze_only {
+                                edits.replace_insn(
+                                    id,
+                                    crate::isa::x86::insn::build::mov(width, held, dest),
+                                );
+                                fctx.stats.transformed(1);
                             }
-                        }
-                    }
-
-                    // Invalidate table entries clobbered by this instruction's
-                    // register definitions (including the load's own dest).
-                    for def in &du.reg_defs {
-                        available.retain(|mem, (held, _)| {
-                            held.id != def.id && mem.regs_used().all(|r| r.id != def.id)
-                        });
-                    }
-
-                    // Record this load as available (also when replaced: the
-                    // new dest now holds the value too — but the replacement
-                    // mov is a reg move, not a load; record under the same
-                    // memory key so a third load can reuse either register).
-                    // A load that overwrites one of its own address registers
-                    // (mov (%rax), %rax) leaves the value unaddressable.
-                    if let Some((mem, dest, width)) = as_load(insn) {
-                        if mem.regs_used().any(|r| r.id == dest.id) {
-                            // Not recordable; the invalidation above already
-                            // dropped any entries using the old register.
-                        } else if !replaced {
-                            available.insert(mem.clone(), (dest, width));
-                        } else {
-                            // After replacement dest holds the same value.
-                            available.entry(mem.clone()).or_insert((dest, width));
+                            replaced = true;
                         }
                     }
                 }
+
+                // Invalidate table entries clobbered by this instruction's
+                // register definitions (including the load's own dest).
+                for def in &du.reg_defs {
+                    available.retain(|mem, (held, _)| {
+                        held.id != def.id && mem.regs_used().all(|r| r.id != def.id)
+                    });
+                }
+
+                // Record this load as available (also when replaced: the
+                // new dest now holds the value too — but the replacement
+                // mov is a reg move, not a load; record under the same
+                // memory key so a third load can reuse either register).
+                // A load that overwrites one of its own address registers
+                // (mov (%rax), %rax) leaves the value unaddressable.
+                if let Some((mem, dest, width)) = as_load(insn) {
+                    if mem.regs_used().any(|r| r.id == dest.id) {
+                        // Not recordable; the invalidation above already
+                        // dropped any entries using the old register.
+                    } else if !replaced {
+                        available.insert(mem.clone(), (dest, width));
+                    } else {
+                        // After replacement dest holds the same value.
+                        available.entry(mem.clone()).or_insert((dest, width));
+                    }
+                }
             }
-            Ok(edits)
-        })?;
-        ctx.trace(1, || {
-            TraceEvent::new(format!("REDMOV: {} loads reused", stats.transformations))
-                .field("reused", stats.transformations)
-        });
-        Ok(stats)
-    }
+        }
+        Ok(edits)
+    })?;
+    ctx.trace(1, || {
+        TraceEvent::new(format!("REDMOV: {} loads reused", stats.transformations))
+            .field("reused", stats.transformations)
+    });
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -136,7 +119,7 @@ mod tests {
     fn run(text: &str) -> (MaoUnit, PassStats) {
         let mut unit = MaoUnit::parse(text).unwrap();
         let mut ctx = PassContext::default();
-        let stats = RedundantMemMove.run(&mut unit, &mut ctx).unwrap();
+        let stats = super::run(&mut unit, &mut ctx).unwrap();
         (unit, stats)
     }
 

@@ -18,12 +18,8 @@
 use crate::isa::x86::{def_use, Flags, Mnemonic, Operand, Width};
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
+use crate::pass::{run_functions, PassContext, PassError, PassStats};
 use crate::unit::{EditSet, MaoUnit};
-
-/// The redundant test removal pass.
-#[derive(Debug, Default)]
-pub struct RedundantTest;
 
 /// Is `insn` a same-register `test r, r`?
 fn is_self_test(insn: &crate::isa::x86::Instruction) -> Option<(crate::isa::x86::Reg, Width)> {
@@ -65,79 +61,66 @@ fn sets_result_flags_for(
     matches!(prev.dest(), Some(Operand::Reg(d)) if d.id == reg.id && d.width == width && !d.high8)
 }
 
-impl MaoPass for RedundantTest {
-    fn name(&self) -> &'static str {
-        "REDTEST"
-    }
-
-    fn description(&self) -> &'static str {
-        "remove test instructions whose flags were already set by a prior ALU op"
-    }
-
-    fn scope(&self) -> PassScope {
-        PassScope::Function
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let analyze_only = ctx.options.has("count-only");
-        let stats = run_functions(unit, ctx, |unit, function, fctx| {
-            let cfg = fctx.cfg(unit, function);
-            let liveness = fctx.liveness(unit, function);
-            let mut edits = EditSet::new();
-            for (b, block) in cfg.blocks.iter().enumerate() {
-                let insns: Vec<_> = block.insns(unit).collect();
-                for (pos, &(id, insn)) in insns.iter().enumerate() {
-                    let Some((reg, width)) = is_self_test(insn) else {
-                        continue;
-                    };
-                    // Find the previous instruction that defines flags or the
-                    // register; both searches stop at the same place.
-                    let mut verdict = false;
-                    for &(_, prev) in insns[..pos].iter().rev() {
-                        let du = def_use(prev);
-                        if du.barrier {
-                            break;
-                        }
-                        if !du.flags_killed().is_empty() {
-                            // The nearest flag writer: it must be our
-                            // result-flag setter on the same register, with
-                            // no redefinition of the register in between
-                            // (it *is* the defining instruction, so any
-                            // later def would have been seen first).
-                            verdict = sets_result_flags_for(prev, reg, width);
-                            break;
-                        }
-                        if du.defs_reg(reg.id) {
-                            // Register changed after the last flag write:
-                            // flags no longer describe its value.
-                            break;
-                        }
+/// The redundant test removal pass.
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let analyze_only = ctx.options.has("count-only");
+    let stats = run_functions(unit, ctx, |unit, function, fctx| {
+        let cfg = fctx.cfg(unit, function);
+        let liveness = fctx.liveness(unit, function);
+        let mut edits = EditSet::new();
+        for (b, block) in cfg.blocks.iter().enumerate() {
+            let insns: Vec<_> = block.insns(unit).collect();
+            for (pos, &(id, insn)) in insns.iter().enumerate() {
+                let Some((reg, width)) = is_self_test(insn) else {
+                    continue;
+                };
+                // Find the previous instruction that defines flags or the
+                // register; both searches stop at the same place.
+                let mut verdict = false;
+                for &(_, prev) in insns[..pos].iter().rev() {
+                    let du = def_use(prev);
+                    if du.barrier {
+                        break;
                     }
-                    if !verdict {
-                        continue;
+                    if !du.flags_killed().is_empty() {
+                        // The nearest flag writer: it must be our
+                        // result-flag setter on the same register, with
+                        // no redefinition of the register in between
+                        // (it *is* the defining instruction, so any
+                        // later def would have been seen first).
+                        verdict = sets_result_flags_for(prev, reg, width);
+                        break;
                     }
-                    // Consumers: flags read after the test must be a subset
-                    // of the result flags (SF/ZF/PF), where test and the ALU
-                    // op agree.
-                    let consumed = liveness.flags_live_after(unit, &cfg, b, id);
-                    if !Flags::RESULT.contains(consumed) {
-                        continue;
-                    }
-                    fctx.stats.matched(1);
-                    if !analyze_only {
-                        edits.delete(id);
-                        fctx.stats.transformed(1);
+                    if du.defs_reg(reg.id) {
+                        // Register changed after the last flag write:
+                        // flags no longer describe its value.
+                        break;
                     }
                 }
+                if !verdict {
+                    continue;
+                }
+                // Consumers: flags read after the test must be a subset
+                // of the result flags (SF/ZF/PF), where test and the ALU
+                // op agree.
+                let consumed = liveness.flags_live_after(unit, &cfg, b, id);
+                if !Flags::RESULT.contains(consumed) {
+                    continue;
+                }
+                fctx.stats.matched(1);
+                if !analyze_only {
+                    edits.delete(id);
+                    fctx.stats.transformed(1);
+                }
             }
-            Ok(edits)
-        })?;
-        ctx.trace(1, || {
-            TraceEvent::new(format!("REDTEST: {} removed", stats.transformations))
-                .field("removed", stats.transformations)
-        });
-        Ok(stats)
-    }
+        }
+        Ok(edits)
+    })?;
+    ctx.trace(1, || {
+        TraceEvent::new(format!("REDTEST: {} removed", stats.transformations))
+            .field("removed", stats.transformations)
+    });
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -148,7 +131,7 @@ mod tests {
     fn run(text: &str) -> (MaoUnit, PassStats) {
         let mut unit = MaoUnit::parse(text).unwrap();
         let mut ctx = PassContext::default();
-        let stats = RedundantTest.run(&mut unit, &mut ctx).unwrap();
+        let stats = super::run(&mut unit, &mut ctx).unwrap();
         (unit, stats)
     }
 

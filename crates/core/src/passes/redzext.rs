@@ -15,12 +15,8 @@
 use crate::isa::x86::{def_use, Mnemonic, Operand, Width};
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
+use crate::pass::{run_functions, PassContext, PassError, PassStats};
 use crate::unit::{EditSet, MaoUnit};
-
-/// The redundant zero-extension elimination pass.
-#[derive(Debug, Default)]
-pub struct RedundantZeroExtension;
 
 /// Is `insn` the `mov %rX, %rX` 32-bit self-move idiom?
 fn is_self_zext(insn: &crate::isa::x86::Instruction) -> bool {
@@ -33,67 +29,54 @@ fn is_self_zext(insn: &crate::isa::x86::Instruction) -> bool {
         )
 }
 
-impl MaoPass for RedundantZeroExtension {
-    fn name(&self) -> &'static str {
-        "REDZEXT"
-    }
-
-    fn description(&self) -> &'static str {
-        "remove zero-extension moves made redundant by a prior 32-bit write"
-    }
-
-    fn scope(&self) -> PassScope {
-        PassScope::Function
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let analyze_only = ctx.options.has("count-only");
-        run_functions(unit, ctx, |unit, function, fctx| {
-            let cfg = fctx.cfg(unit, function);
-            let mut edits = EditSet::new();
-            for block in &cfg.blocks {
-                let insns: Vec<_> = block.insns(unit).collect();
-                for (pos, &(id, insn)) in insns.iter().enumerate() {
-                    if !is_self_zext(insn) {
-                        continue;
-                    }
-                    let reg = insn.operands[0]
-                        .reg()
-                        .expect("self-zext has register operands");
-                    // Walk backward to the most recent def of the register.
-                    let mut redundant = false;
-                    for &(_, prev) in insns[..pos].iter().rev() {
-                        let du = def_use(prev);
-                        if du.barrier {
-                            break;
-                        }
-                        if !du.defs_reg(reg.id) {
-                            continue;
-                        }
-                        // Found the def: redundant iff it is a plain 32-bit
-                        // destination-register write (which zero-extends).
-                        redundant = du
-                            .reg_defs
-                            .iter()
-                            .any(|d| d.id == reg.id && d.width == Width::B4 && !d.high8);
+/// The redundant zero-extension elimination pass.
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let analyze_only = ctx.options.has("count-only");
+    run_functions(unit, ctx, |unit, function, fctx| {
+        let cfg = fctx.cfg(unit, function);
+        let mut edits = EditSet::new();
+        for block in &cfg.blocks {
+            let insns: Vec<_> = block.insns(unit).collect();
+            for (pos, &(id, insn)) in insns.iter().enumerate() {
+                if !is_self_zext(insn) {
+                    continue;
+                }
+                let reg = insn.operands[0]
+                    .reg()
+                    .expect("self-zext has register operands");
+                // Walk backward to the most recent def of the register.
+                let mut redundant = false;
+                for &(_, prev) in insns[..pos].iter().rev() {
+                    let du = def_use(prev);
+                    if du.barrier {
                         break;
                     }
-                    if redundant {
-                        fctx.stats.matched(1);
-                        fctx.trace(2, || {
-                            TraceEvent::new(format!("{}: redundant `{insn}`", function.name))
-                                .field("function", &function.name)
-                        });
-                        if !analyze_only {
-                            edits.delete(id);
-                            fctx.stats.transformed(1);
-                        }
+                    if !du.defs_reg(reg.id) {
+                        continue;
+                    }
+                    // Found the def: redundant iff it is a plain 32-bit
+                    // destination-register write (which zero-extends).
+                    redundant = du
+                        .reg_defs
+                        .iter()
+                        .any(|d| d.id == reg.id && d.width == Width::B4 && !d.high8);
+                    break;
+                }
+                if redundant {
+                    fctx.stats.matched(1);
+                    fctx.trace(2, || {
+                        TraceEvent::new(format!("{}: redundant `{insn}`", function.name))
+                            .field("function", &function.name)
+                    });
+                    if !analyze_only {
+                        edits.delete(id);
+                        fctx.stats.transformed(1);
                     }
                 }
             }
-            Ok(edits)
-        })
-    }
+        }
+        Ok(edits)
+    })
 }
 
 #[cfg(test)]
@@ -104,7 +87,7 @@ mod tests {
     fn run(text: &str) -> (MaoUnit, PassStats) {
         let mut unit = MaoUnit::parse(text).unwrap();
         let mut ctx = PassContext::default();
-        let stats = RedundantZeroExtension.run(&mut unit, &mut ctx).unwrap();
+        let stats = super::run(&mut unit, &mut ctx).unwrap();
         (unit, stats)
     }
 
@@ -177,7 +160,7 @@ mod tests {
         .unwrap();
         let before = unit.emit();
         let mut ctx = PassContext::from_options(PassOptions::new().with("count-only", ""));
-        let stats = RedundantZeroExtension.run(&mut unit, &mut ctx).unwrap();
+        let stats = super::run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.matches, 1);
         assert_eq!(stats.transformations, 0);
         assert_eq!(unit.emit(), before);

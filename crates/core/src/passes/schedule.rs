@@ -33,7 +33,7 @@ use crate::isa::x86::reg::NUM_REG_IDS;
 use crate::isa::x86::{def_use, Instruction, Reg};
 use mao_obs::TraceEvent;
 
-use crate::pass::{run_functions, MaoPass, PassContext, PassError, PassScope, PassStats};
+use crate::pass::{run_functions, PassContext, PassError, PassStats};
 use crate::unit::{EditSet, MaoUnit};
 
 /// A dependence edge kind (used for latency assignment).
@@ -404,95 +404,71 @@ pub enum Policy {
 }
 
 /// The list-scheduling pass.
-#[derive(Debug, Default)]
-pub struct ListSchedule;
-
-impl MaoPass for ListSchedule {
-    fn name(&self) -> &'static str {
-        "SCHED"
-    }
-
-    fn description(&self) -> &'static str {
-        "critical-path list scheduling within basic blocks"
-    }
-
-    // Explicitly x86-only (the default, spelled out per the ISA-boundary
-    // contract): latencies and dependence edges come from the x86 cost
-    // tables and `def_use`.
-    fn supported_isas(&self) -> &'static [crate::isa::IsaId] {
-        &[crate::isa::IsaId::X86_64]
-    }
-
-    fn scope(&self) -> PassScope {
-        PassScope::Function
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let model = crate::isa::x86::cost::current();
-        let policy = match ctx.options.get("policy") {
-            Some("source-order") => Policy::SourceOrder,
-            _ => Policy::CriticalPath,
-        };
-        let stats = run_functions(unit, ctx, |unit, function, fctx| {
-            let cfg = fctx.cfg(unit, function);
-            let mut edits = EditSet::new();
-            if policy == Policy::SourceOrder {
-                // The ablation baseline: no re-ranking at all.
-                return Ok(edits);
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let model = crate::isa::x86::cost::current();
+    let policy = match ctx.options.get("policy") {
+        Some("source-order") => Policy::SourceOrder,
+        _ => Policy::CriticalPath,
+    };
+    let stats = run_functions(unit, ctx, |unit, function, fctx| {
+        let cfg = fctx.cfg(unit, function);
+        let mut edits = EditSet::new();
+        if policy == Policy::SourceOrder {
+            // The ablation baseline: no re-ranking at all.
+            return Ok(edits);
+        }
+        let mut scheduler = Scheduler::default();
+        let mut ids = Vec::new();
+        let mut insns: Vec<&Instruction> = Vec::new();
+        for block in &cfg.blocks {
+            ids.clear();
+            insns.clear();
+            for (id, insn) in block.insns(unit) {
+                ids.push(id);
+                insns.push(insn);
             }
-            let mut scheduler = Scheduler::default();
-            let mut ids = Vec::new();
-            let mut insns: Vec<&Instruction> = Vec::new();
-            for block in &cfg.blocks {
-                ids.clear();
-                insns.clear();
-                for (id, insn) in block.insns(unit) {
-                    ids.push(id);
-                    insns.push(insn);
-                }
-                if insns.len() < 3 {
-                    continue;
-                }
-                // Keep a block-terminating control-flow instruction pinned.
-                if insns
-                    .last()
-                    .is_some_and(|last| last.mnemonic.is_control_flow())
-                {
-                    ids.pop();
-                    insns.pop();
-                }
-                if insns.len() < 2 {
-                    continue;
-                }
-                let order = scheduler.schedule(&insns, &model);
-                let moved = order
-                    .iter()
-                    .enumerate()
-                    .filter(|&(slot, &src)| slot != src)
-                    .count();
-                if moved == 0 {
-                    continue;
-                }
-                fctx.stats.matched(1);
-                fctx.stats.transformed(moved);
-                for (slot, &src) in order.iter().enumerate() {
-                    if slot != src {
-                        edits.replace_insn(ids[slot], insns[src].clone());
-                    }
+            if insns.len() < 3 {
+                continue;
+            }
+            // Keep a block-terminating control-flow instruction pinned.
+            if insns
+                .last()
+                .is_some_and(|last| last.mnemonic.is_control_flow())
+            {
+                ids.pop();
+                insns.pop();
+            }
+            if insns.len() < 2 {
+                continue;
+            }
+            let order = scheduler.schedule(&insns, &model);
+            let moved = order
+                .iter()
+                .enumerate()
+                .filter(|&(slot, &src)| slot != src)
+                .count();
+            if moved == 0 {
+                continue;
+            }
+            fctx.stats.matched(1);
+            fctx.stats.transformed(moved);
+            for (slot, &src) in order.iter().enumerate() {
+                if slot != src {
+                    edits.replace_insn(ids[slot], insns[src].clone());
                 }
             }
-            Ok(edits)
-        })?;
-        ctx.trace(1, || {
-            TraceEvent::new(format!(
-                "SCHED: moved {} instructions in {} blocks",
-                stats.transformations, stats.matches
-            ))
-            .field("moved", stats.transformations)
-            .field("blocks", stats.matches)
-        });
-        Ok(stats)
-    }
+        }
+        Ok(edits)
+    })?;
+    ctx.trace(1, || {
+        TraceEvent::new(format!(
+            "SCHED: moved {} instructions in {} blocks",
+            stats.transformations, stats.matches
+        ))
+        .field("moved", stats.transformations)
+        .field("blocks", stats.matches)
+    });
+    Ok(stats)
 }
 
 /// The original scheduler: it rescans every instruction for every issue
@@ -728,9 +704,7 @@ f:
     #[test]
     fn respects_dependencies() {
         let mut unit = MaoUnit::parse(HASH_KERNEL).unwrap();
-        ListSchedule
-            .run(&mut unit, &mut PassContext::default())
-            .unwrap();
+        run(&mut unit, &mut PassContext::default()).unwrap();
         let order = mnemonic_order(&unit);
         // The producing xorl must stay first; the final xorl must stay after
         // shrl (RAW on %edi) and after subl %ebx,%edx (WAW-ish on %edx).
@@ -759,9 +733,7 @@ f:
 	ret
 "#;
         let mut unit = MaoUnit::parse(text).unwrap();
-        ListSchedule
-            .run(&mut unit, &mut PassContext::default())
-            .unwrap();
+        run(&mut unit, &mut PassContext::default()).unwrap();
         let order = mnemonic_order(&unit);
         assert_eq!(order[0], "movl %edi, %eax", "chain head first: {order:?}");
     }
@@ -778,9 +750,7 @@ f:
 	ret
 "#;
         let mut unit = MaoUnit::parse(text).unwrap();
-        ListSchedule
-            .run(&mut unit, &mut PassContext::default())
-            .unwrap();
+        run(&mut unit, &mut PassContext::default()).unwrap();
         let order = mnemonic_order(&unit);
         assert_eq!(order[0], "movq (%rdi), %rax", "{order:?}");
     }
@@ -797,9 +767,7 @@ f:
 "#;
         let mut unit = MaoUnit::parse(text).unwrap();
         let before = mnemonic_order(&unit);
-        ListSchedule
-            .run(&mut unit, &mut PassContext::default())
-            .unwrap();
+        run(&mut unit, &mut PassContext::default()).unwrap();
         assert_eq!(mnemonic_order(&unit), before);
     }
 
@@ -814,9 +782,7 @@ f:
 	ret
 "#;
         let mut unit = MaoUnit::parse(text).unwrap();
-        ListSchedule
-            .run(&mut unit, &mut PassContext::default())
-            .unwrap();
+        run(&mut unit, &mut PassContext::default()).unwrap();
         let order = mnemonic_order(&unit);
         let cmp = order.iter().position(|s| s.starts_with("cmpl")).unwrap();
         let sete = order.iter().position(|s| s.starts_with("sete")).unwrap();
@@ -835,9 +801,7 @@ f:
 "#;
         let mut unit = MaoUnit::parse(text).unwrap();
         let before = mnemonic_order(&unit);
-        ListSchedule
-            .run(&mut unit, &mut PassContext::default())
-            .unwrap();
+        run(&mut unit, &mut PassContext::default()).unwrap();
         assert_eq!(mnemonic_order(&unit), before);
     }
 
@@ -846,9 +810,7 @@ f:
         // Whatever order comes out, it must be a permutation of the input.
         let mut unit = MaoUnit::parse(HASH_KERNEL).unwrap();
         let mut before = mnemonic_order(&unit);
-        ListSchedule
-            .run(&mut unit, &mut PassContext::default())
-            .unwrap();
+        run(&mut unit, &mut PassContext::default()).unwrap();
         let mut after = mnemonic_order(&unit);
         before.sort();
         after.sort();

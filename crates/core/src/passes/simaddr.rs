@@ -18,7 +18,7 @@ use crate::isa::x86::operand::{Disp, Mem, Operand};
 use crate::isa::x86::{def_use, Instruction, Mnemonic, RegId};
 use mao_obs::TraceEvent;
 
-use crate::pass::{MaoPass, PassContext, PassError, PassStats};
+use crate::pass::{PassContext, PassError, PassStats};
 use crate::profile::{Profile, Sample, Site};
 use crate::unit::MaoUnit;
 
@@ -273,59 +273,46 @@ pub fn amplify(unit: &MaoUnit, profile: &Profile) -> Vec<RecoveredAddress> {
 }
 
 /// The sample-amplification pass (analysis only: annotates the profile).
-#[derive(Debug, Default)]
-pub struct AddressSimulation;
-
-impl MaoPass for AddressSimulation {
-    fn name(&self) -> &'static str {
-        "SIMADDR"
-    }
-
-    fn description(&self) -> &'static str {
-        "amplify PMU address samples by forward/backward simulation"
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let mut stats = PassStats::default();
-        let Some(profile) = ctx.profile.take() else {
-            ctx.trace(1, || {
-                TraceEvent::new("SIMADDR: no profile attached; nothing to do")
-            });
-            return Ok(stats);
-        };
-        let recovered = amplify(unit, &profile);
-        let original: usize = profile
-            .samples
-            .iter()
-            .filter(|s| s.address.is_some())
-            .count();
-        stats.matched(original);
-        stats.transformed(recovered.len());
-        let factor = if original > 0 {
-            (original + recovered.len()) as f64 / original as f64
-        } else {
-            0.0
-        };
+pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let mut stats = PassStats::default();
+    let Some(profile) = ctx.profile.take() else {
         ctx.trace(1, || {
-            TraceEvent::new(format!(
-                "SIMADDR: {original} sampled addresses -> {} total ({factor:.1}x)",
-                original + recovered.len()
-            ))
-            .field("sampled", original)
-            .field("amplified", original + recovered.len())
+            TraceEvent::new("SIMADDR: no profile attached; nothing to do")
         });
-        // Write recovered addresses back as synthetic samples.
-        let mut profile = profile;
-        for r in recovered {
-            profile.add_sample(Sample {
-                site: r.site,
-                regs: HashMap::new(),
-                address: Some(r.address),
-            });
-        }
-        ctx.profile = Some(profile);
-        Ok(stats)
+        return Ok(stats);
+    };
+    let recovered = amplify(unit, &profile);
+    let original: usize = profile
+        .samples
+        .iter()
+        .filter(|s| s.address.is_some())
+        .count();
+    stats.matched(original);
+    stats.transformed(recovered.len());
+    let factor = if original > 0 {
+        (original + recovered.len()) as f64 / original as f64
+    } else {
+        0.0
+    };
+    ctx.trace(1, || {
+        TraceEvent::new(format!(
+            "SIMADDR: {original} sampled addresses -> {} total ({factor:.1}x)",
+            original + recovered.len()
+        ))
+        .field("sampled", original)
+        .field("amplified", original + recovered.len())
+    });
+    // Write recovered addresses back as synthetic samples.
+    let mut profile = profile;
+    for r in recovered {
+        profile.add_sample(Sample {
+            site: r.site,
+            regs: HashMap::new(),
+            address: Some(r.address),
+        });
     }
+    ctx.profile = Some(profile);
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -466,7 +453,7 @@ f:
         let mut ctx = PassContext::default();
         ctx.profile = Some(profile);
         ctx.trace_level = 1;
-        let stats = AddressSimulation.run(&mut unit, &mut ctx).unwrap();
+        let stats = run(&mut unit, &mut ctx).unwrap();
         assert_eq!(stats.matches, 1);
         assert_eq!(stats.transformations, 2);
         // The profile came back enriched.

@@ -26,7 +26,8 @@
 //!    keeps serving. Each request has a wall-clock budget; on expiry the
 //!    caller gets a `timeout` error and the abandoned computation finishes
 //!    in the background — if it succeeds, its result still lands in the
-//!    cache for next time. Oversized inputs are rejected up front.
+//!    cache for next time. Oversized inputs, and pass strings the registry
+//!    refuses (`bad_request`), are rejected up front.
 //! 4. **Observability** — the engine owns an aggregating [`Obs`] bundle:
 //!    every request is a span, queue-wait and service time feed
 //!    histograms, every cache mirrors its counters into the registry
@@ -50,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use mao::isa::IsaId;
 use mao::obs::{Histogram, Obs, PromText, Span, US_BUCKETS};
-use mao::pass::{parse_invocations, run_pipeline_observed, PipelineConfig};
+use mao::pass::{parse_invocations, run_pipeline_observed, PassInvocation, PipelineConfig};
 use mao::{CacheStats, FunctionMemo, MaoUnit};
 
 use crate::disk_cache::DiskCache;
@@ -599,6 +600,19 @@ impl Engine {
             ));
             return None;
         }
+        // A pass string the registry refuses (unknown pass, unknown key,
+        // malformed or out-of-range value) is answered here: it never
+        // queues, parses, counts as offered, or reaches a cache.
+        let invocations = match parse_invocations(&req.passes).and_then(|invs| {
+            mao::pass::resolve(&invs)?;
+            Ok(invs)
+        }) {
+            Ok(invs) => invs,
+            Err(e) => {
+                respond(Response::error(ErrorKind::BadRequest, e.to_string()));
+                return None;
+            }
+        };
 
         self.inner.stats.begin_request();
         let started = Instant::now();
@@ -675,7 +689,7 @@ impl Engine {
                 .queue_wait_us
                 .observe(submitted_at.elapsed().as_micros() as u64);
             let serviced_at = Instant::now();
-            let result = engine.compute(&req, ctx);
+            let result = engine.compute(&req, &invocations, ctx);
             inner
                 .service_us
                 .observe(serviced_at.elapsed().as_micros() as u64);
@@ -755,11 +769,13 @@ impl Engine {
         Ok(unit)
     }
 
-    /// Parse + optimize one unit on the current (shard) thread, with panic
-    /// isolation. Returns the outcome or a ready-made error response.
+    /// Parse + optimize one unit with the request's resolved `invocations`
+    /// on the current (shard) thread, with panic isolation. Returns the
+    /// outcome or a ready-made error response.
     fn compute(
         &self,
         req: &OptimizeRequest,
+        invocations: &[PassInvocation],
         ctx: &ShardCtx,
     ) -> Result<(OptimizeOutcome, Timings), Response> {
         let jobs = req.jobs.unwrap_or(self.inner.config.jobs);
@@ -770,12 +786,10 @@ impl Engine {
                 let t0 = Instant::now();
                 let mut unit = self.front_end(&req.asm, jobs, req.isa)?;
                 let parse_us = t0.elapsed().as_micros() as u64;
-                let invocations = parse_invocations(&req.passes)
-                    .map_err(|e| Response::error(ErrorKind::BadRequest, e.to_string()))?;
                 let t1 = Instant::now();
                 let report = run_pipeline_observed(
                     &mut unit,
-                    &invocations,
+                    invocations,
                     None,
                     &PipelineConfig { jobs },
                     &ctx.analyses,
@@ -1021,6 +1035,34 @@ mod tests {
     }
 
     #[test]
+    fn refused_pass_strings_never_reach_admission_or_the_caches() {
+        let engine = engine();
+        // Unparsable asm under a bad pass string: the pass string is
+        // refused first, so the asm is never parsed.
+        for (asm, passes) in [
+            (INPUT, "SCHED=bogus"),
+            (INPUT, "SCHED=bogus"),
+            (INPUT, "REDTEST:NOSUCH"),
+            ("\tfrobnicate %eax\n", "NOPIN=trace[256]"),
+        ] {
+            match engine.handle(optimize(asm, passes)) {
+                Response::Error { kind, message } => {
+                    assert_eq!(kind, ErrorKind::BadRequest, "{passes}: {message}")
+                }
+                other => panic!("{passes}: expected bad_request, got {other:?}"),
+            }
+        }
+        let Response::Stats(snap) = engine.handle(Request::Stats) else {
+            panic!("expected stats");
+        };
+        let admission = snap.get("admission").unwrap();
+        assert_eq!(admission.get("offered").unwrap().as_u64(), Some(0));
+        let cache = snap.get("result_cache").unwrap();
+        assert_eq!(cache.get("hits").unwrap().as_u64(), Some(0));
+        assert_eq!(cache.get("misses").unwrap().as_u64(), Some(0));
+    }
+
+    #[test]
     fn stats_snapshot_tracks_requests() {
         let engine = engine();
         let _ = engine.handle(optimize(INPUT, "REDTEST"));
@@ -1095,42 +1137,32 @@ mod tests {
 
     /// A function-scope pass that panics on the second function when given
     /// `at[1]` (and otherwise does nothing), for the memo's failure path.
-    #[derive(Debug, Default)]
-    struct PanicsOnSecondFunction;
-
-    impl mao::MaoPass for PanicsOnSecondFunction {
-        fn name(&self) -> &'static str {
-            "FNPANIC"
-        }
-
-        fn description(&self) -> &'static str {
-            "test pass: panic inside run_functions on function `at[N]`"
-        }
-
-        fn scope(&self) -> mao::PassScope {
-            mao::PassScope::Function
-        }
-
-        fn run(
-            &self,
-            unit: &mut MaoUnit,
-            ctx: &mut mao::PassContext,
-        ) -> Result<mao::PassStats, mao::PassError> {
-            let at = ctx.options.get("at").and_then(|v| v.parse::<usize>().ok());
-            let second = unit.functions_cached().get(1).map(|f| f.name.clone());
-            mao::run_functions(unit, ctx, |_, function, _| {
-                if at == Some(1) && Some(&function.name) == second.as_ref() {
-                    panic!("injected panic in `{}`", function.name);
-                }
-                Ok(mao::EditSet::new())
-            })
-        }
+    fn panics_on_second_function(
+        unit: &mut MaoUnit,
+        ctx: &mut mao::PassContext,
+    ) -> Result<mao::PassStats, mao::PassError> {
+        let at = ctx.options.get_u64("at", 0);
+        let second = unit.functions_cached().get(1).map(|f| f.name.clone());
+        mao::run_functions(unit, ctx, |_, function, _| {
+            if at == 1 && Some(&function.name) == second.as_ref() {
+                panic!("injected panic in `{}`", function.name);
+            }
+            Ok(mao::EditSet::new())
+        })
     }
 
     #[test]
     fn a_panicking_prefix_leaves_the_function_memo_unchanged() {
         let _cost_model = cost_model_lock();
-        mao::pass::register_extension("FNPANIC", &IsaId::ALL, || Box::new(PanicsOnSecondFunction));
+        const AT: &[mao::OptionSpec] = &[mao::OptionSpec::u64("at", 0, u64::MAX)];
+        mao::pass::register_extension(mao::PassDescriptor {
+            name: "FNPANIC",
+            description: "test pass: panic inside run_functions on function `at[N]`",
+            scope: mao::PassScope::Function,
+            isas: &IsaId::ALL,
+            options: AT,
+            run: panics_on_second_function,
+        });
         let engine = engine();
         let asm =
             format!("{INPUT}\t.type\tg, @function\ng:\n\taddl $1, %eax\n\taddl $2, %eax\n\tret\n");

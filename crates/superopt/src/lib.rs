@@ -18,15 +18,18 @@
 //!    application — nothing unverified ever reaches output — `verify.rs`.
 //! 6. **Apply** after renaming back through the window's register binding.
 //!
-//! The pass registers itself through `mao::pass::register_extension` (it
-//! sits above `mao-sim` in the dependency graph, so it cannot appear in
-//! the static registry), and is deterministic for a given `seed[N]` at any
+//! The pass registers its descriptor through `mao::pass::register_extension`
+//! (it sits above `mao-sim` in the dependency graph, so it cannot appear in
+//! the built-in table), and is deterministic for a given `seed[N]` at any
 //! `--jobs N`: each window's RNG is seeded from `seed ^ window key`,
 //! independent of scan order.
 
 use std::sync::Mutex;
 
-use mao::pass::{register_extension, run_functions, MaoPass, PassContext, PassError, PassStats};
+use mao::pass::{
+    register_extension, run_functions, OptionSpec, PassContext, PassDescriptor, PassError,
+    PassScope, PassStats,
+};
 use mao::{EditSet, MaoUnit};
 use mao_asm::Entry;
 use mao_obs::TraceEvent;
@@ -54,10 +57,29 @@ pub const PASS_NAME: &str = "SUPEROPT";
 /// x86 constructs. Idempotent; every entry point that may run the pass
 /// (the CLI, the checker's path runner, tests) calls this once at startup.
 pub fn register() {
-    register_extension(PASS_NAME, &[mao::isa::IsaId::X86_64], || {
-        Box::<SuperoptPass>::default()
-    });
+    register_extension(DESCRIPTOR);
 }
+
+/// The `SUPEROPT` descriptor: unit scope, x86-only, and its knobs
+/// ([`SuperoptOptions`]).
+pub const DESCRIPTOR: PassDescriptor = PassDescriptor {
+    name: PASS_NAME,
+    description: "search for cheaper window replacements, verified against the simulator oracle",
+    scope: PassScope::Unit,
+    isas: &[mao::isa::IsaId::X86_64],
+    options: &[
+        OptionSpec::u64("seed", 0, u64::MAX),
+        OptionSpec::u64("min-window", 1, 32),
+        OptionSpec::u64("max-window", 1, 32),
+        OptionSpec::u64("diff-states", 1, 1024),
+        OptionSpec::u64("enum-max", 0, 8),
+        OptionSpec::u64("iters", 0, u64::MAX),
+        OptionSpec::u64("max-candidates", 0, u64::MAX),
+        OptionSpec::text("cache-dir"),
+        OptionSpec::flag("inject-bogus-rewrite"),
+    ],
+    run,
+};
 
 /// Knobs, parsed from the invocation options.
 #[derive(Debug, Clone)]
@@ -101,114 +123,100 @@ impl SuperoptOptions {
 }
 
 /// The `SUPEROPT` pass.
-#[derive(Debug, Default)]
-pub struct SuperoptPass;
-
-impl MaoPass for SuperoptPass {
-    fn name(&self) -> &'static str {
-        PASS_NAME
+fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
+    let opts = SuperoptOptions::from_pass_options(&ctx.options);
+    if opts.min_window > opts.max_window {
+        return Err(PassError::BadOptions(format!(
+            "SUPEROPT window bounds {}..{} are not a range",
+            opts.min_window, opts.max_window
+        )));
     }
-
-    fn description(&self) -> &'static str {
-        "search for cheaper window replacements, verified against the simulator oracle"
-    }
-
-    fn run(&self, unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
-        let opts = SuperoptOptions::from_pass_options(&ctx.options);
-        if opts.min_window < 1 || opts.min_window > opts.max_window {
-            return Err(PassError::BadOptions(format!(
-                "SUPEROPT window bounds {}..{} are not a range",
-                opts.min_window, opts.max_window
-            )));
-        }
-        let cache = match &opts.cache_dir {
-            Some(dir) => RewriteCache::persistent(dir)
-                .map_err(|e| PassError::Other(format!("SUPEROPT cache-dir {dir}: {e}")))?,
-            None => RewriteCache::in_memory(),
-        };
-        let obs = ctx.obs.clone();
-        let metrics = Counters::new(&obs);
-        let injection_failure: Mutex<Option<String>> = Mutex::new(None);
-        let stats = run_functions(unit, ctx, |unit, function, fctx| {
-            let mut edits = EditSet::new();
-            for w in extract_windows(unit, function, opts.min_window, opts.max_window) {
-                metrics.windows.inc();
-                let Some(canon) = canonicalize(&w.insns) else {
-                    continue;
-                };
-                let mut span = mao_obs::Span::enter(&obs.recorder, "superopt", &function.name);
-                span.arg("key", format!("{:032x}", canon.key));
-                let mut rng = StdRng::seed_from_u64(
-                    opts.seed ^ (canon.key as u64) ^ (canon.key >> 64) as u64,
-                );
-                let verifier = match Verifier::new(&canon.insns, opts.diff_states, &mut rng) {
-                    Ok(v) => v,
-                    Err(_) => continue,
-                };
-                if opts.inject_bogus {
-                    if let Some(failure) = inject_bogus(&canon, &verifier, &metrics) {
-                        *injection_failure.lock().unwrap() = Some(failure);
-                    }
+    let cache = match &opts.cache_dir {
+        Some(dir) => RewriteCache::persistent(dir)
+            .map_err(|e| PassError::Other(format!("SUPEROPT cache-dir {dir}: {e}")))?,
+        None => RewriteCache::in_memory(),
+    };
+    let obs = ctx.obs.clone();
+    let metrics = Counters::new(&obs);
+    let injection_failure: Mutex<Option<String>> = Mutex::new(None);
+    let stats = run_functions(unit, ctx, |unit, function, fctx| {
+        let mut edits = EditSet::new();
+        for w in extract_windows(unit, function, opts.min_window, opts.max_window) {
+            metrics.windows.inc();
+            let Some(canon) = canonicalize(&w.insns) else {
+                continue;
+            };
+            let mut span = mao_obs::Span::enter(&obs.recorder, "superopt", &function.name);
+            span.arg("key", format!("{:032x}", canon.key));
+            let mut rng =
+                StdRng::seed_from_u64(opts.seed ^ (canon.key as u64) ^ (canon.key >> 64) as u64);
+            let verifier = match Verifier::new(&canon.insns, opts.diff_states, &mut rng) {
+                Ok(v) => v,
+                Err(_) => continue,
+            };
+            if opts.inject_bogus {
+                if let Some(failure) = inject_bogus(&canon, &verifier, &metrics) {
+                    *injection_failure.lock().unwrap() = Some(failure);
                 }
-                // A "match" is a searchable window — counted before the
-                // cache lookup so stats cannot depend on which parallel
-                // worker warmed a shared cache key first.
-                fctx.stats.matched(1);
-                let rewrite = match cache.load(canon.key) {
-                    Some(CachedResult::NoImprovement) => {
-                        metrics.cache_hits.inc();
-                        continue;
-                    }
-                    Some(CachedResult::Rewrite(cached)) => {
-                        metrics.cache_hits.inc();
-                        // Re-verify before applying: a cache entry is a
-                        // hint, never an authority.
-                        match verifier.verify(&cached) {
-                            Ok(()) => Some(cached),
-                            Err(_) => {
-                                metrics.oracle_rejects.inc();
-                                run_search(&canon, &verifier, &opts, &mut rng, &cache, &metrics)
-                            }
+            }
+            // A "match" is a searchable window — counted before the
+            // cache lookup so stats cannot depend on which parallel
+            // worker warmed a shared cache key first.
+            fctx.stats.matched(1);
+            let rewrite = match cache.load(canon.key) {
+                Some(CachedResult::NoImprovement) => {
+                    metrics.cache_hits.inc();
+                    continue;
+                }
+                Some(CachedResult::Rewrite(cached)) => {
+                    metrics.cache_hits.inc();
+                    // Re-verify before applying: a cache entry is a
+                    // hint, never an authority.
+                    match verifier.verify(&cached) {
+                        Ok(()) => Some(cached),
+                        Err(_) => {
+                            metrics.oracle_rejects.inc();
+                            run_search(&canon, &verifier, &opts, &mut rng, &cache, &metrics)
                         }
                     }
-                    None => {
-                        metrics.cache_misses.inc();
-                        metrics.searches.inc();
-                        run_search(&canon, &verifier, &opts, &mut rng, &cache, &metrics)
-                    }
-                };
-                let Some(rewrite) = rewrite else { continue };
-                let concrete = decanonicalize(&rewrite, &canon.binding);
-                fctx.trace(1, || {
-                    TraceEvent::new(format!(
-                        "SUPEROPT: {} insns -> {} in {}",
-                        w.insns.len(),
-                        concrete.len(),
-                        function.name
-                    ))
-                    .field("window", w.insns.len())
-                    .field("rewrite", concrete.len())
-                });
-                apply_rewrite(&mut edits, &w, concrete);
-                metrics.rewrites.inc();
-                fctx.stats.transformed(1);
-            }
-            Ok(edits)
-        })?;
-        if let Some(failure) = injection_failure.into_inner().unwrap() {
-            return Err(PassError::Other(format!(
-                "SUPEROPT self-test: injected bogus rewrite was accepted: {failure}"
-            )));
+                }
+                None => {
+                    metrics.cache_misses.inc();
+                    metrics.searches.inc();
+                    run_search(&canon, &verifier, &opts, &mut rng, &cache, &metrics)
+                }
+            };
+            let Some(rewrite) = rewrite else { continue };
+            let concrete = decanonicalize(&rewrite, &canon.binding);
+            fctx.trace(1, || {
+                TraceEvent::new(format!(
+                    "SUPEROPT: {} insns -> {} in {}",
+                    w.insns.len(),
+                    concrete.len(),
+                    function.name
+                ))
+                .field("window", w.insns.len())
+                .field("rewrite", concrete.len())
+            });
+            apply_rewrite(&mut edits, &w, concrete);
+            metrics.rewrites.inc();
+            fctx.stats.transformed(1);
         }
-        ctx.trace(1, || {
-            TraceEvent::new(format!(
-                "SUPEROPT: {} windows, {} rewritten",
-                stats.matches, stats.transformations
-            ))
-            .field("rewritten", stats.transformations)
-        });
-        Ok(stats)
+        Ok(edits)
+    })?;
+    if let Some(failure) = injection_failure.into_inner().unwrap() {
+        return Err(PassError::Other(format!(
+            "SUPEROPT self-test: injected bogus rewrite was accepted: {failure}"
+        )));
     }
+    ctx.trace(1, || {
+        TraceEvent::new(format!(
+            "SUPEROPT: {} windows, {} rewritten",
+            stats.matches, stats.transformations
+        ))
+        .field("rewritten", stats.transformations)
+    });
+    Ok(stats)
 }
 
 /// Search one window and record the outcome in the cache.
@@ -443,6 +451,30 @@ mod tests {
                 > 0
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bad_window_options_are_refused_before_running() {
+        register();
+        for (spec, key) in [
+            ("SUPEROPT=min-window[0]", "min-window"),
+            ("SUPEROPT=max-window[33]", "max-window"),
+            ("SUPEROPT=inject-bogus-rewrite[1]", "inject-bogus-rewrite"),
+        ] {
+            let invs = parse_invocations(spec).unwrap();
+            match mao::pass::resolve(&invs) {
+                Err(PassError::BadOptions(m)) => {
+                    assert!(m.contains(PASS_NAME) && m.contains(key), "{spec}: {m}")
+                }
+                other => panic!("{spec}: expected BadOptions, got {other:?}"),
+            }
+        }
+        // Bounds that are each in range but not a range still fail in the
+        // pass.
+        let mut unit = MaoUnit::parse(SMOKE_ASM).unwrap();
+        let invs = parse_invocations("SUPEROPT=min-window[6],max-window[4]").unwrap();
+        let err = mao::pass::run_pipeline(&mut unit, &invs, None).unwrap_err();
+        assert!(matches!(err, PassError::BadOptions(_)), "{err:?}");
     }
 
     #[test]

@@ -275,6 +275,19 @@ printf '%*s\n' 100000 '' | tr ' ' '[' | "$MAO" batch > "$WORK/deep.out"
 grep -q '"kind":"bad_request"' "$WORK/deep.out"
 grep -q 'nesting deeper than' "$WORK/deep.out"
 
+# (c3) pass strings are checked against the pass registry before anything
+# runs: the removed `legacy-relax` option fails the one-shot driver, which
+# names the key; the batch engine answers an unknown option with one
+# `bad_request` line and exits 0
+if "$MAO" --mao=BRALIGN=legacy-relax "$WORK/in.s" > /dev/null 2> "$WORK/badopt.err"; then
+    echo "mao accepted BRALIGN=legacy-relax" >&2
+    exit 1
+fi
+grep -q 'legacy-relax' "$WORK/badopt.err"
+printf '{"type":"optimize","asm":"nop\\n","passes":"SCHED=bogus"}\n' \
+    | "$MAO" batch > "$WORK/badpass.out"
+grep -q '"kind":"bad_request"' "$WORK/badpass.out"
+
 # (d) graceful shutdown: ack, clean exit, socket removed
 "$MAO" client --listen "$SOCK" --shutdown | grep -q '"shutdown":true'
 wait "$DAEMON_PID"
