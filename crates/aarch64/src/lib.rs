@@ -21,6 +21,7 @@
 use std::fmt;
 
 pub use mao_x86::sym::Sym;
+use mao_x86::text::{display_via, push_i64, push_u64};
 
 /// Every A64 instruction occupies exactly one 32-bit word.
 pub const INSN_BYTES: u32 = 4;
@@ -113,18 +114,25 @@ impl A64Reg {
             sp: false,
         })
     }
+
+    /// Append the spelling (`x3`, `w0`, `sp`, `wzr`, ...).
+    pub fn write_text(self, out: &mut String) {
+        match (self.num, self.is64, self.sp) {
+            (31, true, true) => out.push_str("sp"),
+            (31, false, true) => out.push_str("wsp"),
+            (31, true, false) => out.push_str("xzr"),
+            (31, false, false) => out.push_str("wzr"),
+            (n, is64, _) => {
+                out.push(if is64 { 'x' } else { 'w' });
+                push_u64(out, u64::from(n));
+            }
+        }
+    }
 }
 
 impl fmt::Display for A64Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.num, self.is64, self.sp) {
-            (31, true, true) => write!(f, "sp"),
-            (31, false, true) => write!(f, "wsp"),
-            (31, true, false) => write!(f, "xzr"),
-            (31, false, false) => write!(f, "wzr"),
-            (n, true, _) => write!(f, "x{n}"),
-            (n, false, _) => write!(f, "w{n}"),
-        }
+        display_via(f, |out| self.write_text(out))
     }
 }
 
@@ -224,6 +232,12 @@ impl Cond {
 // Mnemonics
 // ---------------------------------------------------------------------------
 
+/// `b.<cond>` spellings, indexed by [`Cond::code`].
+const BCOND_NAMES: [&str; 14] = [
+    "b.eq", "b.ne", "b.cs", "b.cc", "b.mi", "b.pl", "b.vs", "b.vc", "b.hi", "b.ls", "b.ge", "b.lt",
+    "b.gt", "b.le",
+];
+
 /// The supported A64 mnemonics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum A64Mnemonic {
@@ -253,19 +267,19 @@ pub enum A64Mnemonic {
 
 impl A64Mnemonic {
     /// Assembly spelling.
-    pub fn name(self) -> String {
+    pub fn name(self) -> &'static str {
         match self {
-            A64Mnemonic::Mov => "mov".into(),
-            A64Mnemonic::Add => "add".into(),
-            A64Mnemonic::Sub => "sub".into(),
-            A64Mnemonic::Cmp => "cmp".into(),
-            A64Mnemonic::Ldr => "ldr".into(),
-            A64Mnemonic::Str => "str".into(),
-            A64Mnemonic::B => "b".into(),
-            A64Mnemonic::BCond(c) => format!("b.{}", c.name()),
-            A64Mnemonic::Bl => "bl".into(),
-            A64Mnemonic::Ret => "ret".into(),
-            A64Mnemonic::Nop => "nop".into(),
+            A64Mnemonic::Mov => "mov",
+            A64Mnemonic::Add => "add",
+            A64Mnemonic::Sub => "sub",
+            A64Mnemonic::Cmp => "cmp",
+            A64Mnemonic::Ldr => "ldr",
+            A64Mnemonic::Str => "str",
+            A64Mnemonic::B => "b",
+            A64Mnemonic::BCond(c) => BCOND_NAMES[c.code() as usize],
+            A64Mnemonic::Bl => "bl",
+            A64Mnemonic::Ret => "ret",
+            A64Mnemonic::Nop => "nop",
         }
     }
 
@@ -475,15 +489,32 @@ pub enum A64Operand {
     Label(Sym),
 }
 
+impl A64Operand {
+    /// Append the spelling (`x1`, `#4`, `[sp, #16]`, `.L3`).
+    pub fn write_text(&self, out: &mut String) {
+        match *self {
+            A64Operand::Reg(r) => r.write_text(out),
+            A64Operand::Imm(v) => {
+                out.push('#');
+                push_i64(out, v);
+            }
+            A64Operand::Mem { base, offset } => {
+                out.push('[');
+                base.write_text(out);
+                if offset != 0 {
+                    out.push_str(", #");
+                    push_i64(out, offset);
+                }
+                out.push(']');
+            }
+            A64Operand::Label(s) => out.push_str(s.as_str()),
+        }
+    }
+}
+
 impl fmt::Display for A64Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            A64Operand::Reg(r) => write!(f, "{r}"),
-            A64Operand::Imm(v) => write!(f, "#{v}"),
-            A64Operand::Mem { base, offset: 0 } => write!(f, "[{base}]"),
-            A64Operand::Mem { base, offset } => write!(f, "[{base}, #{offset}]"),
-            A64Operand::Label(s) => write!(f, "{}", s.as_str()),
-        }
+        display_via(f, |out| self.write_text(out))
     }
 }
 
@@ -530,19 +561,20 @@ impl A64Insn {
     pub fn effects(&self) -> A64Effects {
         effects(self.mnemonic)
     }
+
+    /// Append the spelling: the mnemonic, a tab, then the operands.
+    pub fn write_text(&self, out: &mut String) {
+        out.push_str(self.mnemonic.name());
+        for (i, op) in self.operands.iter().enumerate() {
+            out.push_str(if i == 0 { "\t" } else { ", " });
+            op.write_text(out);
+        }
+    }
 }
 
 impl fmt::Display for A64Insn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.mnemonic.name())?;
-        for (i, op) in self.operands.iter().enumerate() {
-            if i == 0 {
-                write!(f, "\t{op}")?;
-            } else {
-                write!(f, ", {op}")?;
-            }
-        }
-        Ok(())
+        display_via(f, |out| self.write_text(out))
     }
 }
 
@@ -558,13 +590,22 @@ fn parse_imm(s: &str) -> Result<i64, String> {
         Some(rest) => (true, rest),
         None => (false, body),
     };
-    let value = if let Some(hex) = digits.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16)
+    // The magnitude is read unsigned so `#-9223372036854775808` (i64::MIN,
+    // which the emitter writes) parses back.
+    let magnitude = if let Some(hex) = digits.strip_prefix("0x") {
+        u64::from_str_radix(hex, 16)
     } else {
         digits.parse()
     }
-    .map_err(|_| format!("bad immediate `{s}`"))?;
-    Ok(if negative { -value } else { value })
+    .ok();
+    let value = magnitude.and_then(|m| {
+        if negative {
+            0i64.checked_sub_unsigned(m)
+        } else {
+            i64::try_from(m).ok()
+        }
+    });
+    value.ok_or_else(|| format!("bad immediate `{s}`"))
 }
 
 fn parse_operand(s: &str) -> Result<A64Operand, String> {

@@ -9,6 +9,7 @@ use std::fmt;
 
 use mao_isa::Insn;
 use mao_x86::sym::Sym;
+use mao_x86::text::{display_via, push_i64, push_u64};
 use mao_x86::Instruction;
 
 /// A value inside a data directive (`.long 4`, `.quad .L42`).
@@ -20,12 +21,19 @@ pub enum DataItem {
     Symbol(Sym),
 }
 
+impl DataItem {
+    /// Append the item's spelling.
+    pub fn write_text(&self, out: &mut String) {
+        match self {
+            DataItem::Imm(v) => push_i64(out, *v),
+            DataItem::Symbol(s) => out.push_str(s.as_str()),
+        }
+    }
+}
+
 impl fmt::Display for DataItem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DataItem::Imm(v) => write!(f, "{v}"),
-            DataItem::Symbol(s) => write!(f, "{s}"),
-        }
+        display_via(f, |out| self.write_text(out))
     }
 }
 
@@ -171,84 +179,124 @@ impl Directive {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '\0' => out.push_str("\\0"),
-            c => out.push(c),
-        }
+/// Append `name "s"`, escaping what `.ascii`/`.asciz` need (`"`, `\\`,
+/// `\n`, `\t`, `\r`, NUL); runs without escapes are copied whole.
+fn push_string(out: &mut String, name: &str, s: &str) {
+    out.push_str(name);
+    out.push_str(" \"");
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            b'\0' => "\\0",
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `run..i` is on char boundaries.
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
-impl fmt::Display for Directive {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Directive {
+    /// Append the directive's spelling, without indentation.
+    pub fn write_text(&self, out: &mut String) {
         match self {
             Directive::Section { name, args } => {
                 if matches!(name.as_str(), ".text" | ".data" | ".bss") && args.is_empty() {
-                    write!(f, "{name}")
+                    out.push_str(name.as_str());
                 } else {
-                    write!(f, ".section {name}")?;
+                    out.push_str(".section ");
+                    out.push_str(name.as_str());
                     for a in args {
-                        write!(f, ",{a}")?;
+                        out.push(',');
+                        out.push_str(a);
                     }
-                    Ok(())
                 }
             }
-            Directive::Global(s) => write!(f, ".globl {s}"),
-            Directive::Type { symbol, kind } => write!(f, ".type {symbol}, @{kind}"),
-            Directive::Size { symbol, expr } => write!(f, ".size {symbol}, {expr}"),
+            Directive::Global(s) => {
+                out.push_str(".globl ");
+                out.push_str(s.as_str());
+            }
+            Directive::Type { symbol, kind } => {
+                out.push_str(".type ");
+                out.push_str(symbol.as_str());
+                out.push_str(", @");
+                out.push_str(kind.as_str());
+            }
+            Directive::Size { symbol, expr } => {
+                out.push_str(".size ");
+                out.push_str(symbol.as_str());
+                out.push_str(", ");
+                out.push_str(expr);
+            }
             Directive::Align(a) => {
                 if a.p2_form {
-                    write!(f, ".p2align {}", a.alignment.trailing_zeros())?;
+                    out.push_str(".p2align ");
+                    push_u64(out, u64::from(a.alignment.trailing_zeros()));
                 } else {
-                    write!(f, ".align {}", a.alignment)?;
+                    out.push_str(".align ");
+                    push_u64(out, a.alignment);
                 }
-                match (a.fill, a.max_skip) {
-                    (None, None) => Ok(()),
-                    (Some(fill), None) => write!(f, ",{fill}"),
-                    (None, Some(max)) => write!(f, ",,{max}"),
-                    (Some(fill), Some(max)) => write!(f, ",{fill},{max}"),
+                if let Some(fill) = a.fill {
+                    out.push(',');
+                    push_u64(out, u64::from(fill));
+                }
+                if let Some(max) = a.max_skip {
+                    out.push_str(if a.fill.is_some() { "," } else { ",," });
+                    push_u64(out, max);
                 }
             }
             Directive::Data { width, items } => {
-                write!(f, "{} ", width.name())?;
+                out.push_str(width.name());
+                out.push(' ');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ", ")?;
+                        out.push_str(", ");
                     }
-                    write!(f, "{item}")?;
+                    item.write_text(out);
                 }
-                Ok(())
             }
-            Directive::Ascii(s) => write!(f, ".ascii \"{}\"", escape(s)),
-            Directive::Asciz(s) => write!(f, ".asciz \"{}\"", escape(s)),
-            Directive::Zero(n) => write!(f, ".zero {n}"),
+            Directive::Ascii(s) => push_string(out, ".ascii", s),
+            Directive::Asciz(s) => push_string(out, ".asciz", s),
+            Directive::Zero(n) => {
+                out.push_str(".zero ");
+                push_u64(out, *n);
+            }
             Directive::Comm {
                 symbol,
                 size,
                 align,
             } => {
-                write!(f, ".comm {symbol},{size}")?;
+                out.push_str(".comm ");
+                out.push_str(symbol.as_str());
+                out.push(',');
+                push_u64(out, *size);
                 if let Some(a) = align {
-                    write!(f, ",{a}")?;
+                    out.push(',');
+                    push_u64(out, *a);
                 }
-                Ok(())
             }
             Directive::Other { name, args } => {
-                if args.is_empty() {
-                    write!(f, "{name}")
-                } else {
-                    write!(f, "{name} {args}")
+                out.push_str(name.as_str());
+                if !args.is_empty() {
+                    out.push(' ');
+                    out.push_str(args);
                 }
             }
         }
+    }
+}
+
+impl fmt::Display for Directive {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        display_via(f, |out| self.write_text(out))
     }
 }
 
@@ -313,15 +361,30 @@ impl Entry {
             _ => None,
         }
     }
+
+    /// Append the entry's line, without the newline: `name:` for a label,
+    /// a tab then the instruction or directive otherwise.
+    pub fn write_text(&self, out: &mut String) {
+        match self {
+            Entry::Label(l) => {
+                out.push_str(l.as_str());
+                out.push(':');
+            }
+            Entry::Insn(i) => {
+                out.push('\t');
+                i.write_text(out);
+            }
+            Entry::Directive(d) => {
+                out.push('\t');
+                d.write_text(out);
+            }
+        }
+    }
 }
 
 impl fmt::Display for Entry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Entry::Label(l) => write!(f, "{l}:"),
-            Entry::Insn(i) => write!(f, "\t{i}"),
-            Entry::Directive(d) => write!(f, "\t{d}"),
-        }
+        display_via(f, |out| self.write_text(out))
     }
 }
 

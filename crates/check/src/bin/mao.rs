@@ -63,8 +63,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use mao::pass::{
-    descriptors, parse_invocations, resolve, run_pipeline_observed, OptionSpec, PassInvocation,
-    PassScope, PipelineConfig, COMMON_OPTIONS,
+    check_options, descriptors, parse_invocations, resolve, run_pipeline_observed, OptionSpec,
+    PassInvocation, PassScope, PipelineConfig, COMMON_OPTIONS,
 };
 use mao::{AnalysisCache, MaoUnit, Obs};
 use mao_serve::engine::{Engine, EngineConfig};
@@ -72,6 +72,10 @@ use mao_serve::json::Json;
 use mao_serve::protocol::{OptimizeRequest, Request};
 use mao_serve::server::Listen;
 use mao_serve::Client;
+
+/// The `ASM` pseudo-pass's options: `o[path]` names the output file (`-`
+/// or absent: stdout).
+const ASM_OPTIONS: &[OptionSpec] = &[OptionSpec::text("o")];
 
 fn usage() -> &'static str {
     "usage: mao [--mao=PASS[=opt[val],...][:PASS...]]... [--jobs N] [--profile FILE]\n\
@@ -1289,6 +1293,11 @@ fn cmd_oneshot(args: &[String]) -> ExitCode {
         println!("{:<10} every pass also accepts:", "*");
         COMMON_OPTIONS.iter().for_each(row);
         println!("{:<10} emit assembly output: ASM=o[path]", "ASM");
+        ASM_OPTIONS.iter().for_each(row);
+        println!(
+            "{:<10} parse the input (always runs first; takes no options)",
+            "READ"
+        );
         return ExitCode::SUCCESS;
     }
 
@@ -1304,10 +1313,15 @@ fn cmd_oneshot(args: &[String]) -> ExitCode {
     }
     // Every pass and option is checked before the input is read, so a bad
     // invocation after an `ASM` emission cannot leave a partial run behind.
+    // The pseudo-passes check their own schemas: `ASM` takes only `o`,
+    // `READ` nothing.
     let checked = invocations
         .iter()
-        .filter(|inv| inv.name != "ASM" && inv.name != "READ")
-        .try_for_each(|inv| resolve(std::slice::from_ref(inv)).map(drop));
+        .try_for_each(|inv| match inv.name.as_str() {
+            "ASM" => check_options("ASM", ASM_OPTIONS.iter(), &inv.options),
+            "READ" => check_options("READ", [].iter(), &inv.options),
+            _ => resolve(std::slice::from_ref(inv)).map(drop),
+        });
     if let Err(e) = checked {
         eprintln!("mao: {e}");
         return ExitCode::FAILURE;

@@ -102,6 +102,54 @@ fn bad_pass_options_fail_before_any_pass_runs() {
 }
 
 #[test]
+fn pseudo_pass_options_are_checked_before_the_input_is_read() {
+    let input = write_input("in_badasm.s", INPUT);
+    let target = input.with_file_name("badasm_out.s");
+    let _ = std::fs::remove_file(&target);
+    let out = mao()
+        .arg(format!("--mao=REDTEST:ASM=oo[{}]", target.display()))
+        .arg(&input)
+        .output()
+        .expect("driver runs");
+    assert!(!out.status.success(), "a misspelt ASM key must fail");
+    assert!(out.stdout.is_empty(), "nothing printed for a refused key");
+    assert!(!target.exists(), "nothing written for a refused key");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("bad --mao options") && stderr.contains("`oo`"),
+        "{stderr}"
+    );
+
+    // READ takes no options; the check runs before the input is read, so
+    // a missing input file is not what fails.
+    let out = mao()
+        .arg("--mao=READ=fast:REDTEST")
+        .arg(input.with_file_name("no_such_input.s"))
+        .output()
+        .expect("driver runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("bad --mao options") && stderr.contains("`fast`"),
+        "{stderr}"
+    );
+
+    // The one valid ASM key still writes the file.
+    let out = mao()
+        .arg(format!("--mao=READ:REDTEST:ASM=o[{}]", target.display()))
+        .arg(&input)
+        .output()
+        .expect("driver runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(out.stdout.is_empty());
+    assert!(std::fs::read_to_string(&target).unwrap().contains("ret"));
+}
+
+#[test]
 fn profile_flag_writes_chrome_trace() {
     let input = write_input("in_profile.s", INPUT);
     let profile = input.with_file_name("profile.json");

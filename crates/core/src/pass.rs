@@ -369,22 +369,39 @@ pub struct PassDescriptor {
 impl PassDescriptor {
     /// Check `options` against this pass's schema and [`COMMON_OPTIONS`].
     fn check(&self, options: &PassOptions) -> Result<(), PassError> {
-        let specs = || self.options.iter().chain(COMMON_OPTIONS);
-        for (key, value) in &options.map {
-            let verdict = match specs().find(|spec| spec.key == key) {
-                Some(spec) => spec.check(value),
-                None => {
-                    let known: Vec<&str> = specs().map(|spec| spec.key).collect();
-                    Err(format!(
-                        "unknown option `{key}` (accepted: {})",
-                        known.join(", ")
-                    ))
-                }
-            };
-            verdict.map_err(|m| PassError::BadOptions(format!("{}: {m}", self.name)))?;
-        }
-        Ok(())
+        check_options(
+            self.name,
+            self.options.iter().chain(COMMON_OPTIONS),
+            options,
+        )
     }
+}
+
+/// Check `options` against `specs`: an unknown key, a malformed value or an
+/// out-of-range value is [`PassError::BadOptions`] naming `pass` and the
+/// key. [`resolve`] checks registered passes through this; a driver's
+/// pseudo-passes (the CLI's `ASM` and `READ`) check their own schemas.
+pub fn check_options<'a>(
+    pass: &str,
+    specs: impl Iterator<Item = &'a OptionSpec> + Clone,
+    options: &PassOptions,
+) -> Result<(), PassError> {
+    for (key, value) in &options.map {
+        let verdict = match specs.clone().find(|spec| spec.key == key) {
+            Some(spec) => spec.check(value),
+            None => {
+                let known: Vec<&str> = specs.clone().map(|spec| spec.key).collect();
+                let known = if known.is_empty() {
+                    "none".to_string()
+                } else {
+                    known.join(", ")
+                };
+                Err(format!("unknown option `{key}` (accepted: {known})"))
+            }
+        };
+        verdict.map_err(|m| PassError::BadOptions(format!("{pass}: {m}")))?;
+    }
+    Ok(())
 }
 
 /// Run `body` for every function of the unit, applying each function's

@@ -214,12 +214,19 @@ impl From<mao_aarch64::A64Insn> for Insn {
     }
 }
 
+impl Insn {
+    /// Append the instruction's assembly spelling (the emitter's one path).
+    pub fn write_text(&self, out: &mut String) {
+        match self {
+            Insn::X86(i) => i.write_text(out),
+            Insn::A64(i) => i.write_text(out),
+        }
+    }
+}
+
 impl fmt::Display for Insn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Insn::X86(i) => i.fmt(f),
-            Insn::A64(i) => i.fmt(f),
-        }
+        mao_x86::text::display_via(f, |out| self.write_text(out))
     }
 }
 

@@ -27,7 +27,8 @@
 //!    caller gets a `timeout` error and the abandoned computation finishes
 //!    in the background — if it succeeds, its result still lands in the
 //!    cache for next time. Oversized inputs, and pass strings the registry
-//!    refuses (`bad_request`), are rejected up front.
+//!    refuses (`bad_request`), are rejected up front: they count as failed
+//!    requests but never reach admission.
 //! 4. **Observability** — the engine owns an aggregating [`Obs`] bundle:
 //!    every request is a span, queue-wait and service time feed
 //!    histograms, every cache mirrors its counters into the registry
@@ -582,23 +583,26 @@ impl Engine {
         req: OptimizeRequest,
         respond: Box<dyn FnOnce(Response) + Send>,
     ) -> Option<Ticket> {
+        // Refusals are answered inline and counted as failed requests, but
+        // never reach admission: `offered == accepted + shed` stays exact.
+        let refuse = |respond: Box<dyn FnOnce(Response) + Send>, response| {
+            self.inner.stats.record_refused();
+            respond(response);
+            None
+        };
         if self.is_shutting_down() {
-            respond(Response::error(
-                ErrorKind::ShuttingDown,
-                "server is draining",
-            ));
-            return None;
+            return refuse(
+                respond,
+                Response::error(ErrorKind::ShuttingDown, "server is draining"),
+            );
         }
         if req.asm.len() > self.inner.config.max_request_bytes {
-            respond(Response::error(
-                ErrorKind::TooLarge,
-                format!(
-                    "request of {} bytes exceeds the {}-byte limit",
-                    req.asm.len(),
-                    self.inner.config.max_request_bytes
-                ),
-            ));
-            return None;
+            let message = format!(
+                "request of {} bytes exceeds the {}-byte limit",
+                req.asm.len(),
+                self.inner.config.max_request_bytes
+            );
+            return refuse(respond, Response::error(ErrorKind::TooLarge, message));
         }
         // A pass string the registry refuses (unknown pass, unknown key,
         // malformed or out-of-range value) is answered here: it never
@@ -609,8 +613,10 @@ impl Engine {
         }) {
             Ok(invs) => invs,
             Err(e) => {
-                respond(Response::error(ErrorKind::BadRequest, e.to_string()));
-                return None;
+                return refuse(
+                    respond,
+                    Response::error(ErrorKind::BadRequest, e.to_string()),
+                )
             }
         };
 
@@ -1060,6 +1066,46 @@ mod tests {
         let cache = snap.get("result_cache").unwrap();
         assert_eq!(cache.get("hits").unwrap().as_u64(), Some(0));
         assert_eq!(cache.get("misses").unwrap().as_u64(), Some(0));
+    }
+
+    #[test]
+    fn refusals_count_as_failed_requests_outside_admission() {
+        let engine = engine();
+        let Response::Error { kind, .. } = engine.handle(optimize("nop\n", "SCHED=bogus")) else {
+            panic!("expected bad_request");
+        };
+        assert_eq!(kind, ErrorKind::BadRequest);
+        let Response::Stats(snap) = engine.handle(Request::Stats) else {
+            panic!("expected stats");
+        };
+        // The refusal and the stats request itself.
+        let requests = snap.get("requests").unwrap();
+        assert_eq!(requests.get("total").unwrap().as_u64(), Some(2));
+        assert_eq!(requests.get("errors").unwrap().as_u64(), Some(1));
+        assert_eq!(requests.get("ok").unwrap().as_u64(), Some(0));
+        let admission = snap.get("admission").unwrap();
+        for counter in ["offered", "accepted", "shed"] {
+            assert_eq!(
+                admission.get(counter).unwrap().as_u64(),
+                Some(0),
+                "{counter}"
+            );
+        }
+
+        // Too-large and draining refusals count the same way.
+        let small = Engine::new(EngineConfig {
+            max_request_bytes: 4,
+            ..EngineConfig::default()
+        });
+        let _ = small.handle(optimize(INPUT, "REDTEST"));
+        small.begin_shutdown();
+        let _ = small.handle(optimize("nop\n", "REDTEST"));
+        let snap = small.snapshot().to_json();
+        let requests = snap.get("requests").unwrap();
+        assert_eq!(requests.get("total").unwrap().as_u64(), Some(2));
+        assert_eq!(requests.get("errors").unwrap().as_u64(), Some(2));
+        let admission = snap.get("admission").unwrap();
+        assert_eq!(admission.get("offered").unwrap().as_u64(), Some(0));
     }
 
     #[test]

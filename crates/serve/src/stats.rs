@@ -156,6 +156,14 @@ impl ServerStats {
         }
     }
 
+    /// An optimize request was refused before admission (draining, too
+    /// large, a bad pass string): counted in the total and as an error,
+    /// never in flight and never offered.
+    pub fn record_refused(&self) {
+        self.requests_total.inc();
+        self.requests_error.inc();
+    }
+
     /// An administrative request (stats/ping/shutdown) was served. Counted
     /// in the total but not in ok/error/in-flight, which track optimize
     /// work.

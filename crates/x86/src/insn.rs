@@ -208,43 +208,35 @@ impl Instruction {
         out
     }
 
-    /// The full AT&T mnemonic string, with size suffixes re-attached.
-    pub fn att_mnemonic(&self) -> String {
+    /// Append the AT&T spelling: `lock ` when set, the mnemonic with its
+    /// size suffixes re-attached, then the operands.
+    pub fn write_text(&self, out: &mut String) {
+        if self.lock {
+            out.push_str("lock ");
+        }
+        out.push_str(self.mnemonic.att_base());
         match self.mnemonic {
             Mnemonic::Movsx | Mnemonic::Movzx => {
-                let from = self.src_width.and_then(Width::att_suffix).unwrap_or('b');
-                let to = self.op_width.and_then(Width::att_suffix).unwrap_or('l');
-                format!("{}{}{}", self.mnemonic.att_base(), from, to)
+                out.push(self.src_width.and_then(Width::att_suffix).unwrap_or('b'));
+                out.push(self.op_width.and_then(Width::att_suffix).unwrap_or('l'));
             }
-            Mnemonic::Setcc(_) => self.mnemonic.att_base(),
-            _ => {
-                let base = self.mnemonic.att_base();
-                if self.mnemonic.takes_size_suffix() {
-                    if let Some(suffix) = self.op_width.and_then(Width::att_suffix) {
-                        return format!("{base}{suffix}");
-                    }
+            m if m.takes_size_suffix() => {
+                if let Some(suffix) = self.op_width.and_then(Width::att_suffix) {
+                    out.push(suffix);
                 }
-                base
             }
+            _ => {}
+        }
+        for (i, op) in self.operands.iter().enumerate() {
+            out.push_str(if i == 0 { " " } else { ", " });
+            op.write_text(out);
         }
     }
 }
 
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.lock {
-            write!(f, "lock ")?;
-        }
-        write!(f, "{}", self.att_mnemonic())?;
-        for (i, op) in self.operands.iter().enumerate() {
-            if i == 0 {
-                write!(f, " ")?;
-            } else {
-                write!(f, ", ")?;
-            }
-            write!(f, "{op}")?;
-        }
-        Ok(())
+        crate::text::display_via(f, |out| self.write_text(out))
     }
 }
 

@@ -36,6 +36,7 @@ pub mod mnemonic;
 pub mod operand;
 pub mod reg;
 pub mod sym;
+pub mod text;
 
 pub use cost::{CostModel, MachineParams, MnemonicCost, MptError};
 pub use effects::{def_use, effects, DefUse, Effects};

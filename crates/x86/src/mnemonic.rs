@@ -382,12 +382,12 @@ impl Mnemonic {
 
     /// The AT&T base name, without size suffixes but including the condition
     /// code for conditional mnemonics.
-    pub fn att_base(self) -> String {
+    pub fn att_base(self) -> &'static str {
         match self {
-            Mnemonic::Jcc(c) => format!("j{}", c.att_suffix()),
-            Mnemonic::Setcc(c) => format!("set{}", c.att_suffix()),
-            Mnemonic::Cmovcc(c) => format!("cmov{}", c.att_suffix()),
-            other => fixed_name(other).to_string(),
+            Mnemonic::Jcc(c) => JCC_NAMES[c as usize],
+            Mnemonic::Setcc(c) => SETCC_NAMES[c as usize],
+            Mnemonic::Cmovcc(c) => CMOVCC_NAMES[c as usize],
+            other => fixed_name(other),
         }
     }
 
@@ -450,6 +450,24 @@ impl ParsedMnemonic {
         }
     }
 }
+
+/// `j<cc>` spellings, indexed by [`Cond`] encoding (see [`Cond::ALL`]).
+const JCC_NAMES: [&str; 16] = [
+    "jo", "jno", "jb", "jae", "je", "jne", "jbe", "ja", "js", "jns", "jp", "jnp", "jl", "jge",
+    "jle", "jg",
+];
+
+/// `set<cc>` spellings, indexed by [`Cond`] encoding.
+const SETCC_NAMES: [&str; 16] = [
+    "seto", "setno", "setb", "setae", "sete", "setne", "setbe", "seta", "sets", "setns", "setp",
+    "setnp", "setl", "setge", "setle", "setg",
+];
+
+/// `cmov<cc>` spellings, indexed by [`Cond`] encoding.
+const CMOVCC_NAMES: [&str; 16] = [
+    "cmovo", "cmovno", "cmovb", "cmovae", "cmove", "cmovne", "cmovbe", "cmova", "cmovs", "cmovns",
+    "cmovp", "cmovnp", "cmovl", "cmovge", "cmovle", "cmovg",
+];
 
 pub(crate) fn fixed_name(m: Mnemonic) -> &'static str {
     match m {
@@ -939,6 +957,16 @@ mod tests {
         assert_eq!(Mnemonic::Setcc(Cond::G).att_base(), "setg");
         assert_eq!(Mnemonic::Add.att_base(), "add");
         assert_eq!(Mnemonic::Cmovcc(Cond::L).att_base(), "cmovl");
+    }
+
+    #[test]
+    fn conditional_spellings_follow_the_suffix_table() {
+        for c in Cond::ALL {
+            let suffix = c.att_suffix();
+            assert_eq!(Mnemonic::Jcc(c).att_base(), format!("j{suffix}"));
+            assert_eq!(Mnemonic::Setcc(c).att_base(), format!("set{suffix}"));
+            assert_eq!(Mnemonic::Cmovcc(c).att_base(), format!("cmov{suffix}"));
+        }
     }
 
     #[test]

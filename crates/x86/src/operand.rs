@@ -7,6 +7,7 @@ use std::fmt;
 
 use crate::reg::Reg;
 use crate::sym::Sym;
+use crate::text::{display_via, push_i64, push_signed, push_u64};
 
 /// Displacement part of a memory operand.
 ///
@@ -46,21 +47,25 @@ impl Disp {
     pub fn is_present(&self) -> bool {
         !matches!(self, Disp::None)
     }
+
+    /// Append the AT&T spelling (`-8`, `foo+8`, nothing for `None`).
+    pub fn write_text(&self, out: &mut String) {
+        match *self {
+            Disp::None => {}
+            Disp::Imm(v) => push_i64(out, v),
+            Disp::Symbol { name, addend } => {
+                out.push_str(name.as_str());
+                if addend != 0 {
+                    push_signed(out, addend);
+                }
+            }
+        }
+    }
 }
 
 impl fmt::Display for Disp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Disp::None => Ok(()),
-            Disp::Imm(v) => write!(f, "{v}"),
-            Disp::Symbol { name, addend } => {
-                write!(f, "{name}")?;
-                if *addend != 0 {
-                    write!(f, "{addend:+}")?;
-                }
-                Ok(())
-            }
-        }
+        display_via(f, |out| self.write_text(out))
     }
 }
 
@@ -138,22 +143,29 @@ impl Mem {
     pub fn is_rip_relative(&self) -> bool {
         self.base.is_some_and(|r| r.id == crate::reg::RegId::Rip)
     }
+
+    /// Append the AT&T spelling, `disp(base,index,scale)`.
+    pub fn write_text(&self, out: &mut String) {
+        self.disp.write_text(out);
+        if self.base.is_some() || self.index.is_some() {
+            out.push('(');
+            if let Some(b) = self.base {
+                b.write_text(out);
+            }
+            if let Some(i) = self.index {
+                out.push(',');
+                i.write_text(out);
+                out.push(',');
+                push_u64(out, u64::from(self.scale));
+            }
+            out.push(')');
+        }
+    }
 }
 
 impl fmt::Display for Mem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.disp)?;
-        if self.base.is_some() || self.index.is_some() {
-            write!(f, "(")?;
-            if let Some(b) = self.base {
-                write!(f, "{b}")?;
-            }
-            if let Some(i) = self.index {
-                write!(f, ",{i},{}", self.scale)?;
-            }
-            write!(f, ")")?;
-        }
-        Ok(())
+        display_via(f, |out| self.write_text(out))
     }
 }
 
@@ -226,18 +238,32 @@ impl Operand {
             Operand::Mem(m) | Operand::IndirectMem(m) => m.regs_used().collect(),
         }
     }
+
+    /// Append the AT&T spelling (`$5`, `%eax`, `-4(%rbp)`, `*%rax`, ...).
+    pub fn write_text(&self, out: &mut String) {
+        match self {
+            Operand::Imm(v) => {
+                out.push('$');
+                push_i64(out, *v);
+            }
+            Operand::Reg(r) => r.write_text(out),
+            Operand::Mem(m) => m.write_text(out),
+            Operand::Label(l) => out.push_str(l.as_str()),
+            Operand::IndirectReg(r) => {
+                out.push('*');
+                r.write_text(out);
+            }
+            Operand::IndirectMem(m) => {
+                out.push('*');
+                m.write_text(out);
+            }
+        }
+    }
 }
 
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Operand::Imm(v) => write!(f, "${v}"),
-            Operand::Reg(r) => write!(f, "{r}"),
-            Operand::Mem(m) => write!(f, "{m}"),
-            Operand::Label(l) => write!(f, "{l}"),
-            Operand::IndirectReg(r) => write!(f, "*{r}"),
-            Operand::IndirectMem(m) => write!(f, "*{m}"),
-        }
+        display_via(f, |out| self.write_text(out))
     }
 }
 

@@ -284,15 +284,22 @@ impl Reg {
         matches!(self.width, Width::B4 | Width::B8 | Width::B16)
     }
 
-    /// The AT&T spelling, without the `%` sigil.
+    /// The AT&T spelling, without the `%` sigil (`<invalid-reg>` for a
+    /// combination no spelling denotes, such as a high-byte 32-bit access).
     pub fn att_name(self) -> &'static str {
-        att_name(self)
+        REG_NAME_TABLE[self.id.index()][name_column(self.width, self.high8)]
+    }
+
+    /// Append the AT&T spelling, `%` sigil included.
+    pub fn write_text(self, out: &mut String) {
+        out.push('%');
+        out.push_str(self.att_name());
     }
 }
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "%{}", self.att_name())
+        crate::text::display_via(f, |out| self.write_text(out))
     }
 }
 
@@ -312,23 +319,36 @@ impl std::error::Error for ParseRegError {}
 
 macro_rules! reg_names {
     ($(($name:literal, $id:ident, $width:ident, $high8:literal)),+ $(,)?) => {
-        fn att_name(r: Reg) -> &'static str {
-            $(
-                if r.id == RegId::$id && r.width == Width::$width && r.high8 == $high8 {
-                    return $name;
-                }
-            )+
-            "<invalid-reg>"
-        }
-
         /// Every AT&T register spelling and the register it denotes.
-        static REG_NAME_LIST: &[(&str, Reg)] = &[
+        pub const REG_NAME_LIST: &[(&str, Reg)] = &[
             $(
                 ($name, Reg { id: RegId::$id, width: Width::$width, high8: $high8 }),
             )+
         ];
     };
 }
+
+/// Columns of [`REG_NAME_TABLE`]: one per [`Width`], then the same widths
+/// again with the high-byte marker set (only `B1` + high8 has spellings).
+const NAME_COLUMNS: usize = 10;
+
+const fn name_column(width: Width, high8: bool) -> usize {
+    width as usize + if high8 { NAME_COLUMNS / 2 } else { 0 }
+}
+
+/// The spelling of every `(RegId, Width, high8)`, indexed by
+/// [`RegId::index`] and [`name_column`], built from [`REG_NAME_LIST`] at
+/// compile time. Emission prints a register with one load.
+static REG_NAME_TABLE: [[&str; NAME_COLUMNS]; NUM_REG_IDS] = {
+    let mut table = [["<invalid-reg>"; NAME_COLUMNS]; NUM_REG_IDS];
+    let mut i = 0;
+    while i < REG_NAME_LIST.len() {
+        let (name, r) = REG_NAME_LIST[i];
+        table[r.id as usize][name_column(r.width, r.high8)] = name;
+        i += 1;
+    }
+    table
+};
 
 /// Pack a ≤8-byte name into a u64 key (little-endian, zero-padded). Every
 /// register spelling fits; longer inputs are not register names.
@@ -443,6 +463,34 @@ mod tests {
             let r = parse_reg_name(name).unwrap();
             assert_eq!(r.att_name(), name);
         }
+    }
+
+    #[test]
+    fn name_table_covers_every_spelling() {
+        for &(name, reg) in REG_NAME_LIST {
+            assert_eq!(reg.att_name(), name);
+            assert_eq!(reg.to_string(), format!("%{name}"));
+            assert_eq!(format!("%{name}").parse::<Reg>(), Ok(reg));
+        }
+        // Every combination the list does not name reads `<invalid-reg>`.
+        let widths = [Width::B1, Width::B2, Width::B4, Width::B8, Width::B16];
+        for idx in 0..NUM_REG_IDS {
+            let id = RegId::from_index(idx).unwrap();
+            for width in widths {
+                for high8 in [false, true] {
+                    let reg = Reg { id, width, high8 };
+                    if !REG_NAME_LIST.iter().any(|&(_, r)| r == reg) {
+                        assert_eq!(reg.att_name(), "<invalid-reg>", "{reg:?}");
+                    }
+                }
+            }
+        }
+        let high_dword = Reg {
+            id: RegId::Rax,
+            width: Width::B4,
+            high8: true,
+        };
+        assert_eq!(high_dword.att_name(), "<invalid-reg>");
     }
 
     #[test]

@@ -287,6 +287,19 @@ grep -q 'legacy-relax' "$WORK/badopt.err"
 printf '{"type":"optimize","asm":"nop\\n","passes":"SCHED=bogus"}\n' \
     | "$MAO" batch > "$WORK/badpass.out"
 grep -q '"kind":"bad_request"' "$WORK/badpass.out"
+# The ASM pseudo-pass takes only `o`: a misspelt key fails and is named
+# instead of sending the output to stdout
+if "$MAO" '--mao=ASM=oo[x.s]' "$WORK/in.s" > /dev/null 2> "$WORK/badasm.err"; then
+    echo "mao accepted ASM=oo[x.s]" >&2
+    exit 1
+fi
+grep -q '`oo`' "$WORK/badasm.err"
+# A refused optimize request counts as a failed request: the stats line
+# after it reports one error
+printf '{"type":"optimize","asm":"nop\\n","passes":"SCHED=bogus"}\n{"type":"stats"}\n' \
+    | "$MAO" batch > "$WORK/refused.out"
+head -1 "$WORK/refused.out" | grep -q '"kind":"bad_request"'
+tail -1 "$WORK/refused.out" | grep -q '"errors":1'
 
 # (d) graceful shutdown: ack, clean exit, socket removed
 "$MAO" client --listen "$SOCK" --shutdown | grep -q '"shutdown":true'
