@@ -63,8 +63,8 @@ pub use pass::{
 };
 pub use profile::{Profile, Sample, Site};
 pub use relax::{
-    relax, relax_totals, BranchForm, Layout, LayoutCache, LayoutCacheStats, RelaxError,
-    RelaxMetrics, RelaxTotals,
+    register_relax_totals, relax, relax_totals, BranchForm, Layout, LayoutCache, LayoutCacheStats,
+    RelaxError, RelaxMetrics, RelaxTotals,
 };
 pub use store::{ArtifactStore, StoreConfig, StoreStats};
 pub use unit::{EditSet, EntryId, Function, MaoUnit, Section};

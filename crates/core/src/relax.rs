@@ -30,10 +30,10 @@
 //! caller. Both produce identical layouts.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use mao_asm::{Directive, Entry};
+use mao_obs::{Counter, Metrics};
 
 pub use crate::isa::BranchForm;
 use crate::isa::{branch_lengths, encoded_length};
@@ -988,21 +988,45 @@ fn splice_model(
 // Process-wide totals (surfaced by `maod`'s stats response)
 // ---------------------------------------------------------------------------
 
-static TOTAL_LAYOUTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_PATCHES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_ITERATIONS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_RECHECKS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_FRAGMENTS: AtomicU64 = AtomicU64::new(0);
+/// One counter cell per total: [`relax_totals`] reads them and
+/// [`register_relax_totals`] puts them in a metrics registry.
+#[derive(Default)]
+struct TotalCells {
+    layouts: Counter,
+    patches: Counter,
+    iterations: Counter,
+    rechecks: Counter,
+    fragments: Counter,
+}
+
+static TOTALS: LazyLock<TotalCells> = LazyLock::new(TotalCells::default);
 
 fn record_totals(layout: &Layout) {
+    let totals = &*TOTALS;
     if layout.metrics.patched {
-        TOTAL_PATCHES.fetch_add(1, Ordering::Relaxed);
+        totals.patches.inc();
     } else {
-        TOTAL_LAYOUTS.fetch_add(1, Ordering::Relaxed);
+        totals.layouts.inc();
     }
-    TOTAL_ITERATIONS.fetch_add(layout.iterations as u64, Ordering::Relaxed);
-    TOTAL_RECHECKS.fetch_add(layout.metrics.rechecks as u64, Ordering::Relaxed);
-    TOTAL_FRAGMENTS.fetch_add(layout.metrics.fragments as u64, Ordering::Relaxed);
+    totals.iterations.add(layout.iterations as u64);
+    totals.rechecks.add(layout.metrics.rechecks as u64);
+    totals.fragments.add(layout.metrics.fragments as u64);
+}
+
+/// Register the process-wide totals in `metrics` as the
+/// `mao_relax_{layouts,patches,iterations,rechecks,fragments}_total`
+/// families, so a scrape reads the same cells as [`relax_totals`].
+pub fn register_relax_totals(metrics: &Metrics) {
+    let totals = &*TOTALS;
+    for (family, cell) in [
+        ("mao_relax_layouts_total", &totals.layouts),
+        ("mao_relax_patches_total", &totals.patches),
+        ("mao_relax_iterations_total", &totals.iterations),
+        ("mao_relax_rechecks_total", &totals.rechecks),
+        ("mao_relax_fragments_total", &totals.fragments),
+    ] {
+        metrics.register_counter(family, &[], cell);
+    }
 }
 
 /// Process-wide relaxation totals since startup.
@@ -1023,12 +1047,13 @@ pub struct RelaxTotals {
 
 /// Snapshot of the process-wide relaxation totals.
 pub fn relax_totals() -> RelaxTotals {
+    let totals = &*TOTALS;
     RelaxTotals {
-        layouts: TOTAL_LAYOUTS.load(Ordering::Relaxed),
-        patches: TOTAL_PATCHES.load(Ordering::Relaxed),
-        iterations: TOTAL_ITERATIONS.load(Ordering::Relaxed),
-        rechecks: TOTAL_RECHECKS.load(Ordering::Relaxed),
-        fragments: TOTAL_FRAGMENTS.load(Ordering::Relaxed),
+        layouts: totals.layouts.get(),
+        patches: totals.patches.get(),
+        iterations: totals.iterations.get(),
+        rechecks: totals.rechecks.get(),
+        fragments: totals.fragments.get(),
     }
 }
 

@@ -33,10 +33,11 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use mao_isa::container::{self, ContainerError, Kind};
+
+use crate::obs::Counter;
 
 /// Index file name inside the store directory.
 const INDEX_NAME: &str = "store.idx";
@@ -91,15 +92,6 @@ pub struct StoreStats {
     pub max_bytes: u64,
     /// Did startup recover state from the index file (vs a directory scan)?
     pub opened_from_index: bool,
-}
-
-/// Registry mirrors of the counters (attached at most once).
-struct StoreMetrics {
-    hits: crate::obs::Counter,
-    misses: crate::obs::Counter,
-    insertions: crate::obs::Counter,
-    evictions: crate::obs::Counter,
-    corrupt: crate::obs::Counter,
 }
 
 /// One index row: an entry's size and SLRU position.
@@ -226,12 +218,13 @@ pub struct ArtifactStore {
     config: StoreConfig,
     kind: Kind,
     index: Mutex<Index>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    corrupt: AtomicU64,
-    metrics: OnceLock<StoreMetrics>,
+    /// Counter cells, owned from construction; [`ArtifactStore::stats`]
+    /// reads them and [`ArtifactStore::attach_metrics`] registers them.
+    hits: Counter,
+    misses: Counter,
+    insertions: Counter,
+    evictions: Counter,
+    corrupt: Counter,
 }
 
 impl ArtifactStore {
@@ -241,7 +234,7 @@ impl ArtifactStore {
     pub fn open(config: StoreConfig, kind: Kind) -> io::Result<ArtifactStore> {
         std::fs::create_dir_all(&config.dir)?;
         let index_path = config.dir.join(INDEX_NAME);
-        let mut corrupt = 0;
+        let corrupt = Counter::default();
         let index = match std::fs::read(&index_path).map(|bytes| read_index(&bytes)) {
             Ok(Ok(rows)) => {
                 let mut map = HashMap::with_capacity(rows.len());
@@ -267,7 +260,7 @@ impl ArtifactStore {
             }
             Ok(Err(_)) => {
                 let _ = std::fs::remove_file(&index_path);
-                corrupt = 1;
+                corrupt.inc();
                 scan_directory(&config.dir, kind)?
             }
             Err(_) => scan_directory(&config.dir, kind)?,
@@ -276,12 +269,11 @@ impl ArtifactStore {
             index: Mutex::new(index),
             config,
             kind,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            corrupt: AtomicU64::new(corrupt),
-            metrics: OnceLock::new(),
+            hits: Counter::default(),
+            misses: Counter::default(),
+            insertions: Counter::default(),
+            evictions: Counter::default(),
+            corrupt,
         })
     }
 
@@ -290,20 +282,18 @@ impl ArtifactStore {
         &self.config.dir
     }
 
-    /// Mirror the counters into `metrics` as `{prefix}_{hits,misses,
-    /// insertions,evictions,corrupt}_total`. First attachment wins, and
-    /// carries over a damaged index counted at open.
+    /// Register the counter cells in `metrics` as `{prefix}_{hits,misses,
+    /// insertions,evictions,corrupt}_total`, so a scrape reads the same
+    /// cells as [`ArtifactStore::stats`].
     pub fn attach_metrics(&self, metrics: &crate::obs::Metrics, prefix: &str) {
-        let attached = self.metrics.set(StoreMetrics {
-            hits: metrics.counter(&format!("{prefix}_hits_total")),
-            misses: metrics.counter(&format!("{prefix}_misses_total")),
-            insertions: metrics.counter(&format!("{prefix}_insertions_total")),
-            evictions: metrics.counter(&format!("{prefix}_evictions_total")),
-            corrupt: metrics.counter(&format!("{prefix}_corrupt_total")),
-        });
-        if attached.is_ok() {
-            let m = self.metrics.get().expect("just attached");
-            m.corrupt.add(self.corrupt.load(Ordering::Relaxed));
+        for (what, cell) in [
+            ("hits", &self.hits),
+            ("misses", &self.misses),
+            ("insertions", &self.insertions),
+            ("evictions", &self.evictions),
+            ("corrupt", &self.corrupt),
+        ] {
+            metrics.register_counter(&format!("{prefix}_{what}_total"), &[], cell);
         }
     }
 
@@ -328,7 +318,7 @@ impl ArtifactStore {
             Err(_) => {
                 // Not present — or present under another instance and
                 // vanished mid-read; either way a miss.
-                self.count_miss();
+                self.misses.inc();
                 self.note_mutation(|index| index.forget(key));
                 return None;
             }
@@ -338,28 +328,15 @@ impl ArtifactStore {
                 index.touch(key, bytes.len() as u64, true);
                 index.rebalance(self.config.max_bytes);
             });
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.hits.inc();
-            }
+            self.hits.inc();
             Some(value)
         } else {
             // Truncated, corrupted, stale version, or wrong key.
             let _ = std::fs::remove_file(&path);
             self.note_mutation(|index| index.forget(key));
-            self.corrupt.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.corrupt.inc();
-            }
-            self.count_miss();
+            self.corrupt.inc();
+            self.misses.inc();
             None
-        }
-    }
-
-    fn count_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.misses.inc();
         }
     }
 
@@ -371,10 +348,7 @@ impl ArtifactStore {
         if container::write_atomic(&self.config.dir, &name, bytes, self.config.fsync).is_err() {
             return;
         }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.insertions.inc();
-        }
+        self.insertions.inc();
         let victims: Vec<u128> = {
             let mut index = self.index.lock().unwrap();
             index.touch(key, bytes.len() as u64, false);
@@ -388,10 +362,7 @@ impl ArtifactStore {
         };
         for victim in victims {
             let _ = std::fs::remove_file(self.path_of(victim));
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.evictions.inc();
-            }
+            self.evictions.inc();
         }
     }
 
@@ -399,11 +370,11 @@ impl ArtifactStore {
     pub fn stats(&self) -> StoreStats {
         let index = self.index.lock().unwrap();
         StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            insertions: self.insertions.get(),
+            evictions: self.evictions.get(),
+            corrupt: self.corrupt.get(),
             bytes: index.total_bytes,
             entries: index.map.len() as u64,
             protected_bytes: index.protected_bytes,

@@ -161,6 +161,20 @@ impl Metrics {
             .clone()
     }
 
+    /// Register an existing `cell` as the series `family{labels}`, so the
+    /// scrape renders the cell's live value: a subsystem that owns its
+    /// counters from construction exposes them without keeping a second
+    /// copy. Registering a series that already exists replaces its cell
+    /// (registering the same cell again changes nothing); a handle taken
+    /// earlier for that series keeps counting but is no longer rendered.
+    pub fn register_counter(&self, family: &str, labels: &[(&str, &str)], cell: &Counter) {
+        let mut reg = self.registry.lock().unwrap();
+        reg.counters
+            .entry(family.to_string())
+            .or_default()
+            .insert(sorted_labels(labels), cell.clone());
+    }
+
     /// The histogram for `family` with no labels; `bounds` applies only on
     /// first registration.
     pub fn histogram(&self, family: &str, bounds: &[u64]) -> Histogram {
@@ -267,6 +281,35 @@ mod tests {
         );
         // One TYPE line per family, not per series.
         assert_eq!(text.matches("# TYPE mao_pass_total counter").count(), 1);
+    }
+
+    #[test]
+    fn registered_cells_render_live_and_a_second_registration_replaces() {
+        let m = Metrics::new();
+        let owned = Counter::default();
+        owned.add(4);
+        m.register_counter("mao_owned_total", &[("shard", "0")], &owned);
+        owned.inc();
+        let text = m.render_prometheus();
+        assert!(text.contains("mao_owned_total{shard=\"0\"} 5"), "{text}");
+        assert_eq!(
+            m.counter_with("mao_owned_total", &[("shard", "0")]).get(),
+            5,
+            "lookups return the registered cell"
+        );
+
+        // The same cell again: one series, same value.
+        m.register_counter("mao_owned_total", &[("shard", "0")], &owned);
+        assert_eq!(m.counter_lines(), "mao_owned_total{shard=\"0\"} 5\n");
+
+        // A different cell takes the series over; the old one keeps
+        // counting unrendered.
+        let other = Counter::default();
+        other.add(2);
+        m.register_counter("mao_owned_total", &[("shard", "0")], &other);
+        owned.inc();
+        assert_eq!(owned.get(), 6);
+        assert_eq!(m.counter_lines(), "mao_owned_total{shard=\"0\"} 2\n");
     }
 
     #[test]

@@ -59,15 +59,6 @@ impl PromText {
         self.sample(family, &[], value);
     }
 
-    /// Emit a counter family from `(labels, value)` pairs — for scrape-time
-    /// sources that keep their own counters (relaxation totals).
-    pub fn counter_family(&mut self, family: &str, samples: &[(&[(String, String)], u64)]) {
-        self.type_line(family, "counter");
-        for (labels, value) in samples {
-            self.sample(family, labels, value);
-        }
-    }
-
     /// The accumulated text.
     pub fn finish(self) -> String {
         self.buf
@@ -207,9 +198,11 @@ mod tests {
         out.type_line("mao_requests_total", "counter");
         out.sample("mao_requests_total", &[], 3u64);
         out.gauge("mao_uptime_seconds", 1.5);
-        out.counter_family(
+        out.type_line("mao_relax_layouts_total", "counter");
+        out.sample(
             "mao_relax_layouts_total",
-            &[(&[("kind".to_string(), "full".to_string())][..], 9)],
+            &[("kind".to_string(), "full".to_string())],
+            9u64,
         );
         let text = out.finish();
         validate(&text).expect("valid");

@@ -24,7 +24,7 @@ pub type DiskCacheConfig = StoreConfig;
 
 /// The persistent result tier: the `.mc` codec over an [`ArtifactStore`].
 pub struct DiskCache {
-    store: ArtifactStore,
+    pub(crate) store: ArtifactStore,
 }
 
 impl DiskCache {
@@ -40,12 +40,6 @@ impl DiskCache {
     /// The directory entries live in.
     pub fn dir(&self) -> &Path {
         self.store.dir()
-    }
-
-    /// Mirror the counters into `metrics` as the
-    /// `mao_result_cache_disk_*_total` families. First attachment wins.
-    pub fn attach_metrics(&self, metrics: &mao::obs::Metrics) {
-        self.store.attach_metrics(metrics, "mao_result_cache_disk");
     }
 
     /// Look up an entry, decoding and verifying it. Invalid entries are

@@ -31,7 +31,7 @@
 //!    requests but never reach admission.
 //! 4. **Observability** — the engine owns an aggregating [`Obs`] bundle:
 //!    every request is a span, queue-wait and service time feed
-//!    histograms, every cache mirrors its counters into the registry
+//!    histograms, every cache registers its counter cells in the registry
 //!    (per-shard analysis caches as `{shard="N"}` series), and the
 //!    pipeline runs under [`run_pipeline_observed`]. The `stats` request
 //!    renders a consolidated [`StatsSnapshot`]; the `metrics` request
@@ -73,7 +73,8 @@ pub struct EngineConfig {
     /// available core). Requests are partitioned by content hash.
     pub shards: usize,
     /// Default `--jobs` for function-level passes inside one request
-    /// (0 = auto). The per-request `options.jobs` overrides it.
+    /// (0 = auto). The per-request `options.jobs` overrides it, capped at
+    /// the host's available parallelism.
     pub jobs: usize,
     /// Default per-request wall-clock budget in milliseconds (0 = none).
     pub timeout_ms: u64,
@@ -211,14 +212,15 @@ struct EngineInner {
     /// `mao_frontend_snapshot_{hits,misses}_total`.
     snapshot_hits: mao::obs::Counter,
     snapshot_misses: mao::obs::Counter,
-    /// Cumulative text-parse wall time across requests, microseconds.
-    parse_us_total: AtomicU64,
     stats: ServerStats,
     obs: Obs,
     queue_wait_us: Histogram,
     service_us: Histogram,
     /// Compute requests admitted but not yet finished (admission gauge).
     pending: AtomicU64,
+    /// The host's available parallelism, measured once: the cap on a
+    /// request's `options.jobs`.
+    parallelism: usize,
     /// Per-shard served-request counters (`mao_shard_requests_total`).
     shard_requests: Vec<mao::obs::Counter>,
     shutting_down: AtomicBool,
@@ -240,14 +242,16 @@ impl Engine {
 
     /// Build an engine, reporting persistent-cache setup failures.
     pub fn build(config: EngineConfig) -> Result<Engine, String> {
+        let parallelism = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         let shards = if config.shards == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            parallelism
         } else {
             config.shards
         };
         let obs = Obs::aggregating();
+        mao::register_relax_totals(&obs.metrics);
         // Install the measured cost table before any shard can run a pass:
         // a table the loader rejects must never reach the provider.
         if let Some(path) = &config.cost_model {
@@ -294,7 +298,9 @@ impl Engine {
                         dir.join("layout").display()
                     )
                 })?;
-                store.attach_metrics(&obs.metrics);
+                store
+                    .store
+                    .attach_metrics(&obs.metrics, "mao_layout_store_disk");
                 Some(Arc::new(store))
             }
             None => None,
@@ -303,7 +309,9 @@ impl Engine {
             Some(dir) => {
                 let store = SnapshotStore::open(dir, config.snapshot_max_bytes)
                     .map_err(|e| format!("cannot open snapshot dir {}: {e}", dir.display()))?;
-                store.attach_metrics(&obs.metrics);
+                store
+                    .store
+                    .attach_metrics(&obs.metrics, "mao_frontend_snapshot_store");
                 Some(store)
             }
             None => None,
@@ -341,7 +349,6 @@ impl Engine {
                 function_memo,
                 snapshot_hits: obs.metrics.counter("mao_frontend_snapshot_hits_total"),
                 snapshot_misses: obs.metrics.counter("mao_frontend_snapshot_misses_total"),
-                parse_us_total: AtomicU64::new(0),
                 stats: ServerStats::new(&obs.metrics),
                 queue_wait_us: obs
                     .metrics
@@ -349,6 +356,7 @@ impl Engine {
                 service_us: obs.metrics.histogram("mao_request_service_us", US_BUCKETS),
                 obs,
                 pending: AtomicU64::new(0),
+                parallelism,
                 shard_requests,
                 shutting_down: AtomicBool::new(false),
                 config,
@@ -409,8 +417,13 @@ impl Engine {
                 (stats.bytes, stats.entries)
             })
             .unwrap_or((0, 0));
+        let span_totals = self.inner.obs.recorder.totals();
+        let parse_us = span_totals
+            .iter()
+            .find(|t| t.cat == "frontend" && t.name == "parse")
+            .map_or(0, |t| t.total_us);
         let frontend = FrontendStats {
-            parse_us: self.inner.parse_us_total.load(Ordering::Relaxed),
+            parse_us,
             snapshot_hits: self.inner.snapshot_hits.get(),
             snapshot_misses: self.inner.snapshot_misses.get(),
             snapshot_bytes,
@@ -424,27 +437,17 @@ impl Engine {
             per_shard,
             self.pending(),
             mao::relax_totals(),
-            self.inner.obs.recorder.totals(),
+            span_totals,
             frontend,
             self.inner.function_memo.stats(),
         )
     }
 
-    /// Render the metrics registry (plus scrape-time gauges and the
-    /// process-wide relaxation totals) as Prometheus text exposition.
+    /// Render the metrics registry plus scrape-time gauges as Prometheus
+    /// text exposition.
     pub fn metrics_text(&self) -> String {
         let mut out = PromText::new();
         self.inner.obs.metrics.render_into(&mut out);
-        let relax = mao::relax_totals();
-        for (family, value) in [
-            ("mao_relax_layouts_total", relax.layouts),
-            ("mao_relax_patches_total", relax.patches),
-            ("mao_relax_iterations_total", relax.iterations),
-            ("mao_relax_rechecks_total", relax.rechecks),
-            ("mao_relax_fragments_total", relax.fragments),
-        ] {
-            out.counter_family(family, &[(&[][..], value)]);
-        }
         out.gauge("mao_uptime_seconds", self.inner.stats.uptime_s());
         out.gauge("mao_requests_in_flight", self.inner.stats.in_flight());
         out.gauge("mao_requests_pending", self.pending());
@@ -759,16 +762,12 @@ impl Engine {
             }
             None => None,
         };
-        let t0 = Instant::now();
         let unit = {
             let mut span = Span::enter(&inner.obs.recorder, "frontend", "parse");
             span.arg("bytes", asm.len());
             MaoUnit::parse_with_jobs_isa(asm, jobs, isa)
                 .map_err(|e| Response::error(ErrorKind::Parse, e.to_string()))?
         };
-        inner
-            .parse_us_total
-            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
         if let (Some(snapshots), Some(key)) = (&inner.snapshots, key) {
             snapshots.put(key, unit.entries());
         }
@@ -784,7 +783,7 @@ impl Engine {
         invocations: &[PassInvocation],
         ctx: &ShardCtx,
     ) -> Result<(OptimizeOutcome, Timings), Response> {
-        let jobs = req.jobs.unwrap_or(self.inner.config.jobs);
+        let jobs = request_jobs(req.jobs, self.inner.config.jobs, self.inner.parallelism);
         let mut request_span = Span::enter(&self.inner.obs.recorder, "request", "optimize");
         request_span.arg("bytes", req.asm.len());
         let attempt = catch_unwind(AssertUnwindSafe(
@@ -844,6 +843,15 @@ impl Engine {
             }
         }
     }
+}
+
+/// The worker count for one request. A request's `options.jobs` is
+/// untrusted, so it is capped at the host's `parallelism`: output is
+/// byte-identical at any job count, and more workers than CPUs only start
+/// threads (and, for the parser, split the text `jobs` ways). `0` still
+/// means auto; a request without `jobs` takes the configured default.
+fn request_jobs(requested: Option<usize>, default: usize, parallelism: usize) -> usize {
+    requested.map_or(default, |jobs| jobs.min(parallelism))
 }
 
 #[cfg(test)]
@@ -950,6 +958,60 @@ mod tests {
             Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Timeout),
             other => panic!("expected timeout, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn request_jobs_are_capped_at_host_parallelism() {
+        assert_eq!(request_jobs(Some(1 << 63), 1, 4), 4);
+        assert_eq!(request_jobs(Some(usize::MAX), 1, 4), 4);
+        assert_eq!(request_jobs(Some(3), 1, 4), 3);
+        assert_eq!(request_jobs(Some(0), 1, 4), 0, "0 still means auto");
+        assert_eq!(
+            request_jobs(None, 8, 4),
+            8,
+            "the configured default is trusted and left alone"
+        );
+    }
+
+    #[test]
+    fn huge_request_jobs_answer_ok_with_the_bytes_of_one_job() {
+        // Past the parser's 64 KiB parallel threshold, so `jobs` reaches
+        // both the parser's chunk split and the function-level driver.
+        let mut asm = String::new();
+        let mut k = 0;
+        while asm.len() < 80 * 1024 {
+            asm.push_str(&format!(
+                "\t.type\tf{k}, @function\nf{k}:\n\tsubl $16, %r15d\n\ttestl %r15d, %r15d\n\
+                 \tjne .L{k}\n\taddl $3, %eax\n\taddl $4, %eax\n.L{k}:\n\tret\n"
+            ));
+            k += 1;
+        }
+        let engine = engine();
+        let run = |jobs: usize| {
+            let response = engine.handle(Request::Optimize(OptimizeRequest {
+                asm: asm.clone(),
+                passes: "REDTEST:ADDADD".into(),
+                jobs: Some(jobs),
+                timeout_ms: Some(30_000),
+                use_cache: false,
+                isa: mao::isa::IsaId::X86_64,
+            }));
+            match response {
+                Response::Optimized { outcome, .. } => outcome.asm,
+                other => panic!("jobs = {jobs}: expected ok, got {other:?}"),
+            }
+        };
+        let one = run(1);
+        assert_eq!(
+            one.matches("addl $7, %eax").count(),
+            k,
+            "ADDADD fired per function"
+        );
+        assert_eq!(
+            run(1 << 63),
+            one,
+            "output is byte-identical at any job count"
+        );
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub fn decode_layout(
 /// thread-safe).
 #[derive(Debug)]
 pub struct DiskLayoutStore {
-    store: ArtifactStore,
+    pub(crate) store: ArtifactStore,
 }
 
 impl DiskLayoutStore {
@@ -117,11 +117,6 @@ impl DiskLayoutStore {
         Ok(DiskLayoutStore {
             store: ArtifactStore::open(config, Kind::Layout)?,
         })
-    }
-
-    /// Mirror counters as `mao_layout_store_disk_*_total`.
-    pub fn attach_metrics(&self, metrics: &mao::obs::Metrics) {
-        self.store.attach_metrics(metrics, "mao_layout_store_disk");
     }
 
     /// Counter snapshot.

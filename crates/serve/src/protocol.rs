@@ -18,6 +18,10 @@
 //! {"type":"shutdown"}
 //! ```
 //!
+//! `options.jobs` is untrusted input: the engine caps it at the host's
+//! available parallelism (`0` still means auto). Output is byte-identical
+//! at any job count, so the cap changes only how many threads run.
+//!
 //! Responses carry `"status":"ok"` or `"status":"error"`; see
 //! [`Response`] for the exact members. The `stats` response embeds
 //! `schema_version` inside the stats object and the `metrics` response
@@ -60,7 +64,9 @@ pub struct OptimizeRequest {
     pub asm: String,
     /// `--mao=`-style pass string (e.g. `REDTEST:ADDADD`).
     pub passes: String,
-    /// Worker threads for function-level passes (None = server default).
+    /// Worker threads for parsing and function-level passes (None = server
+    /// default, 0 = auto). The engine caps it at the host's available
+    /// parallelism.
     pub jobs: Option<usize>,
     /// Per-request wall-clock timeout override.
     pub timeout_ms: Option<u64>,

@@ -25,7 +25,7 @@ use mao_asm::Entry;
 /// A content-addressed store of parsed-unit snapshots.
 #[derive(Debug)]
 pub struct SnapshotStore {
-    store: ArtifactStore,
+    pub(crate) store: ArtifactStore,
 }
 
 impl SnapshotStore {
@@ -63,12 +63,6 @@ impl SnapshotStore {
     /// content key `key`.
     pub fn put(&self, key: u128, entries: &[Entry]) {
         self.store.put(key, &snapshot::encode(entries, key));
-    }
-
-    /// Mirror counters as `mao_frontend_snapshot_store_*_total`.
-    pub fn attach_metrics(&self, metrics: &mao::obs::Metrics) {
-        self.store
-            .attach_metrics(metrics, "mao_frontend_snapshot_store");
     }
 
     /// Counter snapshot.

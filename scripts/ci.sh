@@ -301,6 +301,25 @@ printf '{"type":"optimize","asm":"nop\\n","passes":"SCHED=bogus"}\n{"type":"stat
 head -1 "$WORK/refused.out" | grep -q '"kind":"bad_request"'
 tail -1 "$WORK/refused.out" | grep -q '"errors":1'
 
+# (c4) a request's `options.jobs` is capped at the host's parallelism: a
+# >= 64 KiB unit (past the parser's parallel threshold) at jobs = 2^63
+# answers ok well inside its 2 s budget, with the asm jobs = 1 gives
+{
+    printf '{"type":"optimize","passes":"REDTEST:ADDADD","asm":"'
+    for k in $(seq 0 999); do
+        printf '\\t.type\\tf%d, @function\\nf%d:\\n\\tsubl\\t$16, %%r15d\\n\\ttestl\\t%%r15d, %%r15d\\n\\tjne\\t.L%d\\n\\taddl\\t$3, %%eax\\n\\taddl\\t$4, %%eax\\n.L%d:\\n\\tret\\n' \
+            "$k" "$k" "$k" "$k"
+    done
+    printf '","options":{"jobs":JOBS,"timeout_ms":2000,"cache":false}}\n'
+} > "$WORK/jobs_req.tmpl"
+test "$(wc -c < "$WORK/jobs_req.tmpl")" -ge 65536
+for jobs in 9223372036854775807 1; do
+    sed "s/JOBS/$jobs/" "$WORK/jobs_req.tmpl" | "$MAO" batch \
+        | sed 's/,"timings":.*$//' > "$WORK/jobs_$jobs.out"
+done
+grep -q '^{"status":"ok"' "$WORK/jobs_9223372036854775807.out"
+cmp "$WORK/jobs_9223372036854775807.out" "$WORK/jobs_1.out"
+
 # (d) graceful shutdown: ack, clean exit, socket removed
 "$MAO" client --listen "$SOCK" --shutdown | grep -q '"shutdown":true'
 wait "$DAEMON_PID"
@@ -330,6 +349,9 @@ grep -q 'cache: miss' "$WORK/client_cold.log"
 "$MAO" client --listen "$SOCK2" --shutdown | grep -q '"shutdown":true'
 wait "$DAEMON_PID"
 
+# A damaged result-store index is counted corrupt at open and the store
+# falls back to a directory scan, so the disk hit below still happens.
+echo junk > "$CACHE/store.idx"
 "$MAO" serve --listen "$SOCK2" --cache-dir "$CACHE" --snapshot-dir "$SNAPS" &
 DAEMON_PID=$!
 for _ in $(seq 1 50); do
@@ -350,6 +372,10 @@ cmp "$WORK/oneshot_bralign.s" "$WORK/served_bralign.s"
 grep -q '^mao_result_cache_disk_hits_total 1$' "$WORK/metrics_restart.txt"
 grep -q '^mao_frontend_snapshot_store_hits_total 1$' "$WORK/metrics_restart.txt"
 grep -q '^mao_layout_store_disk_hits_total 1$' "$WORK/metrics_restart.txt"
+# The scrape and `stats` read the same cell for the damaged index.
+grep -q '^mao_result_cache_disk_corrupt_total 1$' "$WORK/metrics_restart.txt"
+"$MAO" client --listen "$SOCK2" --stats > "$WORK/stats_restart.json"
+grep -q '"corrupt":1' "$WORK/stats_restart.json"
 
 echo "==> loadgen smoke (p99 gate)"
 # Mixed hot/cold/malformed replay against the live daemon; fails on any
