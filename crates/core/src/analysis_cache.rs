@@ -9,8 +9,9 @@
 //! its body entries, and the identity of the unit's entries outside every
 //! function span. Any edit that changes or moves a function misses, except
 //! that [`crate::pass::run_functions`] carries a function's CFG and loop
-//! nest across an edit that leaves its control flow alone, re-based onto
-//! its new positions (see [`AnalysisCache::take_carried`]).
+//! nest across an edit that leaves its control flow alone: re-keyed as they
+//! are when the edit moved nothing, re-based onto the new positions when it
+//! shifted them (see [`AnalysisCache::take_carried`]).
 //!
 //! The body and context identities are memoized on the unit's index (see
 //! `unit.rs`): a body is content-hashed once per index build, and an edit
@@ -136,7 +137,11 @@ impl FunctionAnalyses {
     /// Liveness over the cached CFG.
     pub fn liveness(&self, unit: &MaoUnit, function: &Function) -> Arc<Liveness> {
         self.liveness
-            .get_or_init(|| Arc::new(Liveness::compute(unit, &self.cfg(unit, function))))
+            .get_or_init(|| {
+                #[cfg(test)]
+                crate::unit::work_counts::bump(&crate::unit::work_counts::LIVENESS_BUILDS, 1);
+                Arc::new(Liveness::compute(unit, &self.cfg(unit, function)))
+            })
             .clone()
     }
 
@@ -178,9 +183,10 @@ struct Carried {
     /// Position in the unit's function list (unchanged by a carry-safe
     /// edit).
     function: usize,
-    cfg: Cfg,
-    /// Net entry-count change of each block.
-    net: Vec<isize>,
+    cfg: Arc<Cfg>,
+    /// Net entry-count change of each block, or `None` when the edit moved
+    /// nothing and the CFG is re-keyed as it is.
+    net: Option<Vec<isize>>,
     loops: Option<Arc<LoopNest>>,
     liveness: Option<Arc<Liveness>>,
 }
@@ -243,6 +249,22 @@ fn block_growth(
         net[b] += delta;
     }
     Some(net)
+}
+
+/// Can `cfg` be re-keyed unchanged across `edits`, an edit set that moves
+/// nothing ([`EditSet::moves_nothing`]) and touches the function at `touched`
+/// (ascending)? Yes when the CFG read no jump table, resolved or not, and
+/// every touched entry and its replacement is plain: then no leader, edge or
+/// block boundary can change. One walk over the ids, O(touched).
+fn survives_in_place(unit: &MaoUnit, cfg: &Cfg, touched: &[EntryId], edits: &EditSet) -> bool {
+    !cfg.unresolved_indirect
+        && cfg.resolved_indirect == 0
+        && touched.iter().all(|&id| {
+            is_plain(unit.entry(id))
+                && edits
+                    .replacement(id)
+                    .is_some_and(|r| r.iter().all(is_plain))
+        })
 }
 
 #[derive(Debug, Default)]
@@ -456,13 +478,21 @@ impl AnalysisCache {
     }
 
     /// Lift out of the cache the analyses that `edits` cannot invalidate, to
-    /// be re-based and re-keyed by [`AnalysisCache::restore_carried`] once
-    /// the edits are applied. A function's CFG and loop nest are carried
-    /// when the edit leaves its control flow alone:
+    /// be re-keyed (and re-based, if the edit moves entries) by
+    /// [`AnalysisCache::restore_carried`] once the edits are applied.
+    /// `functions` is the unit's function list before the edit and
+    /// `touched` the edit set's [`EditSet::touched_ids`].
     ///
-    /// * the function has one span (`functions` is the unit's function list
-    ///   before the edit, `touched` the edit set's
-    ///   [`EditSet::touched_ids`]);
+    /// An edit that moves nothing ([`EditSet::moves_nothing`]) leaves every
+    /// function it does not touch at its key, so those are left in place. A
+    /// function it touches has its CFG and loop nest `Arc`s lifted as they
+    /// are when [`survives_in_place`] holds, for any number of spans.
+    ///
+    /// Any other edit shifts what follows it. A function's CFG and loop
+    /// nest are carried, to be re-based, when the edit leaves its control
+    /// flow alone:
+    ///
+    /// * the function has one span;
     /// * its CFG has no indirect jump, resolved or not (jump-table
     ///   resolution reads instructions an edit may change);
     /// * no touched id is a block's first entry;
@@ -487,13 +517,38 @@ impl AnalysisCache {
             epoch,
             carried: Vec::new(),
         };
-        let Some(&first) = touched.first() else {
+        let (Some(&first), Some(&last)) = (touched.first(), touched.last()) else {
             return out;
         };
+        // After an edit that changed the context nothing carries, and the
+        // keys below would first rebuild the dropped index.
+        if self.state.lock().unwrap().epoch != epoch {
+            return out;
+        }
+        let in_place = edits.moves_nothing();
+        // The touched ids inside `span`.
+        let inside = |span: &std::ops::Range<EntryId>| {
+            &touched[touched.partition_point(|&id| id < span.start)
+                ..touched.partition_point(|&id| id < span.end)]
+        };
+        // Functions are sorted by label and each one's spans lie before the
+        // next label, so none before the one holding `first` can qualify;
+        // an edit that moves nothing can touch none past `last` either.
+        let start = functions
+            .partition_point(|f| f.label_id <= first)
+            .saturating_sub(1);
         let keyed: Vec<(usize, u64)> = functions
             .iter()
             .enumerate()
-            .filter(|(_, f)| matches!(f.spans.as_slice(), [span] if span.end > first))
+            .skip(start)
+            .take_while(|(_, f)| !in_place || f.label_id <= last)
+            .filter(|(_, f)| {
+                if in_place {
+                    f.spans.iter().any(|span| !inside(span).is_empty())
+                } else {
+                    matches!(f.spans.as_slice(), [span] if span.end > first)
+                }
+            })
             .map(|(k, f)| (k, function_key(unit, f)))
             .collect();
         let mut state = self.state.lock().unwrap();
@@ -511,31 +566,42 @@ impl AnalysisCache {
             let Some(cfg) = slot.cfg.get() else {
                 continue;
             };
-            let span = &f.spans[0];
-            let lo = touched.partition_point(|&id| id < span.start);
-            let hi = touched.partition_point(|&id| id < span.end);
-            let inner = &touched[lo..hi];
-            let Some(net) = block_growth(unit, cfg, inner, edits) else {
-                continue;
+            let net = if in_place {
+                let carries = f
+                    .spans
+                    .iter()
+                    .all(|span| survives_in_place(unit, cfg, inside(span), edits));
+                if !carries {
+                    continue;
+                }
+                None
+            } else {
+                match block_growth(unit, cfg, inside(&f.spans[0]), edits) {
+                    Some(net) => Some(net),
+                    None => continue,
+                }
             };
+            let untouched = f.spans.iter().all(|span| inside(span).is_empty());
             let (_, slot) = state.map.remove(&f.name).expect("looked up above");
             let (cfg, loops, liveness) = slot.into_parts();
             out.carried.push(Carried {
                 function: k,
-                cfg: Arc::unwrap_or_clone(cfg.expect("checked above")),
+                cfg: cfg.expect("checked above"),
                 net,
                 loops,
-                liveness: liveness.filter(|_| inner.is_empty()),
+                liveness: liveness.filter(|_| untouched),
             });
         }
         out
     }
 
     /// Put analyses lifted by [`AnalysisCache::take_carried`] back under
-    /// their functions' new keys, each CFG re-based onto its function's new
-    /// span. Nothing is restored when the edit changed the context epoch
-    /// (the cache flushes on the next lookup anyway). Restored slots go
-    /// through the same LRU bound as a miss.
+    /// their functions' new keys. A CFG the edit shifted is re-based onto
+    /// its function's new span (cloned first only if another holder still
+    /// shares it); one it did not move keeps its `Arc`. Nothing is restored
+    /// when the edit changed the context epoch (the cache flushes on the
+    /// next lookup anyway). Restored slots go through the same LRU bound as
+    /// a miss.
     pub(crate) fn restore_carried(&self, unit: &MaoUnit, carried: CarriedAnalyses) {
         if carried.carried.is_empty() || unit.context_epoch() != carried.epoch {
             return;
@@ -546,10 +612,18 @@ impl AnalysisCache {
             .into_iter()
             .map(|c| {
                 let f = &functions[c.function];
-                let mut cfg = c.cfg;
-                cfg.rebase(f.spans[0].start, &c.net);
+                let cfg = match c.net {
+                    None => c.cfg,
+                    Some(net) => {
+                        #[cfg(test)]
+                        crate::unit::work_counts::bump(&crate::unit::work_counts::CFG_REBASES, 1);
+                        let mut cfg = Arc::unwrap_or_clone(c.cfg);
+                        cfg.rebase(f.spans[0].start, &net);
+                        Arc::new(cfg)
+                    }
+                };
                 debug_assert_eq!(
-                    cfg,
+                    *cfg,
                     Cfg::build(unit, f),
                     "carried CFG of `{}` diverged from a rebuild",
                     f.name
@@ -568,7 +642,7 @@ impl AnalysisCache {
                 );
                 let slot = FunctionAnalyses {
                     key: function_key(unit, f),
-                    cfg: OnceLock::from(Arc::new(cfg)),
+                    cfg: OnceLock::from(cfg),
                     loops: c.loops.map(OnceLock::from).unwrap_or_default(),
                     liveness: c.liveness.map(OnceLock::from).unwrap_or_default(),
                     reaching: OnceLock::new(),
@@ -1023,6 +1097,52 @@ g:
             builds <= functions as u64,
             "{builds} CFG builds for {functions} functions"
         );
+    }
+}
+
+/// The passes whose edits are all one-for-one (SCHED's reorders, REDMOV's
+/// load→move rewrites) move their functions' CFGs to the new keys as they
+/// are: the first pass builds each CFG once, and no edit after it rebuilds
+/// or re-bases one.
+#[cfg(test)]
+mod rekey_tests {
+    use super::*;
+    use crate::pass::{parse_invocations, run_pipeline_shared, PipelineConfig};
+    use crate::unit::work_counts::{get, CFG_BUILDS, CFG_REBASES};
+
+    #[test]
+    fn sched_and_redmov_rebuild_no_cfg_and_rebase_none() {
+        let corpus = mao_corpus::generate(&mao_corpus::GeneratorConfig::core_library(0.01));
+        let mut unit = MaoUnit::parse(&corpus.asm).unwrap();
+        let functions = unit.functions().len() as u64;
+        let analyses = Arc::new(AnalysisCache::new());
+        let counts = || [&CFG_BUILDS, &CFG_REBASES].map(get);
+        let before = counts();
+        let report = run_pipeline_shared(
+            &mut unit,
+            &parse_invocations("SCHED:REDMOV:SCHED").unwrap(),
+            None,
+            &PipelineConfig { jobs: 1 },
+            &analyses,
+        )
+        .unwrap();
+        for f in unit.functions() {
+            let cfg = analyses.for_function(&unit, &f).cfg(&unit, &f);
+            assert_eq!(*cfg, Cfg::build(&unit, &f), "CFG of `{}`", f.name);
+        }
+        let after = counts();
+        let [builds, rebases] = std::array::from_fn(|i| after[i] - before[i]);
+        for pass in ["SCHED", "REDMOV"] {
+            assert!(
+                report.stats(pass).unwrap().transformations > 0,
+                "{pass} edited nothing"
+            );
+        }
+        assert_eq!(
+            builds, functions,
+            "{builds} CFG builds for {functions} functions"
+        );
+        assert_eq!(rebases, 0, "{rebases} CFGs re-based");
     }
 }
 

@@ -60,7 +60,8 @@ fn fold(mnemonic: Mnemonic, value: i64, imm: i64, width: Width) -> Option<i64> {
 pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats, PassError> {
     let stats = run_functions(unit, ctx, |unit, function, fctx| {
         let cfg = fctx.cfg(unit, function);
-        let liveness = fctx.liveness(unit, function);
+        // Fetched at the first fold candidate: most functions have none.
+        let mut liveness = None;
         let mut edits = EditSet::new();
         for (b, block) in cfg.blocks.iter().enumerate() {
             // reg -> known constant.
@@ -81,6 +82,8 @@ pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats
                         if w == insn.width() && dst.width == w {
                             if let Some(result) = fold(mnemonic, value, *imm, w) {
                                 // The op's flags must be dead.
+                                let liveness =
+                                    liveness.get_or_insert_with(|| fctx.liveness(unit, function));
                                 let flags_after = liveness.flags_live_after(unit, &cfg, b, id);
                                 if !du.flags_def.intersects(flags_after)
                                     && !du.flags_undef.intersects(flags_after)
@@ -209,6 +212,22 @@ mod tests {
         ));
         assert_eq!(stats.transformations, 1);
         assert!(unit.emit().contains("movl $0, %eax"));
+    }
+
+    /// Liveness is asked for only at a fold candidate: a unit with none
+    /// builds no liveness table, and one with a candidate builds one.
+    #[test]
+    fn liveness_is_built_only_for_a_candidate() {
+        use crate::unit::work_counts::{get, LIVENESS_BUILDS};
+        let builds = |text: &str| {
+            let before = get(&LIVENESS_BUILDS);
+            let (_, stats) = run(text);
+            (get(&LIVENESS_BUILDS) - before, stats.transformations)
+        };
+        let none = format!("{HEADER}\tmovl $10, %eax\n\taddl %ebx, %eax\n\tje .L\n.L:\n\tret\n");
+        assert_eq!(builds(&none), (0, 0));
+        let one = format!("{HEADER}\tmovl $10, %eax\n\taddl $5, %eax\n\tret\n");
+        assert_eq!(builds(&one), (1, 1));
     }
 
     #[test]

@@ -81,6 +81,45 @@ enum DispBytes {
     D32(i32),
 }
 
+/// A byte buffer of at most `N` bytes held inline, so assembling an
+/// instruction (and asking for its length) never touches the heap. Going
+/// past `N` is an encoder bug and panics.
+#[derive(Debug, Clone, Copy)]
+struct InlineBytes<const N: usize> {
+    buf: [u8; N],
+    len: u8,
+}
+
+impl<const N: usize> Default for InlineBytes<N> {
+    fn default() -> Self {
+        InlineBytes {
+            buf: [0; N],
+            len: 0,
+        }
+    }
+}
+
+impl<const N: usize> InlineBytes<N> {
+    fn push(&mut self, b: u8) {
+        self.buf[usize::from(self.len)] = b;
+        self.len += 1;
+    }
+
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        let start = usize::from(self.len);
+        self.buf[start..start + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len() as u8;
+    }
+}
+
+impl<const N: usize> std::ops::Deref for InlineBytes<N> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..usize::from(self.len)]
+    }
+}
+
 /// Incremental instruction assembler.
 #[derive(Debug, Default)]
 struct Asm {
@@ -93,11 +132,13 @@ struct Asm {
     rex_b: bool,
     rex_low8: bool, // spl/sil/dil/bpl force an empty REX
     high8_used: bool,
-    opcode: Vec<u8>,
+    /// Opcode bytes, escape bytes included (at most three today).
+    opcode: InlineBytes<4>,
     modrm: Option<u8>,
     sib: Option<u8>,
     disp: DispBytes,
-    imm: Vec<u8>,
+    /// Immediate bytes (an imm64 at most).
+    imm: InlineBytes<8>,
 }
 
 impl Asm {
