@@ -73,8 +73,9 @@ pub struct EngineConfig {
     /// available core). Requests are partitioned by content hash.
     pub shards: usize,
     /// Default `--jobs` for function-level passes inside one request
-    /// (0 = auto). The per-request `options.jobs` overrides it, capped at
-    /// the host's available parallelism.
+    /// (0 = auto). The per-request `options.jobs` overrides it; either is
+    /// capped at the host's available parallelism
+    /// ([`PipelineConfig::effective_jobs`]).
     pub jobs: usize,
     /// Default per-request wall-clock budget in milliseconds (0 = none).
     pub timeout_ms: u64,
@@ -218,9 +219,6 @@ struct EngineInner {
     service_us: Histogram,
     /// Compute requests admitted but not yet finished (admission gauge).
     pending: AtomicU64,
-    /// The host's available parallelism, measured once: the cap on a
-    /// request's `options.jobs`.
-    parallelism: usize,
     /// Per-shard served-request counters (`mao_shard_requests_total`).
     shard_requests: Vec<mao::obs::Counter>,
     shutting_down: AtomicBool,
@@ -356,7 +354,6 @@ impl Engine {
                 service_us: obs.metrics.histogram("mao_request_service_us", US_BUCKETS),
                 obs,
                 pending: AtomicU64::new(0),
-                parallelism,
                 shard_requests,
                 shutting_down: AtomicBool::new(false),
                 config,
@@ -783,20 +780,22 @@ impl Engine {
         invocations: &[PassInvocation],
         ctx: &ShardCtx,
     ) -> Result<(OptimizeOutcome, Timings), Response> {
-        let jobs = request_jobs(req.jobs, self.inner.config.jobs, self.inner.parallelism);
+        let config = PipelineConfig {
+            jobs: req.jobs.unwrap_or(self.inner.config.jobs),
+        };
         let mut request_span = Span::enter(&self.inner.obs.recorder, "request", "optimize");
         request_span.arg("bytes", req.asm.len());
         let attempt = catch_unwind(AssertUnwindSafe(
             || -> Result<(OptimizeOutcome, Timings), Response> {
                 let t0 = Instant::now();
-                let mut unit = self.front_end(&req.asm, jobs, req.isa)?;
+                let mut unit = self.front_end(&req.asm, config.effective_jobs(), req.isa)?;
                 let parse_us = t0.elapsed().as_micros() as u64;
                 let t1 = Instant::now();
                 let report = run_pipeline_observed(
                     &mut unit,
                     invocations,
                     None,
-                    &PipelineConfig { jobs },
+                    &config,
                     &ctx.analyses,
                     &self.inner.obs,
                 )
@@ -843,15 +842,6 @@ impl Engine {
             }
         }
     }
-}
-
-/// The worker count for one request. A request's `options.jobs` is
-/// untrusted, so it is capped at the host's `parallelism`: output is
-/// byte-identical at any job count, and more workers than CPUs only start
-/// threads (and, for the parser, split the text `jobs` ways). `0` still
-/// means auto; a request without `jobs` takes the configured default.
-fn request_jobs(requested: Option<usize>, default: usize, parallelism: usize) -> usize {
-    requested.map_or(default, |jobs| jobs.min(parallelism))
 }
 
 #[cfg(test)]
@@ -958,19 +948,6 @@ mod tests {
             Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Timeout),
             other => panic!("expected timeout, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn request_jobs_are_capped_at_host_parallelism() {
-        assert_eq!(request_jobs(Some(1 << 63), 1, 4), 4);
-        assert_eq!(request_jobs(Some(usize::MAX), 1, 4), 4);
-        assert_eq!(request_jobs(Some(3), 1, 4), 3);
-        assert_eq!(request_jobs(Some(0), 1, 4), 0, "0 still means auto");
-        assert_eq!(
-            request_jobs(None, 8, 4),
-            8,
-            "the configured default is trusted and left alone"
-        );
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! {"type":"shutdown"}
 //! ```
 //!
-//! `options.jobs` is untrusted input: the engine caps it at the host's
-//! available parallelism (`0` still means auto). Output is byte-identical
+//! `options.jobs` is untrusted input: the engine caps it, like every job
+//! count, at the host's available parallelism (`0` still means auto). Output is byte-identical
 //! at any job count, so the cap changes only how many threads run.
 //!
 //! Responses carry `"status":"ok"` or `"status":"error"`; see
