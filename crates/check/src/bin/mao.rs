@@ -1412,7 +1412,7 @@ fn cmd_oneshot(args: &[String]) -> ExitCode {
                 if store.is_some() {
                     eprintln!("[mao] frontend: snapshot miss");
                 }
-                let unit = match MaoUnit::parse_with_jobs_isa(&text, config.effective_jobs(), isa) {
+                let unit = match MaoUnit::parse_with_jobs_isa(&text, config.jobs, isa) {
                     Ok(u) => u,
                     Err(e) => {
                         eprintln!("mao: {input}:{e}");

@@ -38,7 +38,7 @@ use crate::function_memo::FunctionMemo;
 use crate::isa::IsaId;
 use crate::loops::{find_loops, LoopNest};
 use crate::relax::{Layout, RelaxError, Relaxed};
-use crate::unit::{EditSet, EntryId, Function, MaoUnit};
+use crate::unit::{EditSet, Function, Group, MaoUnit};
 use mao_obs::Counter;
 
 /// The from-scratch unit content key, the oracle for the memoized
@@ -200,71 +200,58 @@ pub(crate) struct CarriedAnalyses {
     carried: Vec<Carried>,
 }
 
-/// Net entry-count change of each block of `cfg` under `edits`, whose ids
-/// inside the function are `touched` (ascending) — or `None` when the edit
-/// may change the block structure: the CFG resolved or gave up on an
-/// indirect jump, a touched id starts a block, or a touched, inserted or
-/// replacement entry is not plain. The arithmetic mirrors `MaoUnit::apply`;
-/// one walk over the blocks and the ids, O(blocks + touched).
-fn block_growth(
-    unit: &MaoUnit,
-    cfg: &Cfg,
-    touched: &[EntryId],
-    edits: &EditSet,
-) -> Option<Vec<isize>> {
+/// Net entry-count change of each block of `cfg` under `list`, the edits
+/// of its function (none when the function only shifts) — or `None` when
+/// the edit may change the block structure: the CFG resolved or gave up on
+/// an indirect jump, an edited id starts a block, or an edited, inserted,
+/// replacement or permuted entry is not plain. One walk over the blocks and
+/// the list, O(blocks + edits).
+fn block_growth(unit: &MaoUnit, cfg: &Cfg, list: Option<&EditSet>) -> Option<Vec<isize>> {
     if cfg.unresolved_indirect || cfg.resolved_indirect > 0 {
         return None;
     }
     let mut net = vec![0isize; cfg.blocks.len()];
     let mut b = 0;
-    for &id in touched {
+    for g in list.into_iter().flat_map(EditSet::groups) {
         // Blocks partition a one-span function's entries in order, so the
-        // block holding `id` is the last one starting at or before it.
+        // block holding `g.id` is the last one starting at or before it.
         while cfg
             .blocks
             .get(b + 1)
-            .is_some_and(|next| next.entries[0] <= id)
+            .is_some_and(|next| next.entries[0] <= g.id)
         {
             b += 1;
         }
-        if cfg.blocks[b].entries[0] == id || !is_plain(unit.entry(id)) {
+        if cfg.blocks[b].entries[0] == g.id || !plain_edits(unit, g) {
             return None;
         }
-        let inserted = [edits.inserted_before(id), edits.inserted_after(id)];
-        let mut delta = 0isize;
-        for entries in inserted.into_iter().flatten() {
-            if !entries.iter().all(is_plain) {
-                return None;
-            }
-            delta += entries.len() as isize;
-        }
-        if edits.is_deleted(id) {
-            delta -= 1;
-        } else if let Some(replacement) = edits.replacement(id) {
-            if !replacement.iter().all(is_plain) {
-                return None;
-            }
-            delta += replacement.len() as isize - 1;
-        }
-        net[b] += delta;
+        net[b] += g.net();
     }
     Some(net)
 }
 
-/// Can `cfg` be re-keyed unchanged across `edits`, an edit set that moves
-/// nothing ([`EditSet::moves_nothing`]) and touches the function at `touched`
-/// (ascending)? Yes when the CFG read no jump table, resolved or not, and
-/// every touched entry and its replacement is plain: then no leader, edge or
-/// block boundary can change. One walk over the ids, O(touched).
-fn survives_in_place(unit: &MaoUnit, cfg: &Cfg, touched: &[EntryId], edits: &EditSet) -> bool {
+/// Are the entry at `g.id`, every entry the edits put in, and every
+/// permuted slot plain ([`is_plain`])?
+fn plain_edits(unit: &MaoUnit, g: Group) -> bool {
+    is_plain(unit.entry(g.id))
+        && g.inserted(true)
+            .chain(g.fate())
+            .chain(g.inserted(false))
+            .flatten()
+            .all(is_plain)
+        && g.permutes()
+            .all(|p| p.slots().all(|slot| is_plain(unit.entry(slot))))
+}
+
+/// Can `cfg` be re-keyed unchanged across `list`, its function's edits in
+/// a pass whose edits move nothing ([`EditSet::moves_nothing`])? Yes when
+/// the CFG read no jump table, resolved or not, and every edited entry, its
+/// replacement and every permuted slot is plain: then no leader, edge or
+/// block boundary can change. One walk over the list.
+fn survives_in_place(unit: &MaoUnit, cfg: &Cfg, list: &EditSet) -> bool {
     !cfg.unresolved_indirect
         && cfg.resolved_indirect == 0
-        && touched.iter().all(|&id| {
-            is_plain(unit.entry(id))
-                && edits
-                    .replacement(id)
-                    .is_some_and(|r| r.iter().all(is_plain))
-        })
+        && list.groups().all(|g| plain_edits(unit, g))
 }
 
 #[derive(Debug, Default)]
@@ -477,15 +464,16 @@ impl AnalysisCache {
         }
     }
 
-    /// Lift out of the cache the analyses that `edits` cannot invalidate, to
-    /// be re-keyed (and re-based, if the edit moves entries) by
-    /// [`AnalysisCache::restore_carried`] once the edits are applied.
-    /// `functions` is the unit's function list before the edit and
-    /// `touched` the edit set's [`EditSet::touched_ids`].
+    /// Lift out of the cache the analyses that the edit `lists` cannot
+    /// invalidate, to be re-keyed (and re-based, if the edits move entries)
+    /// by [`AnalysisCache::restore_carried`] once they are applied.
+    /// `functions` is the unit's function list before the edit, and
+    /// `lists[i]` (sorted) holds the edits of function `owners[i]`,
+    /// ascending.
     ///
-    /// An edit that moves nothing ([`EditSet::moves_nothing`]) leaves every
-    /// function it does not touch at its key, so those are left in place. A
-    /// function it touches has its CFG and loop nest `Arc`s lifted as they
+    /// Edits that move nothing ([`EditSet::moves_nothing`]) leave every
+    /// function they do not touch at its key, so those are left in place. A
+    /// function they touch has its CFG and loop nest `Arc`s lifted as they
     /// are when [`survives_in_place`] holds, for any number of spans.
     ///
     /// Any other edit shifts what follows it. A function's CFG and loop
@@ -495,29 +483,29 @@ impl AnalysisCache {
     /// * the function has one span;
     /// * its CFG has no indirect jump, resolved or not (jump-table
     ///   resolution reads instructions an edit may change);
-    /// * no touched id is a block's first entry;
-    /// * every touched, inserted or replacement entry is plain
+    /// * no edited id is a block's first entry;
+    /// * every edited, inserted, replacement or permuted entry is plain
     ///   ([`is_plain`]).
     ///
     /// The caller must also keep the context epoch (checked on restore).
     /// Liveness rides along only for a function the edit merely shifted;
     /// reaching definitions hold entry ids and are always dropped. A
-    /// function the edit neither touches nor shifts keeps its key, so it is
-    /// left in place. Taken slots are moved, not cloned, and the lift counts
-    /// as neither a hit nor a miss.
+    /// function before the first edited one keeps its key, so it is left
+    /// in place. Taken slots are moved, not cloned, and the lift counts as
+    /// neither a hit nor a miss.
     pub(crate) fn take_carried(
         &self,
         unit: &MaoUnit,
         functions: &[Function],
-        edits: &EditSet,
-        touched: &[EntryId],
+        owners: &[usize],
+        lists: &[EditSet],
     ) -> CarriedAnalyses {
         let epoch = unit.context_epoch();
         let mut out = CarriedAnalyses {
             epoch,
             carried: Vec::new(),
         };
-        let (Some(&first), Some(&last)) = (touched.first(), touched.last()) else {
+        let Some(&first) = owners.first() else {
             return out;
         };
         // After an edit that changed the context nothing carries, and the
@@ -525,37 +513,25 @@ impl AnalysisCache {
         if self.state.lock().unwrap().epoch != epoch {
             return out;
         }
-        let in_place = edits.moves_nothing();
-        // The touched ids inside `span`.
-        let inside = |span: &std::ops::Range<EntryId>| {
-            &touched[touched.partition_point(|&id| id < span.start)
-                ..touched.partition_point(|&id| id < span.end)]
-        };
-        // Functions are sorted by label and each one's spans lie before the
-        // next label, so none before the one holding `first` can qualify;
-        // an edit that moves nothing can touch none past `last` either.
-        let start = functions
-            .partition_point(|f| f.label_id <= first)
-            .saturating_sub(1);
-        let keyed: Vec<(usize, u64)> = functions
-            .iter()
-            .enumerate()
-            .skip(start)
-            .take_while(|(_, f)| !in_place || f.label_id <= last)
-            .filter(|(_, f)| {
-                if in_place {
-                    f.spans.iter().any(|span| !inside(span).is_empty())
+        let in_place = lists.iter().all(EditSet::moves_nothing);
+        let mut lists_at = owners.iter().zip(lists).peekable();
+        let keyed: Vec<(usize, Option<&EditSet>, u64)> = (first..functions.len())
+            .filter_map(|k| {
+                let list = lists_at.next_if(|&(&owner, _)| owner == k).map(|(_, l)| l);
+                let f = &functions[k];
+                let candidate = if in_place {
+                    list.is_some()
                 } else {
-                    matches!(f.spans.as_slice(), [span] if span.end > first)
-                }
+                    f.spans.len() == 1
+                };
+                candidate.then(|| (k, list, function_key(unit, f)))
             })
-            .map(|(k, f)| (k, function_key(unit, f)))
             .collect();
         let mut state = self.state.lock().unwrap();
         if state.epoch != epoch {
             return out;
         }
-        for (k, key) in keyed {
+        for (k, list, key) in keyed {
             let f = &functions[k];
             let Some((_, slot)) = state.map.get(&f.name) else {
                 continue;
@@ -566,22 +542,18 @@ impl AnalysisCache {
             let Some(cfg) = slot.cfg.get() else {
                 continue;
             };
-            let net = if in_place {
-                let carries = f
-                    .spans
-                    .iter()
-                    .all(|span| survives_in_place(unit, cfg, inside(span), edits));
-                if !carries {
-                    continue;
+            let net = match list {
+                Some(list) if in_place => {
+                    if !survives_in_place(unit, cfg, list) {
+                        continue;
+                    }
+                    None
                 }
-                None
-            } else {
-                match block_growth(unit, cfg, inside(&f.spans[0]), edits) {
+                _ => match block_growth(unit, cfg, list) {
                     Some(net) => Some(net),
                     None => continue,
-                }
+                },
             };
-            let untouched = f.spans.iter().all(|span| inside(span).is_empty());
             let (_, slot) = state.map.remove(&f.name).expect("looked up above");
             let (cfg, loops, liveness) = slot.into_parts();
             out.carried.push(Carried {
@@ -589,7 +561,7 @@ impl AnalysisCache {
                 cfg: cfg.expect("checked above"),
                 net,
                 loops,
-                liveness: liveness.filter(|_| untouched),
+                liveness: liveness.filter(|_| list.is_none()),
             });
         }
         out

@@ -15,8 +15,8 @@
 //! descriptor's [`crate::pass::PassDescriptor::isas`].
 
 pub use mao_isa::{
-    branch_lengths, effect_summary, encoded_length, isa, relaxable_branch, AlignPolicy, BranchForm,
-    EffectSummary, Insn, Isa, IsaError, IsaId, Sym,
+    branch_lengths, effect_summary, effective_jobs, encoded_length, isa, relaxable_branch,
+    AlignPolicy, BranchForm, EffectSummary, Insn, Isa, IsaError, IsaId, Sym,
 };
 
 pub use mao_isa::aarch64;

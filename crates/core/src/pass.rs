@@ -489,10 +489,8 @@ struct FnOutcome {
 }
 
 /// Run `body` over every function against the *immutable* unit, then apply
-/// the per-function edit sets in function order. When none of them moves an
-/// entry (every edit a one-for-one replacement, as in SCHED, REDMOV and
-/// CONSTFOLD), each set is written into the unit where it stands; otherwise
-/// they are merged and applied once.
+/// the per-function edit lists in function order by one sweep
+/// ([`MaoUnit::apply`]'s), with no merged copy.
 ///
 /// With `ctx.jobs <= 1` the functions run sequentially on the calling
 /// thread; otherwise they are distributed over `ctx.jobs` scoped worker
@@ -589,6 +587,7 @@ where
 
     // Fold in function order: deterministic stats, trace, and edits.
     let mut total = PassStats::default();
+    let mut owners: Vec<usize> = Vec::new();
     let mut sets: Vec<EditSet> = Vec::new();
     for (k, outcome) in outcomes.into_iter().enumerate() {
         let Some(outcome) = outcome else {
@@ -604,13 +603,12 @@ where
             }
             continue;
         };
-        let outcome = outcome?;
+        let mut outcome = outcome?;
+        outcome.edits.sort();
         debug_assert!(
-            outcome
-                .edits
-                .touched_ids()
-                .iter()
-                .all(|&id| functions[k].contains(id)),
+            outcome.edits.groups().all(|g| functions[k].contains(g.id)
+                && g.permutes()
+                    .all(|p| p.slots().all(|id| functions[k].contains(id)))),
             "pass `{}` edited entries outside function `{}`",
             ctx.pass,
             functions[k].name
@@ -631,6 +629,7 @@ where
             ctx.push_event(ev);
         }
         if !outcome.edits.is_empty() {
+            owners.push(k);
             sets.push(outcome.edits);
         }
     }
@@ -640,29 +639,10 @@ where
         .add(work.len() as u64);
     // Analyses of functions whose control flow the edits leave alone
     // survive them: re-keyed as they are, or re-based onto new positions.
-    let apply = |unit: &mut MaoUnit, edits: EditSet| {
-        let touched = edits.touched_ids();
-        let carried = ctx
-            .analyses
-            .take_carried(unit, &functions, &edits, &touched);
-        unit.apply_touched(edits, touched);
+    if !sets.is_empty() {
+        let carried = ctx.analyses.take_carried(unit, &functions, &owners, &sets);
+        unit.apply_lists(&mut sets);
         ctx.analyses.restore_carried(unit, carried);
-    };
-    if sets.iter().all(EditSet::moves_nothing) {
-        // Edits that move nothing keep every other function's ids valid,
-        // so each function's set is written where it stands and dropped.
-        // This is for peak memory: a merged set would hold every
-        // replacement of the pass in one map (pinned by
-        // `one_for_one_passes_hold_no_merged_edit_set`).
-        for edits in sets {
-            apply(unit, edits);
-        }
-    } else {
-        let mut merged = EditSet::new();
-        for edits in sets {
-            merged.merge(edits);
-        }
-        apply(unit, merged);
     }
     if let Some(mut memo) = memo {
         memo.called();
@@ -843,23 +823,11 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// The worker count to run with, for the function-level driver and for
-    /// a parallel parse alike: `jobs`, capped at the machine's available
-    /// parallelism, which `jobs == 0` (auto) resolves to. Output is
-    /// byte-identical at any job count, so more workers than cores would
-    /// only start threads (`run_functions` starts one per function, up to
-    /// `jobs`); every caller, trusted or not, gets the same cap here.
+    /// The worker count the function-level driver runs with:
+    /// [`crate::isa::effective_jobs`], the one cap a parallel parse applies
+    /// too (`run_functions` starts one thread per function, up to it).
     pub fn effective_jobs(&self) -> usize {
-        static HOST: OnceLock<usize> = OnceLock::new();
-        let host = *HOST.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        match self.jobs {
-            0 => host,
-            jobs => jobs.min(host),
-        }
+        crate::isa::effective_jobs(self.jobs)
     }
 }
 

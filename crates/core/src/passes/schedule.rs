@@ -452,11 +452,7 @@ pub(crate) fn run(unit: &mut MaoUnit, ctx: &mut PassContext) -> Result<PassStats
             }
             fctx.stats.matched(1);
             fctx.stats.transformed(moved);
-            for (slot, &src) in order.iter().enumerate() {
-                if slot != src {
-                    edits.replace_insn(ids[slot], insns[src].clone());
-                }
-            }
+            edits.permute(&ids, order);
         }
         Ok(edits)
     })?;

@@ -74,8 +74,8 @@ pub struct EngineConfig {
     pub shards: usize,
     /// Default `--jobs` for function-level passes inside one request
     /// (0 = auto). The per-request `options.jobs` overrides it; either is
-    /// capped at the host's available parallelism
-    /// ([`PipelineConfig::effective_jobs`]).
+    /// capped at the host's available parallelism, by the parser and the
+    /// pass driver alike ([`mao::isa::effective_jobs`]).
     pub jobs: usize,
     /// Default per-request wall-clock budget in milliseconds (0 = none).
     pub timeout_ms: u64,
@@ -788,7 +788,7 @@ impl Engine {
         let attempt = catch_unwind(AssertUnwindSafe(
             || -> Result<(OptimizeOutcome, Timings), Response> {
                 let t0 = Instant::now();
-                let mut unit = self.front_end(&req.asm, config.effective_jobs(), req.isa)?;
+                let mut unit = self.front_end(&req.asm, config.jobs, req.isa)?;
                 let parse_us = t0.elapsed().as_micros() as u64;
                 let t1 = Instant::now();
                 let report = run_pipeline_observed(
