@@ -14,8 +14,9 @@
 
 use std::time::Instant;
 
+use mao_asm::parser::parse_in_chunks;
 use mao_asm::snapshot::{content_key, decode, encode, Snapshot};
-use mao_asm::{parse, parse_reference, parse_with_jobs, Entry};
+use mao_asm::{parse, parse_reference, Entry, IsaId};
 use mao_corpus::{generate, GeneratorConfig};
 
 /// Deterministic xorshift64* generator: property inputs reproduce exactly.
@@ -183,7 +184,7 @@ fn parallel_parse_is_byte_identical_on_random_units() {
         assert!(text.len() >= 64 * 1024);
         let sequential = parse(&text).unwrap();
         for jobs in [2, 3, 8] {
-            let parallel = parse_with_jobs(&text, jobs).unwrap();
+            let parallel = parse_in_chunks(&text, jobs, IsaId::X86_64).unwrap();
             assert_eq!(sequential, parallel, "seed {seed}: jobs={jobs} diverged");
         }
     }
@@ -234,7 +235,7 @@ fn check_front_ends(text: &str) -> (Vec<u8>, u128) {
         parsed == reference,
         "zero-copy parser disagrees with the reference"
     );
-    let parallel = parse_with_jobs(text, 4).expect("parallel parse");
+    let parallel = parse_in_chunks(text, 4, IsaId::X86_64).expect("parallel parse");
     assert!(
         parallel == reference,
         "parallel parser disagrees with the reference"

@@ -120,10 +120,18 @@ impl Instruction {
 
     /// The branch-target label, for direct branches/calls.
     pub fn target_label(&self) -> Option<&str> {
-        if self.mnemonic.is_branch() || self.mnemonic == Mnemonic::Call {
-            self.operands.first().and_then(Operand::label)
-        } else {
-            None
+        self.target_sym().map(|s| s.as_str())
+    }
+
+    /// [`Instruction::target_label`] as its interned symbol.
+    pub fn target_sym(&self) -> Option<Sym> {
+        match self.operands.first() {
+            Some(&Operand::Label(l))
+                if self.mnemonic.is_branch() || self.mnemonic == Mnemonic::Call =>
+            {
+                Some(l)
+            }
+            _ => None,
         }
     }
 
@@ -334,6 +342,7 @@ mod tests {
         assert_eq!(build::jcc(Cond::G, ".L3").target_label(), Some(".L3"));
         let call = Instruction::new(Mnemonic::Call, vec![Operand::Label("foo".into())]);
         assert_eq!(call.target_label(), Some("foo"));
+        assert_eq!(call.target_sym(), Some(Sym::intern("foo")));
         let ind = Instruction::new(
             Mnemonic::Jmp,
             vec![Operand::IndirectReg(Reg::q(RegId::Rax))],
