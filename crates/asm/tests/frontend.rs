@@ -276,6 +276,24 @@ fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
     us[2] as f64
 }
 
+/// Median over nine pairs of `slow`'s time over `fast`'s, the two run back
+/// to back in each pair, so a slow stretch of the host hits both sides of a
+/// ratio instead of one side of a median.
+fn paired_speedup<S, F>(mut slow: impl FnMut() -> S, mut fast: impl FnMut() -> F) -> f64 {
+    let mut ratios: Vec<f64> = (0..9)
+        .map(|_| {
+            let t = Instant::now();
+            drop(slow());
+            let slow_us = t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            drop(fast());
+            slow_us / t.elapsed().as_secs_f64().max(1e-6)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[4]
+}
+
 #[test]
 #[cfg_attr(debug_assertions, ignore = "speed gates need an optimized build")]
 fn corpus_front_end_speed_gates() {
@@ -298,5 +316,16 @@ fn corpus_front_end_speed_gates() {
     assert!(
         snapshot_speedup >= 10.0,
         "snapshot-load speedup {snapshot_speedup:.2}x is below the 10x gate"
+    );
+    // The path production takes: `SnapshotStore` and `mao check` decode
+    // eagerly, and the alternative they save is today's parser.
+    let decode_speedup = paired_speedup(
+        || parse(&text).unwrap(),
+        || decode(&bytes, Some(key)).unwrap(),
+    );
+    eprintln!("front end: eager decode {decode_speedup:.1}x today's parse (paired median)");
+    assert!(
+        decode_speedup >= 1.5,
+        "eager decode is {decode_speedup:.2}x today's parse, below the 1.5x gate"
     );
 }

@@ -1,6 +1,6 @@
 //! One table-driven damage-class suite over every on-disk artifact kind.
 //!
-//! Each kind — result, layout, index, rewrite, snapshot — contributes a
+//! Each kind — result, index, rewrite, snapshot — contributes a
 //! valid sample, its codec and the store that holds it. Every damage class
 //! is applied to every sample and checked twice: the codec must return a
 //! structured [`ContainerError`] (never panic, never decode), and the store
@@ -9,12 +9,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use mao::isa::container::{self, ContainerError, Kind, HEADER_LEN};
+use mao::isa::container::{self, ContainerError, Kind, HEADER_LEN, RETIRED_TAGS};
 use mao::isa::IsaId;
-use mao::relax::BranchForm;
-use mao::{ArtifactStore, Layout, LayoutStore as _, StoreConfig};
+use mao::{ArtifactStore, StoreConfig};
 use mao_serve::disk_cache::{decode_entry, encode_entry};
-use mao_serve::layout_disk::{decode_layout, encode_layout, DiskLayoutStore};
 use mao_serve::protocol::OptimizeOutcome;
 use mao_serve::{request_key, DiskCache, RequestKey, SnapshotStore};
 use mao_superopt::cache::{self as rewrite, CachedResult, RewriteCache};
@@ -67,18 +65,7 @@ fn outcome() -> OptimizeOutcome {
     }
 }
 
-const LAYOUT_KEY: u128 = 0x1a10;
 const REWRITE_KEY: u128 = 0x5e77;
-
-fn layout() -> Layout {
-    Layout {
-        addr: vec![0, 3, 5],
-        size: vec![3, 2, 1],
-        branch_form: vec![None, Some(BranchForm::Rel8), None],
-        iterations: 2,
-        metrics: Default::default(),
-    }
-}
 
 fn rewrite_sample() -> CachedResult {
     let unit = mao::MaoUnit::parse("\tmovq %rax, %rcx\n").unwrap();
@@ -122,21 +109,6 @@ fn subjects() -> Vec<Subject> {
                 let cache = DiskCache::open(StoreConfig::new(dir)).unwrap();
                 let served = cache.get(result_key()).is_some();
                 let corrupt = cache.stats().corrupt;
-                StoreOutcome { served, corrupt }
-            },
-        },
-        Subject {
-            kind: Kind::Layout,
-            file: format!("{LAYOUT_KEY:032x}.ml"),
-            key: LAYOUT_KEY,
-            bytes: encode_layout(LAYOUT_KEY, IsaId::X86_64, &layout()),
-            wrong_isa: IsaId::Aarch64.tag(),
-            old_magic: b"MAOLYT\0\x01",
-            decode: |b| decode_layout(b, LAYOUT_KEY, IsaId::X86_64).map(drop),
-            load: |dir| {
-                let store = DiskLayoutStore::open_dir(dir, 0).unwrap();
-                let served = store.load(LAYOUT_KEY, IsaId::X86_64).is_some();
-                let corrupt = store.stats().corrupt;
                 StoreOutcome { served, corrupt }
             },
         },
@@ -265,6 +237,13 @@ fn damage(s: &Subject, other_kind: &[u8]) -> Vec<(String, Vec<u8>, Expect)> {
     cases.push(("wrong kind".into(), other_kind.to_vec(), |e| {
         matches!(e, ContainerError::WrongKind(_))
     }));
+    for tag in RETIRED_TAGS {
+        cases.push((
+            format!("retired kind tag {tag}"),
+            resealed(b, KIND_AT, &tag.to_le_bytes()),
+            |e| matches!(e, ContainerError::WrongKind(_)),
+        ));
+    }
     cases.push((
         "wrong isa".into(),
         resealed(b, ISA_AT, &s.wrong_isa.to_le_bytes()),
@@ -326,7 +305,7 @@ fn every_damage_class_is_rejected_by_every_codec_and_store() {
             checked += 1;
         }
     }
-    assert_eq!(checked, 5 * 25);
+    assert_eq!(checked, 4 * 26);
 }
 
 #[test]

@@ -54,7 +54,7 @@ pub mod unit;
 pub use mao_obs as obs;
 pub use mao_obs::{Obs, TraceEvent};
 
-pub use analysis_cache::{AnalysisCache, CacheStats, FunctionAnalyses, LayoutStore};
+pub use analysis_cache::{AnalysisCache, CacheStats, FunctionAnalyses};
 pub use function_memo::{FunctionMemo, FunctionMemoStats};
 pub use pass::{
     parse_invocations, run_functions, run_pipeline, run_pipeline_observed, run_pipeline_shared,

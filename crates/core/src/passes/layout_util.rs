@@ -11,12 +11,13 @@ use crate::unit::{EditSet, EntryId, MaoUnit};
 
 /// The layout-consuming passes' window onto relaxation: hands out layouts
 /// and applies edits, keeping the fragment model warm so each edit costs an
-/// incremental [`LayoutCache::patch`] instead of a from-scratch solve, and
-/// full solves are shared through the content-keyed analysis cache.
+/// incremental [`LayoutCache::patch`] instead of a from-scratch solve. Solved
+/// and patched models go to the analysis cache's version-keyed layout slot,
+/// so the next layout pass over the same unit version reads this one's.
 ///
 /// Debug builds check every layout handed out — freshly solved, patched or
-/// served from a cache tier — against [`crate::relax::relax_reference`],
-/// the entry-at-a-time solver kept as an oracle.
+/// read from the slot — against [`crate::relax::relax_reference`], the
+/// entry-at-a-time solver kept as an oracle.
 pub(crate) struct LayoutProvider {
     cache: LayoutCache,
 }

@@ -158,8 +158,24 @@ fn relaxable_branch(e: &Entry) -> bool {
 
 /// Flat per-entry section slots. Sections with the same name share one
 /// address space (a later `.text` resumes where the first left off),
-/// matching gas.
+/// matching gas. The unit's section views already group every appearance
+/// of a name, in order of first appearance, so a section's slot is its
+/// position among them.
 fn intern_sections(unit: &MaoUnit) -> (Vec<u32>, u32) {
+    let sections = unit.sections_cached();
+    let mut section_of = vec![0; unit.len()];
+    for (slot, section) in sections.iter().enumerate() {
+        for range in &section.ranges {
+            section_of[range.clone()].fill(slot as u32);
+        }
+    }
+    (section_of, (sections.len() as u32).max(1))
+}
+
+/// [`intern_sections`] by a walk over every entry's section name: the
+/// reference solver's own copy, so the oracle does not share the fragment
+/// engine's section model.
+fn intern_section_names(unit: &MaoUnit) -> (Vec<u32>, u32) {
     let names = unit.section_names();
     let mut section_of = Vec::with_capacity(names.len());
     let mut slots: HashMap<&str, u32> = HashMap::new();
@@ -620,7 +636,7 @@ pub fn relax(unit: &MaoUnit) -> Result<Layout, RelaxError> {
 /// Produces layouts identical to [`relax`].
 pub fn relax_reference(unit: &MaoUnit) -> Result<Layout, RelaxError> {
     let n = unit.len();
-    let (section_of, nsections) = intern_sections(unit);
+    let (section_of, nsections) = intern_section_names(unit);
     let mut layout = Layout {
         addr: vec![0; n],
         size: vec![0; n],
@@ -723,7 +739,7 @@ pub fn branch_displacement(unit: &MaoUnit, layout: &Layout, id: EntryId) -> Opti
 // ---------------------------------------------------------------------------
 
 /// A solved unit: the fragment model plus the layout it produced. Shared
-/// between [`LayoutCache`] and the content-keyed slot in
+/// between [`LayoutCache`] and the version-keyed layout slot in
 /// [`crate::AnalysisCache`].
 #[derive(Debug)]
 pub(crate) struct Relaxed {
@@ -737,31 +753,13 @@ impl Relaxed {
         let layout = Arc::new(model.solve(unit, false, None)?);
         Ok(Relaxed { model, layout })
     }
-
-    /// Adopt an externally stored `layout` (e.g. from a persistent layout
-    /// tier) instead of solving. Sound because [`FragmentModel`] carries
-    /// only immutable per-entry structure — all fixpoint state lives inside
-    /// [`FragmentModel::solve`] — so a model freshly built for `unit` plus
-    /// the stored fixed point is exactly the state `build` would reach.
-    /// Returns `None` when the layout's shape does not match the unit (a
-    /// content-hash collision or a store bug); callers fall back to a solve.
-    pub(crate) fn from_layout(unit: &MaoUnit, layout: Layout) -> Option<Relaxed> {
-        let n = unit.entries().len();
-        if layout.addr.len() != n || layout.size.len() != n || layout.branch_form.len() != n {
-            return None;
-        }
-        let model = FragmentModel::build(unit).ok()?;
-        Some(Relaxed {
-            model,
-            layout: Arc::new(layout),
-        })
-    }
 }
 
 /// Counters for one [`LayoutCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LayoutCacheStats {
-    /// `layout()` calls answered from the cached state without solving.
+    /// `layout()` calls answered without solving: from the cached state,
+    /// or from the analysis cache's layout slot.
     pub hits: u64,
     /// Full solves (first layout, or recovery after a fallback).
     pub solves: u64,
@@ -803,10 +801,11 @@ impl LayoutCache {
         LayoutCache::default()
     }
 
-    /// A cache that fetches full solves from (and publishes them to) the
-    /// shared content-keyed analysis cache, so `maod` reuses layouts across
-    /// requests. Patched layouts stay local — hashing the whole unit after
-    /// every edit would cost more than the patch.
+    /// A cache that shares its models through the analysis cache's layout
+    /// slot: a layout the slot already holds for the unit's version is
+    /// read, not solved, and every solve and patch is published there, so
+    /// the next pass over the same version (LOOP16 after BRALIGN) starts
+    /// from this pass's layout.
     pub fn with_analyses(analyses: Arc<crate::AnalysisCache>) -> LayoutCache {
         LayoutCache {
             analyses: Some(analyses),
@@ -820,7 +819,8 @@ impl LayoutCache {
     }
 
     /// The unit's layout: cached if the unit is unchanged since the last
-    /// call, otherwise a full solve.
+    /// call, read from the analysis cache's slot if that holds the unit's
+    /// version, otherwise a full solve.
     pub fn layout(&mut self, unit: &MaoUnit) -> Result<Arc<Layout>, RelaxError> {
         if let Some(st) = &self.state {
             if st.version == unit.version() {
@@ -828,13 +828,17 @@ impl LayoutCache {
                 return Ok(st.relaxed.layout.clone());
             }
         }
-        let relaxed = match &self.analyses {
+        let (relaxed, from_slot) = match &self.analyses {
             Some(cache) => cache.relaxed(unit)?,
-            None => Arc::new(Relaxed::build(unit)?),
+            None => (Arc::new(Relaxed::build(unit)?), false),
         };
-        self.stats.solves += 1;
-        self.stats.iterations += relaxed.layout.iterations as u64;
-        self.stats.rechecks += relaxed.layout.metrics.rechecks as u64;
+        if from_slot {
+            self.stats.hits += 1;
+        } else {
+            self.stats.solves += 1;
+            self.stats.iterations += relaxed.layout.iterations as u64;
+            self.stats.rechecks += relaxed.layout.metrics.rechecks as u64;
+        }
         let layout = relaxed.layout.clone();
         self.state = Some(CacheEntry {
             relaxed,
@@ -889,11 +893,15 @@ impl LayoutCache {
         self.stats.patches += 1;
         self.stats.iterations += layout.iterations as u64;
         self.stats.rechecks += layout.metrics.rechecks as u64;
+        let relaxed = Arc::new(Relaxed {
+            model,
+            layout: Arc::new(layout),
+        });
+        if let Some(cache) = &self.analyses {
+            cache.publish_relaxed(unit.version(), relaxed.clone());
+        }
         self.state = Some(CacheEntry {
-            relaxed: Arc::new(Relaxed {
-                model,
-                layout: Arc::new(layout),
-            }),
+            relaxed,
             version: unit.version(),
         });
         Ok(())

@@ -2,8 +2,8 @@
 //! one file per 128-bit key, segmented scan-resistant LRU eviction, and a
 //! compact index file so a restart does not stat the whole directory.
 //!
-//! [`ArtifactStore`] holds optimize results (`.mc`), solved layouts
-//! (`.ml`), IR snapshots (`.msnap`) and superoptimizer rewrites (`.msr`).
+//! [`ArtifactStore`] holds optimize results (`.mc`), IR snapshots
+//! (`.msnap`) and superoptimizer rewrites (`.msr`).
 //! Every file, the index included, is a [`mao_isa::container`] artifact;
 //! the kind's codec validates it on read. The store does the rest:
 //!

@@ -26,10 +26,9 @@
 //! when the edit left the function's entries alone and replaces it with a
 //! fresh process-unique stamp when it did not, so an edited version gets an
 //! identity without rehashing the body. The entries outside every function
-//! span get one memoized *context key*, and the whole unit a memoized
-//! content key for the layout slot.
+//! span get one memoized *context key*.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,9 +144,8 @@ fn content_body_key(entries: &[Entry], spans: &[Range<EntryId>]) -> BodyKey {
     BodyKey::Content(h.finish())
 }
 
-/// Seeds of the three entry-identity hashes (ASCII `mao-unit`, `mao-body`,
-/// `mao-ctxt`), so equal bytes under different roles hash apart.
-pub(crate) const UNIT_KEY_SEED: u64 = 0x6d61_6f2d_756e_6974;
+/// Seeds of the two entry-identity hashes (ASCII `mao-body`, `mao-ctxt`),
+/// so equal bytes under different roles hash apart.
 const BODY_KEY_SEED: u64 = 0x6d61_6f2d_626f_6479;
 const CONTEXT_KEY_SEED: u64 = 0x6d61_6f2d_6374_7874;
 
@@ -163,10 +161,6 @@ pub(crate) mod work_counts {
         pub(crate) static BODY_HASHES: Cell<u64> = const { Cell::new(0) };
         /// Function slots created by full index builds.
         pub(crate) static INDEXED_FUNCTIONS: Cell<u64> = const { Cell::new(0) };
-        /// Whole-unit content keys computed.
-        pub(crate) static UNIT_HASHES: Cell<u64> = const { Cell::new(0) };
-        /// New unit versions made by `apply` and `entry_mut`.
-        pub(crate) static VERSIONS: Cell<u64> = const { Cell::new(0) };
         /// CFGs built by the analysis cache (carried ones are not built).
         pub(crate) static CFG_BUILDS: Cell<u64> = const { Cell::new(0) };
         /// Liveness tables built by the analysis cache.
@@ -270,7 +264,7 @@ fn build_index(entries: &[Entry]) -> UnitIndex {
     // function start or the end of the unit. Non-text ranges inside that
     // extent are excluded from the spans, so iteration skips interleaved
     // data sections — the transparency property of §II.
-    let symbols: Vec<&str> = entries
+    let symbols: HashSet<&str> = entries
         .iter()
         .filter_map(|e| match e {
             Entry::Directive(Directive::Type { symbol, kind }) if kind == "function" => {
@@ -282,7 +276,7 @@ fn build_index(entries: &[Entry]) -> UnitIndex {
     let mut starts: Vec<(EntryId, &str)> = Vec::new();
     for (id, e) in entries.iter().enumerate() {
         if let Entry::Label(l) = e {
-            if is_text_section(names[id]) && symbols.contains(&l.as_str()) {
+            if is_text_section(names[id]) && symbols.contains(l.as_str()) {
                 starts.push((id, l));
             }
         }
@@ -387,8 +381,6 @@ pub struct MaoUnit {
     /// Identity of the current entry list: a fresh stamp at construction
     /// and after every edit (see [`MaoUnit::version`]).
     version: u64,
-    /// Memoized [`MaoUnit::content_key`], cleared by every edit.
-    content_key: OnceLock<u128>,
 }
 
 impl PartialEq for MaoUnit {
@@ -533,30 +525,6 @@ impl MaoUnit {
         self.version
     }
 
-    /// 128-bit content key of the whole unit: one MurmurHash3 x64-128 pass
-    /// over the ISA tag and every entry, memoized per [`MaoUnit::version`].
-    /// The layout slot and the persistent layout tier are keyed by it, so
-    /// its value must stay stable across releases and toolchains: the hash
-    /// is specified (unlike `std`'s `DefaultHasher`), it takes integers as
-    /// fixed-width little-endian bytes, and a test pins its value for fixed
-    /// units. 128 bits because a 64-bit collision between distinct units
-    /// would silently hand a request the wrong layout.
-    pub fn content_key(&self) -> u128 {
-        *self.content_key.get_or_init(|| {
-            #[cfg(test)]
-            work_counts::bump(&work_counts::UNIT_HASHES, 1);
-            let mut h = Murmur3::new(UNIT_KEY_SEED);
-            // The ISA is part of the key: two directive-only units with
-            // identical entries but different targets must not share a
-            // layout slot.
-            self.isa.tag().hash(&mut h);
-            for e in &self.entries {
-                e.hash(&mut h);
-            }
-            h.finish128()
-        })
-    }
-
     /// Identity of `function`'s body entries (not their positions): the
     /// index's memoized key when `function` is the index's current view of
     /// that function, else a content hash of the entries it spans.
@@ -592,12 +560,9 @@ impl MaoUnit {
         self.context_epoch = self.context_epoch.wrapping_add(1);
     }
 
-    /// The entries changed: draw a new version and drop the content key.
+    /// The entries changed: draw a new version.
     fn new_version(&mut self) {
-        #[cfg(test)]
-        work_counts::bump(&work_counts::VERSIONS, 1);
         self.version = next_stamp();
-        self.content_key = OnceLock::new();
     }
 
     /// Section name in effect for each entry (`.text` before any section
@@ -1273,7 +1238,7 @@ impl<'a> Group<'a> {
 
 /// The rebuilding apply this module replaced, kept as the oracle the
 /// in-place [`MaoUnit::apply`] must match: entries, index structure, which
-/// functions get fresh body keys, version and content key. It reads an
+/// functions get fresh body keys, and the version. It reads an
 /// edit list through the maps the edit set used to be.
 #[cfg(test)]
 mod reference {
@@ -1616,6 +1581,51 @@ g:
             .filter_map(|id| unit.insn(id))
             .collect();
         assert_eq!(g_insns.len(), 2);
+    }
+
+    /// Function discovery looks symbols up in a set: the function list
+    /// equals the linear-scan rule's on a unit mixing `@function` and
+    /// `@object` symbols, repeated `.type` lines, a `.type` after its
+    /// label, and labels in data sections.
+    #[test]
+    fn function_discovery_matches_the_linear_scan() {
+        let text = "\t.text\n\t.type\tf, @function\n\t.type\tf, @function\nf:\n\tret\n\
+            \t.type\tobj, @object\nobj:\n\tnop\n\
+            \t.section\t.rodata\n\t.type\tdata_fn, @function\ndata_fn:\n\t.long\t1\n\
+            \t.text\ng:\n\tnop\n\t.type\tg, @function\n\
+            \t.type\tboth, @object\n\t.type\tboth, @function\nboth:\n\tret\n\
+            .Llocal:\n\tret\n\t.section\t.text.hot\n\t.type\th, @function\nh:\n\tret\n";
+        let unit = MaoUnit::parse(text).unwrap();
+        let names = unit.section_names();
+        let symbols: Vec<&str> = unit
+            .entries()
+            .iter()
+            .filter_map(|e| match e {
+                Entry::Directive(Directive::Type { symbol, kind }) if kind == "function" => {
+                    Some(symbol.as_str())
+                }
+                _ => None,
+            })
+            .collect();
+        let scanned: Vec<(EntryId, String)> = unit
+            .entries()
+            .iter()
+            .enumerate()
+            .filter_map(|(id, e)| match e {
+                Entry::Label(l) if is_text_section(names[id]) && symbols.contains(&l.as_str()) => {
+                    Some((id, l.to_string()))
+                }
+                _ => None,
+            })
+            .collect();
+        let found: Vec<(EntryId, String)> = unit
+            .functions()
+            .into_iter()
+            .map(|f| (f.label_id, f.name))
+            .collect();
+        assert_eq!(found, scanned);
+        let found: Vec<&str> = scanned.iter().map(|(_, name)| name.as_str()).collect();
+        assert_eq!(found, ["f", "g", "both", "h"]);
     }
 
     /// The §II scenario: a function split in two by an intermittent data
@@ -2101,8 +2111,8 @@ mod apply_tests {
     /// Apply `lists` to a copy of `base` by the sweep and their
     /// concatenation by the oracle: the entries, the index (against a
     /// rebuild), the body keys (fresh stamps exactly where the oracle
-    /// stamps), the context epoch, the version and the content key all
-    /// agree. Returns whether the index was patched.
+    /// stamps), the context epoch and the version all agree. Returns
+    /// whether the index was patched.
     fn matches_the_oracle(base: &MaoUnit, mut lists: Vec<EditSet>, ctx: &str) -> bool {
         let mut unit = base.clone();
         let mut oracle = base.clone();
@@ -2128,7 +2138,6 @@ mod apply_tests {
             unit.version != version && oracle.version != version,
             "{ctx}"
         );
-        assert_eq!(unit.content_key(), oracle.content_key(), "{ctx}");
         if unit.index.get().is_none() {
             return false;
         }

@@ -1,11 +1,10 @@
 //! The one on-disk container every cache artifact is framed in.
 //!
-//! Result entries (`.mc`), solved layouts (`.ml`), the store index
-//! (`store.idx`), superoptimizer rewrites (`.msr`) and IR snapshots
-//! (`.msnap`) are each a body codec inside this frame; the frame alone
-//! carries the magic, kind, version, ISA, key, length and checksum, and
-//! [`open`] validates all of it before a codec sees a byte. Layout, all
-//! integers little-endian:
+//! Result entries (`.mc`), the store index (`store.idx`), superoptimizer
+//! rewrites (`.msr`) and IR snapshots (`.msnap`) are each a body codec
+//! inside this frame; the frame alone carries the magic, kind, version,
+//! ISA, key, length and checksum, and [`open`] validates all of it before
+//! a codec sees a byte. Layout, all integers little-endian:
 //!
 //! ```text
 //! magic    8B    b"MAOART\0\x02"
@@ -47,13 +46,12 @@ pub const TMP_PREFIX: &str = ".tmp-";
 /// The artifact kinds, with their on-disk tag, body version and file
 /// extension. Bump a kind's version whenever its body encoding or the
 /// meaning of a stored artifact changes: files of any other version are
-/// rejected, and the stores evict them on contact.
+/// rejected, and the stores evict them on contact. A kind that is removed
+/// keeps its tag in [`RETIRED_TAGS`], so no later kind reads its old files.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Kind {
     /// A whole optimize outcome (`maod` result tier).
     Result,
-    /// A solved branch-relaxation layout.
-    Layout,
     /// An artifact store's accounting index.
     Index,
     /// A superoptimizer window result.
@@ -64,19 +62,12 @@ pub enum Kind {
 
 impl Kind {
     /// Every kind, in tag order.
-    pub const ALL: [Kind; 5] = [
-        Kind::Result,
-        Kind::Layout,
-        Kind::Index,
-        Kind::Rewrite,
-        Kind::Snapshot,
-    ];
+    pub const ALL: [Kind; 4] = [Kind::Result, Kind::Index, Kind::Rewrite, Kind::Snapshot];
 
     /// `(tag, version, extension)`.
     const fn spec(self) -> (u16, u16, &'static str) {
         match self {
             Kind::Result => (1, 2, "mc"),
-            Kind::Layout => (2, 3, "ml"),
             Kind::Index => (3, 2, "idx"),
             Kind::Rewrite => (4, 2, "msr"),
             Kind::Snapshot => (5, 3, "msnap"),
@@ -98,6 +89,10 @@ impl Kind {
         self.spec().2
     }
 }
+
+/// Tags of removed kinds, never to be reused: 2 was the solved layout
+/// (`.ml`), which only lives in memory now, for one unit version.
+pub const RETIRED_TAGS: [u16; 1] = [2];
 
 /// Why bytes were rejected. Every variant means the same thing to a
 /// store (evict, count corrupt, never serve); the distinction is for
@@ -300,9 +295,13 @@ mod tests {
     use super::*;
 
     fn sealed(body: &[u8]) -> Vec<u8> {
-        seal(Kind::Layout, Some(IsaId::Aarch64), 42, body.len(), |out| {
-            out.extend_from_slice(body)
-        })
+        seal(
+            Kind::Snapshot,
+            Some(IsaId::Aarch64),
+            42,
+            body.len(),
+            |out| out.extend_from_slice(body),
+        )
     }
 
     #[test]
@@ -312,7 +311,7 @@ mod tests {
             let bytes = sealed(&body);
             assert_eq!(bytes.len(), HEADER_LEN + n as usize + TRAILER_LEN);
             assert_eq!(
-                open(&bytes, Kind::Layout, Some(IsaId::Aarch64), 42).unwrap(),
+                open(&bytes, Kind::Snapshot, Some(IsaId::Aarch64), 42).unwrap(),
                 &body[..]
             );
         }
@@ -321,6 +320,10 @@ mod tests {
     #[test]
     fn kind_tags_and_extensions_are_distinct() {
         for (i, a) in Kind::ALL.iter().enumerate() {
+            assert!(
+                !RETIRED_TAGS.contains(&a.tag()),
+                "{a:?} reuses a retired tag"
+            );
             for b in &Kind::ALL[i + 1..] {
                 assert_ne!(a.tag(), b.tag());
                 assert_ne!(a.ext(), b.ext());
@@ -335,7 +338,7 @@ mod tests {
             let mut flipped = bytes.clone();
             flipped[i] ^= 0x01;
             assert!(
-                open(&flipped, Kind::Layout, Some(IsaId::Aarch64), 42).is_err(),
+                open(&flipped, Kind::Snapshot, Some(IsaId::Aarch64), 42).is_err(),
                 "flip at byte {i} accepted"
             );
         }
@@ -345,12 +348,12 @@ mod tests {
     fn atomic_write_leaves_no_temp_file() {
         let dir = std::env::temp_dir().join(format!("mao-container-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        write_atomic(&dir, "a.ml", b"x", true).unwrap();
+        write_atomic(&dir, "a.mc", b"x", true).unwrap();
         let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
-        assert_eq!(names, ["a.ml"]);
+        assert_eq!(names, ["a.mc"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -56,7 +56,6 @@ use mao::pass::{parse_invocations, run_pipeline_observed, PassInvocation, Pipeli
 use mao::{CacheStats, FunctionMemo, MaoUnit};
 
 use crate::disk_cache::DiskCache;
-use crate::layout_disk::DiskLayoutStore;
 use crate::pool::{ShardCtx, ShardPool};
 use crate::protocol::{
     CacheOutcome, ErrorKind, OptimizeOutcome, OptimizeRequest, Request, Response, Timings,
@@ -205,9 +204,6 @@ struct EngineInner {
     results: ResultCache,
     /// Front-end snapshot tier (None = parse every request).
     snapshots: Option<SnapshotStore>,
-    /// Persistent layout tier handle, kept for stats (the shards hold their
-    /// own `Arc` via `AnalysisCache::set_layout_store`).
-    layouts: Option<Arc<DiskLayoutStore>>,
     /// The function-result memo every shard's analysis cache carries.
     function_memo: Arc<FunctionMemo>,
     /// `mao_frontend_snapshot_{hits,misses}_total`.
@@ -284,25 +280,6 @@ impl Engine {
         };
         let results = ResultCache::with_disk(config.result_cache_capacity, disk);
         results.attach_metrics(&obs.metrics);
-        // The layout tier rides along with the result cache directory:
-        // solved branch-relaxation layouts persist under `<cache_dir>/layout`
-        // so restarts skip fixpoint solves the way they skip whole requests.
-        let layouts = match &config.cache_dir {
-            Some(dir) => {
-                let store = DiskLayoutStore::open_dir(dir.join("layout"), config.cache_max_bytes)
-                    .map_err(|e| {
-                    format!(
-                        "cannot open layout dir {}: {e}",
-                        dir.join("layout").display()
-                    )
-                })?;
-                store
-                    .store
-                    .attach_metrics(&obs.metrics, "mao_layout_store_disk");
-                Some(Arc::new(store))
-            }
-            None => None,
-        };
         let snapshots = match &config.snapshot_dir {
             Some(dir) => {
                 let store = SnapshotStore::open(dir, config.snapshot_max_bytes)
@@ -327,11 +304,6 @@ impl Engine {
             pool.ctx(shard)
                 .analyses
                 .set_function_memo(function_memo.clone());
-            if let Some(layouts) = &layouts {
-                pool.ctx(shard)
-                    .analyses
-                    .set_layout_store(layouts.clone() as Arc<dyn mao::LayoutStore>);
-            }
             shard_requests.push(
                 obs.metrics
                     .counter_with("mao_shard_requests_total", &[("shard", &label)]),
@@ -343,7 +315,6 @@ impl Engine {
                 pool,
                 results,
                 snapshots,
-                layouts,
                 function_memo,
                 snapshot_hits: obs.metrics.counter("mao_frontend_snapshot_hits_total"),
                 snapshot_misses: obs.metrics.counter("mao_frontend_snapshot_misses_total"),
@@ -396,8 +367,6 @@ impl Engine {
             aggregate.evictions += analyses.evictions;
             aggregate.layout_hits += analyses.layout_hits;
             aggregate.layout_misses += analyses.layout_misses;
-            aggregate.layout_disk_hits += analyses.layout_disk_hits;
-            aggregate.layout_disk_misses += analyses.layout_disk_misses;
             per_shard.push(ShardStats {
                 shard,
                 requests: self.inner.shard_requests[shard].get(),
@@ -457,11 +426,6 @@ impl Engine {
             let d = disk.stats();
             out.gauge("mao_result_cache_disk_bytes", d.bytes);
             out.gauge("mao_result_cache_disk_entries", d.entries);
-        }
-        if let Some(layouts) = &self.inner.layouts {
-            let l = layouts.stats();
-            out.gauge("mao_layout_store_disk_bytes", l.bytes);
-            out.gauge("mao_layout_store_disk_entries", l.entries);
         }
         if let Some(snapshots) = &self.inner.snapshots {
             let s = snapshots.stats();
@@ -1460,46 +1424,6 @@ mod tests {
         assert_eq!(stats.snapshot_hits, 1, "snapshot tier must serve the parse");
         assert_eq!(stats.snapshot_misses, 0);
         assert_eq!(a.asm, b.asm, "snapshot path must be byte-identical");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn layout_disk_tier_survives_engine_restart() {
-        let _cost_model = cost_model_lock();
-        let dir = tempdir("layout");
-        let config = || EngineConfig {
-            shards: 1,
-            cache_dir: Some(dir.clone()),
-            ..EngineConfig::default()
-        };
-        // BRALIGN consumes relaxation layouts through the analysis cache, so
-        // the first solve lands in `<cache_dir>/layout`.
-        let first = Engine::build(config()).unwrap();
-        let Response::Optimized { outcome: a, .. } =
-            first.handle(optimize_uncached(INPUT, "BRALIGN"))
-        else {
-            panic!("first engine must optimize");
-        };
-        let cache = first.snapshot().analysis_cache;
-        assert!(
-            cache.layout_disk_misses >= 1,
-            "cold store misses: {cache:?}"
-        );
-        assert_eq!(cache.layout_disk_hits, 0);
-        drop(first);
-
-        let second = Engine::build(config()).unwrap();
-        let Response::Optimized { outcome: b, .. } =
-            second.handle(optimize_uncached(INPUT, "BRALIGN"))
-        else {
-            panic!("second engine must optimize");
-        };
-        let cache = second.snapshot().analysis_cache;
-        assert!(
-            cache.layout_disk_hits >= 1,
-            "restarted engine loads the persisted layout: {cache:?}"
-        );
-        assert_eq!(a.asm, b.asm, "disk-loaded layout must not change output");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

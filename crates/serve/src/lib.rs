@@ -20,8 +20,6 @@
 //!   results (memory LRU over an optional persistent tier).
 //! * [`disk_cache`] — the persistent result tier: the `.mc` body codec
 //!   over a [`mao::ArtifactStore`].
-//! * [`layout_disk`] — the persistent layout tier: solved branch-relaxation
-//!   layouts as `.ml` artifacts over an artifact store.
 //! * [`snapshot_store`] — the front-end snapshot tier: binary IR snapshots
 //!   (`mao_asm::snapshot`) keyed by input content hash, `.msnap` files
 //!   byte-identical to `mao --emit-snapshot` output.
@@ -47,7 +45,6 @@ pub mod client;
 pub mod disk_cache;
 pub mod engine;
 pub mod json;
-pub mod layout_disk;
 pub mod loadgen;
 pub mod pool;
 pub mod protocol;
@@ -63,7 +60,6 @@ pub use client::Client;
 pub use disk_cache::{DiskCache, DiskCacheConfig};
 pub use engine::{Engine, EngineConfig};
 pub use json::Json;
-pub use layout_disk::DiskLayoutStore;
 pub use mao::{ArtifactStore, StoreConfig, StoreStats};
 pub use protocol::{
     CacheOutcome, ErrorKind, OptimizeOutcome, OptimizeRequest, Request, Response, Timings,

@@ -38,8 +38,11 @@ use crate::result_cache::ResultCacheStats;
 /// `function_memo` object (hits, misses, admissions, evictions, bytes and
 /// entries of the engine's function-result memo); version 9 removed the
 /// per-pass timings array, whose numbers the `spans` array's `pass` rows
-/// already carry (count = invocations, `total_us` = cumulative time).
-pub const STATS_SCHEMA_VERSION: u64 = 9;
+/// already carry (count = invocations, `total_us` = cumulative time);
+/// version 10 removed `layout_cache.hit_disk`/`miss_disk` with the
+/// persistent layout tier, and `layout_cache.{hits,misses,hit_rate}` now
+/// count lookups in each shard's one-version layout slot.
+pub const STATS_SCHEMA_VERSION: u64 = 10;
 
 /// Cumulative service counters. One instance lives for the daemon's whole
 /// life and is shared by every connection and worker thread. The counters
@@ -528,8 +531,6 @@ impl StatsSnapshot {
                     ("hits", Json::from(analyses.layout_hits)),
                     ("misses", Json::from(analyses.layout_misses)),
                     ("hit_rate", Json::from(analyses.layout_hit_rate())),
-                    ("hit_disk", Json::from(analyses.layout_disk_hits)),
-                    ("miss_disk", Json::from(analyses.layout_disk_misses)),
                 ]),
             ),
             (

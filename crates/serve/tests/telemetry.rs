@@ -191,8 +191,6 @@ fn assert_views_agree(engine: &Engine) -> Json {
     for (m, family) in [
         ("hits", "mao_layout_cache_hits_total"),
         ("misses", "mao_layout_cache_misses_total"),
-        ("hit_disk", "mao_layout_cache_disk_hits_total"),
-        ("miss_disk", "mao_layout_cache_disk_misses_total"),
     ] {
         assert_eq!(
             member(&stats, &["layout_cache", m]),

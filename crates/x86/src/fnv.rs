@@ -4,9 +4,9 @@
 //! shard route and hash maps ([`FnvHasher`]), the 128-bit content keys that
 //! name cache files ([`fnv1a128`]: snapshot and superopt window keys), the
 //! `.mpt` payload checksum ([`fnv1a64`]) and the on-disk container checksum
-//! ([`words64`]). [`Murmur3`] streams entry identities through `Hash`: the
-//! unit content key that keys the persistent layout tier, function body
-//! keys, and the function-result memo keys. The persisted keys and
+//! ([`words64`]). [`Murmur3`] streams entry identities through `Hash`:
+//! function body keys, the context key and the function-result memo keys.
+//! The persisted keys and
 //! checksums mean none of these functions may change its output.
 
 use std::hash::Hasher;
