@@ -5,30 +5,30 @@
 //! not modify a function, those results are identical — the paper's pipeline
 //! recomputes them anyway. [`AnalysisCache`] memoizes CFG, loop structure,
 //! liveness, and reaching definitions per function, keyed by
-//! [`function_key`]: the function's name and absolute spans, the identity of
-//! its body entries, and the identity of the unit's entries outside every
-//! function span. Any edit that changes or moves a function misses, except
-//! that [`crate::pass::run_functions`] carries a function's CFG and loop
-//! nest across an edit that leaves its control flow alone: re-keyed as they
-//! are when the edit moved nothing, re-based onto the new positions when it
+//! [`function_key`]: the function's analysis stamp in the unit's index. A
+//! stamp is fresh for every function at every index build, and again for
+//! every function an edit touches or shifts (see `unit.rs`), so any edit
+//! that changes or moves a function misses, except that
+//! [`crate::pass::run_functions`] carries a function's CFG and loop nest
+//! across an edit that leaves its control flow alone: re-keyed as they are
+//! when the edit moved nothing, re-based onto the new positions when it
 //! shifted them (see [`AnalysisCache::take_carried`]).
 //!
-//! The body and context identities are memoized on the unit's index (see
-//! `unit.rs`): a body is content-hashed once per index build, and an edit
-//! that touches it gives it a fresh stamp instead of a rehash, so a lookup
-//! costs O(spans), not O(entries). The context identity is what keeps a
-//! shared cache from handing one unit a CFG built against another unit's
-//! jump tables: CFG construction reads entries *outside* the function's
-//! spans (`.rodata` tables). Structural edits also bump
+//! Keys are identities, not content: a lookup reads no entry and runs no
+//! hasher. Two units never share a stamp unless one is a clone of the
+//! other, so a cache shared across units cannot hand one unit a CFG built
+//! against another unit's jump tables, which CFG construction reads
+//! *outside* the function's spans (`.rodata`). Identical text parsed twice
+//! misses; cross-request reuse in `maod` is the function-result memo's job
+//! ([`crate::function_memo`]). Structural edits also bump
 //! [`MaoUnit::context_epoch`], which flushes the whole cache.
 //!
 //! The cache is `Sync`: the parallel driver shares one instance across
 //! worker threads. Analyses are built lazily behind [`OnceLock`]s and handed
-//! out as [`Arc`]s, so a hit costs one short hash, one lock acquisition,
-//! and a refcount bump.
+//! out as [`Arc`]s, so a hit costs one stamp comparison, one lock
+//! acquisition, and a refcount bump.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -40,31 +40,24 @@ use crate::relax::{Layout, RelaxError, Relaxed};
 use crate::unit::{EditSet, Function, Group, MaoUnit};
 use mao_obs::Counter;
 
-/// Key of a function's analyses: its name, label and absolute spans, its
-/// body key, and the unit's context key.
+/// Key of a function's analyses: its stamp in the unit's index, or `None`
+/// when `function` is not the index's current view of that function (a
+/// stale or hand-made view), whose analyses are built uncached.
 ///
-/// Positions are part of the key on purpose: cached analyses store absolute
-/// entry ids (CFG blocks hold `EntryId`s), so a function whose body is
-/// unchanged but *shifted* by an edit to an earlier function must miss. The
-/// body key is the index's memoized one when `function` is the unit's
-/// current view of it, and a content hash of its entries otherwise.
-pub fn function_key(unit: &MaoUnit, function: &Function) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    function.name.hash(&mut h);
-    function.label_id.hash(&mut h);
-    for span in &function.spans {
-        span.start.hash(&mut h);
-        span.end.hash(&mut h);
-    }
-    unit.body_key(function).hash(&mut h);
-    unit.context_key().hash(&mut h);
-    h.finish()
+/// A stamp covers positions as well as entries: cached analyses store
+/// absolute entry ids (CFG blocks hold `EntryId`s), so a function whose
+/// body is unchanged but *shifted* by an edit to an earlier function gets a
+/// fresh stamp and misses. Reads no entry and runs no hasher.
+pub fn function_key(unit: &MaoUnit, function: &Function) -> Option<u64> {
+    let functions = unit.functions_cached();
+    let k = (functions.binary_search_by_key(&function.label_id, |f| f.label_id)).ok()?;
+    (functions[k] == *function).then(|| unit.stamps()[k])
 }
 
-/// Lazily built analyses for one function at one content key.
+/// Lazily built analyses for one function at one stamp.
 #[derive(Debug, Default)]
 pub struct FunctionAnalyses {
-    key: u64,
+    key: Option<u64>,
     cfg: OnceLock<Arc<Cfg>>,
     loops: OnceLock<Arc<LoopNest>>,
     liveness: OnceLock<Arc<Liveness>>,
@@ -72,11 +65,6 @@ pub struct FunctionAnalyses {
 }
 
 impl FunctionAnalyses {
-    /// The content key these analyses were built against.
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-
     /// The function's CFG (default build options).
     pub fn cfg(&self, unit: &MaoUnit, function: &Function) -> Arc<Cfg> {
         debug_assert_eq!(
@@ -352,10 +340,14 @@ impl AnalysisCache {
     }
 
     /// The analyses slot for `function`, reused when both the unit's context
-    /// epoch and the function's content key are unchanged since the last
-    /// lookup, freshly allocated (a miss) otherwise.
+    /// epoch and the function's stamp are unchanged since the last lookup,
+    /// freshly allocated (a miss) otherwise. A view the unit's index does
+    /// not hold gets a slot of its own that the cache does not keep.
     pub fn for_function(&self, unit: &MaoUnit, function: &Function) -> Arc<FunctionAnalyses> {
-        let key = function_key(unit, function);
+        let Some(key) = function_key(unit, function) else {
+            self.misses.inc();
+            return Arc::new(FunctionAnalyses::default());
+        };
         let mut state = self.state.lock().unwrap();
         if state.epoch != unit.context_epoch() {
             // Cross-function context (e.g. jump tables) may have changed;
@@ -366,7 +358,7 @@ impl AnalysisCache {
         state.clock += 1;
         let stamp = state.clock;
         if let Some(existing) = state.map.get_mut(&function.name) {
-            if existing.1.key == key {
+            if existing.1.key == Some(key) {
                 existing.0 = stamp;
                 self.hits.inc();
                 return existing.1.clone();
@@ -374,7 +366,7 @@ impl AnalysisCache {
         }
         self.misses.inc();
         let fresh = Arc::new(FunctionAnalyses {
-            key,
+            key: Some(key),
             ..FunctionAnalyses::default()
         });
         self.insert(&mut state, stamp, function.name.clone(), fresh.clone());
@@ -411,7 +403,8 @@ impl AnalysisCache {
     /// Lift out of the cache the analyses that the edit `lists` cannot
     /// invalidate, to be re-keyed (and re-based, if the edits move entries)
     /// by [`AnalysisCache::restore_carried`] once they are applied.
-    /// `functions` is the unit's function list before the edit, and
+    /// `functions` is the unit's function list before the edit
+    /// ([`MaoUnit::functions_cached`]), and
     /// `lists[i]` (sorted) holds the edits of function `owners[i]`,
     /// ascending.
     ///
@@ -436,7 +429,8 @@ impl AnalysisCache {
     /// reaching definitions hold entry ids and are always dropped. A
     /// function before the first edited one keeps its key, so it is left
     /// in place. Taken slots are moved, not cloned, and the lift counts as
-    /// neither a hit nor a miss.
+    /// neither a hit nor a miss. Slots are matched by the functions' stamps
+    /// before the edit.
     pub(crate) fn take_carried(
         &self,
         unit: &MaoUnit,
@@ -452,35 +446,34 @@ impl AnalysisCache {
         let Some(&first) = owners.first() else {
             return out;
         };
-        // After an edit that changed the context nothing carries, and the
-        // keys below would first rebuild the dropped index.
-        if self.state.lock().unwrap().epoch != epoch {
-            return out;
-        }
+        let stamps = unit.stamps();
+        debug_assert_eq!(
+            stamps.len(),
+            functions.len(),
+            "the unit's own function list"
+        );
         let in_place = lists.iter().all(EditSet::moves_nothing);
         let mut lists_at = owners.iter().zip(lists).peekable();
-        let keyed: Vec<(usize, Option<&EditSet>, u64)> = (first..functions.len())
-            .filter_map(|k| {
-                let list = lists_at.next_if(|&(&owner, _)| owner == k).map(|(_, l)| l);
-                let f = &functions[k];
-                let candidate = if in_place {
-                    list.is_some()
-                } else {
-                    f.spans.len() == 1
-                };
-                candidate.then(|| (k, list, function_key(unit, f)))
-            })
-            .collect();
         let mut state = self.state.lock().unwrap();
+        // After an edit that changed the context nothing carries.
         if state.epoch != epoch {
             return out;
         }
-        for (k, list, key) in keyed {
+        for k in first..functions.len() {
+            let list = lists_at.next_if(|&(&owner, _)| owner == k).map(|(_, l)| l);
             let f = &functions[k];
+            let candidate = if in_place {
+                list.is_some()
+            } else {
+                f.spans.len() == 1
+            };
+            if !candidate {
+                continue;
+            }
             let Some((_, slot)) = state.map.get(&f.name) else {
                 continue;
             };
-            if slot.key != key {
+            if slot.key != Some(stamps[k]) {
                 continue;
             }
             let Some(cfg) = slot.cfg.get() else {
@@ -512,7 +505,7 @@ impl AnalysisCache {
     }
 
     /// Put analyses lifted by [`AnalysisCache::take_carried`] back under
-    /// their functions' new keys. A CFG the edit shifted is re-based onto
+    /// their functions' new stamps. A CFG the edit shifted is re-based onto
     /// its function's new span (cloned first only if another holder still
     /// shares it); one it did not move keeps its `Arc`. Nothing is restored
     /// when the edit changed the context epoch (the cache flushes on the
@@ -522,7 +515,7 @@ impl AnalysisCache {
         if carried.carried.is_empty() || unit.context_epoch() != carried.epoch {
             return;
         }
-        let functions = unit.functions_cached();
+        let (functions, stamps) = (unit.functions_cached(), unit.stamps());
         let slots: Vec<(String, Arc<FunctionAnalyses>)> = carried
             .carried
             .into_iter()
@@ -557,7 +550,7 @@ impl AnalysisCache {
                     f.name
                 );
                 let slot = FunctionAnalyses {
-                    key: function_key(unit, f),
+                    key: Some(stamps[c.function]),
                     cfg: OnceLock::from(cfg),
                     loops: c.loops.map(OnceLock::from).unwrap_or_default(),
                     liveness: c.liveness.map(OnceLock::from).unwrap_or_default(),
@@ -833,87 +826,6 @@ g:
             cache.stats().hits,
             0,
             "epoch bump must flush even content-identical entries"
-        );
-    }
-
-    /// `f` dispatches through `.Ltab`; the units differ only in the table.
-    fn jump_table_unit(table: &str) -> MaoUnit {
-        MaoUnit::parse(&format!(
-            "\t.text\n\t.type\tf, @function\nf:\n\tjmp *.Ltab(,%rax,8)\n\
-             .Lc0:\n\tret\n.Lc1:\n\tret\n\t.section\t.rodata\n.Ltab:\n{table}"
-        ))
-        .unwrap()
-    }
-
-    /// Two units at the same context epoch whose functions are identical
-    /// but whose jump tables differ must not share a CFG through one cache.
-    #[test]
-    fn shared_cache_keeps_jump_table_contexts_apart() {
-        let a = jump_table_unit("\t.quad\t.Lc0\n\t.quad\t.Lc1\n");
-        let b = jump_table_unit("\t.quad\t.Lc1\n");
-        assert_eq!(a.context_epoch(), b.context_epoch());
-        let cache = AnalysisCache::new();
-        let fa = a.find_function("f").unwrap();
-        let fb = b.find_function("f").unwrap();
-        assert_eq!(fa, fb, "same view, so only the context tells them apart");
-        assert_eq!(
-            cache.for_function(&a, &fa).cfg(&a, &fa).blocks[0].succs,
-            [1, 2]
-        );
-        let cfg_b = cache.for_function(&b, &fb).cfg(&b, &fb);
-        assert_eq!(cfg_b.blocks[0].succs, Cfg::build(&b, &fb).blocks[0].succs);
-        assert_eq!(cfg_b.blocks[0].succs, [2]);
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    /// Functions with the patterns the bench pipeline's passes fire on: a
-    /// redundant test, a zero-extension, an add pair, a foldable constant,
-    /// a dead block, and small loops for the alignment passes.
-    const PIPELINE_UNIT: &str = "\t.text\n\t.type\tf0, @function\nf0:\n\
-        \tsubl\t$16, %r15d\n\ttestl\t%r15d, %r15d\n\tjne\t.L1\n\
-        \taddl\t$3, %eax\n\taddl\t$4, %eax\n.L1:\n\tret\n\
-        \t.type\tf1, @function\nf1:\n\tandl\t$255, %eax\n\tmovl\t%eax, %eax\n\
-        \tmovl\t$2, %ecx\n\taddl\t$5, %ecx\n\tret\n.Ldead:\n\taddl\t$1, %edx\n\tret\n\
-        \t.type\tf2, @function\nf2:\n\tmovl\t$0, %eax\n.L2:\n\taddl\t$1, %eax\n\
-        \tcmpl\t$100, %eax\n\tjne\t.L2\n\tret\n\
-        \t.type\tf3, @function\nf3:\n\tnop\n\tnop\n\tnop\n.L3:\n\tsubl\t$1, %edi\n\
-        \tjne\t.L3\n\tret\n";
-
-    /// One run of the benchmark's pass string hashes each function body at
-    /// most once per index build, however many analysis lookups the passes
-    /// make.
-    #[test]
-    fn pipeline_hashing_stays_within_budget() {
-        use crate::pass::{parse_invocations, run_pipeline_shared, PipelineConfig};
-        use crate::unit::work_counts::{get, BODY_HASHES, INDEXED_FUNCTIONS};
-        let passes = "REDZEXT:REDTEST:REDMOV:ADDADD:CONSTFOLD:DCE:SCHED:BRALIGN:LOOP16:LSDFIT";
-        let mut unit = MaoUnit::parse(PIPELINE_UNIT).unwrap();
-        let analyses = Arc::new(AnalysisCache::new());
-        let counts = || [&BODY_HASHES, &INDEXED_FUNCTIONS].map(get);
-        let before = counts();
-        let report = run_pipeline_shared(
-            &mut unit,
-            &parse_invocations(passes).unwrap(),
-            None,
-            &PipelineConfig { jobs: 1 },
-            &analyses,
-        )
-        .unwrap();
-        let after = counts();
-        let [bodies, indexed] = std::array::from_fn(|i| after[i] - before[i]);
-        let stats = analyses.stats();
-        assert!(
-            report.total_transformations() > 0,
-            "the unit must be edited"
-        );
-        assert!(
-            bodies <= indexed,
-            "{bodies} body hashes for {indexed} indexed function slots"
-        );
-        assert!(
-            bodies < stats.hits + stats.misses,
-            "{bodies} body hashes is no saving over {} lookups",
-            stats.hits + stats.misses
         );
     }
 

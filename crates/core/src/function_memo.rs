@@ -11,14 +11,16 @@
 //! * **Prefix.** The memoizable prefix of an invocation list is its leading
 //!   run of passes declaring [`PassScope::Function`] that support the unit's
 //!   ISA and carry no `dump-before`/`dump-after` option.
-//! * **Key.** 128 bits of MurmurHash3 x64-128 (a 64-bit `BodyKey`
-//!   collision would hand a request wrong code): the ISA tag, the cost-model
-//!   fingerprint, the canonical prefix invocations (options included), the
-//!   entries outside every function span (jump tables), the function's
-//!   name, and its body entries span by span. Entry *positions* are not in
-//!   the key: the prefix
-//!   passes produce the same body wherever the function sits, so a function
-//!   shifted by an edit elsewhere in the unit still hits.
+//! * **Key.** 128 bits of MurmurHash3 x64-128 (a 64-bit collision would
+//!   hand a request wrong code): the ISA tag, the cost-model fingerprint,
+//!   the prefix invocations' canonical rendering ([`crate::pass::canonical`],
+//!   options by typed value), the entries outside every function span (jump
+//!   tables), the function's name, and its body entries span by span. Entry
+//!   *positions* are not in the key: the prefix passes produce the same body
+//!   wherever the function sits, so a function shifted by an edit elsewhere
+//!   in the unit still hits. This is the one content key a function has:
+//!   the analysis cache keys by stamps, so it is what carries work across
+//!   `maod` requests.
 //! * **Value.** The function's spans after the prefix, each encoded with
 //!   [`mao_asm::snapshot::encode`], plus per prefix pass the function's
 //!   [`PassStats`] and buffered trace events. [`crate::pass::run_functions`]
@@ -56,7 +58,7 @@ use mao_obs::{Counter, Metrics, TraceEvent};
 use crate::isa::x86::fnv::{FnvHasher, Murmur3};
 use crate::isa::x86::sym::Sym;
 use crate::isa::{x86, IsaId};
-use crate::pass::{PassDescriptor, PassInvocation, PassScope, PassStats};
+use crate::pass::{canonical, PassDescriptor, PassInvocation, PassScope, PassStats};
 use crate::unit::{Function, MaoUnit};
 
 /// Byte budget of the stored values (encoded bodies plus replay records).
@@ -382,7 +384,8 @@ impl MemoRun {
             return None;
         }
         let functions = unit.functions_cached().to_vec();
-        let keys = function_keys(unit, &functions, &invocations[..prefix_len]);
+        let prefix = canonical(&invocations[..prefix_len], &passes[..prefix_len]);
+        let keys = function_keys(unit, &functions, &prefix);
         let mut hits = memo.lookup(&keys);
         let mut bodies = Vec::new();
         for (function, hit) in functions.iter().zip(hits.iter_mut()) {
@@ -404,7 +407,7 @@ impl MemoRun {
         Some(MemoRun {
             memo: memo.clone(),
             prefix_len,
-            pipeline: pipeline_hash(invocations),
+            pipeline: pipeline_hash(&canonical(invocations, passes)),
             records: vec![Vec::new(); functions.len()],
             keys,
             hits: Arc::new(hits),
@@ -478,13 +481,10 @@ impl MemoRun {
     }
 }
 
-/// Hash of a whole invocation list, options included.
-fn pipeline_hash(invocations: &[PassInvocation]) -> u128 {
+/// Hash of a whole invocation list's canonical rendering.
+fn pipeline_hash(passes: &str) -> u128 {
     let mut h = Murmur3::new(0x7069_7065_6c69_6e65);
-    for inv in invocations {
-        inv.name.hash(&mut h);
-        inv.options.hash(&mut h);
-    }
+    passes.hash(&mut h);
     h.finish128()
 }
 
@@ -586,21 +586,14 @@ fn isolated(unit: &MaoUnit, functions: &[Function]) -> Vec<bool> {
 }
 
 /// The 128-bit memo key of every isolated function (`None` for the rest):
-/// a hash of what every function's key shares — ISA, cost model, prefix,
-/// context — then per function that hash, its name and its body.
-fn function_keys(
-    unit: &MaoUnit,
-    functions: &[Function],
-    prefix: &[PassInvocation],
-) -> Vec<Option<u128>> {
+/// a hash of what every function's key shares — ISA, cost model, the
+/// prefix's canonical rendering ([`canonical`]), context — then per
+/// function that hash, its name and its body.
+fn function_keys(unit: &MaoUnit, functions: &[Function], prefix: &str) -> Vec<Option<u128>> {
     let mut shared = Murmur3::new(0x6d61_6f5f_6d65_6d6f);
     unit.isa().tag().hash(&mut shared);
     x86::cost::current().fingerprint().hash(&mut shared);
-    prefix.len().hash(&mut shared);
-    for inv in prefix {
-        inv.name.hash(&mut shared);
-        inv.options.hash(&mut shared);
-    }
+    prefix.hash(&mut shared);
     // The context: the entries outside every function span, gap by gap.
     let entries = unit.entries();
     let mut gap_start = 0;

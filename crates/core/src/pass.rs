@@ -299,25 +299,24 @@ impl OptionSpec {
         }
     }
 
-    /// Why `value` is not acceptable, if it is not.
-    fn check(&self, value: &str) -> Result<(), String> {
-        let ok = match self.kind {
-            OptionKind::Flag => value.is_empty(),
-            OptionKind::U64(min, max) => value.parse().is_ok_and(|v| (min..=max).contains(&v)),
-            OptionKind::F64(min, max) => value
-                .parse::<f64>()
-                .is_ok_and(|v| v.is_finite() && (min..=max).contains(&v)),
-            OptionKind::Str => true,
-            OptionKind::Enum(spellings) => spellings.contains(&value),
+    /// `value` in the one spelling of what it means — a number as its
+    /// parsed value (`03` and `+3` are `3`, `1e0` is `1.0`), text as
+    /// written, `None` for a flag — or why it is not acceptable.
+    fn check(&self, value: &str) -> Result<Option<String>, String> {
+        let canonical = match self.kind {
+            OptionKind::Flag => value.is_empty().then_some(None),
+            OptionKind::U64(min, max) => (value.parse::<u64>().ok())
+                .filter(|v| (min..=max).contains(v))
+                .map(|v| Some(v.to_string())),
+            OptionKind::F64(min, max) => (value.parse::<f64>().ok())
+                .filter(|v| v.is_finite() && (min..=max).contains(v))
+                .map(|v| Some(format!("{v:?}"))),
+            OptionKind::Str => Some(Some(value.to_string())),
+            OptionKind::Enum(spellings) => {
+                spellings.contains(&value).then(|| Some(value.to_string()))
+            }
         };
-        if ok {
-            Ok(())
-        } else {
-            Err(format!(
-                "option `{}` ({}) rejects `{value}`",
-                self.key, self.kind
-            ))
-        }
+        canonical.ok_or_else(|| format!("option `{}` ({}) rejects `{value}`", self.key, self.kind))
     }
 }
 
@@ -716,6 +715,40 @@ pub fn resolve(invocations: &[PassInvocation]) -> Result<Vec<PassDescriptor>, Pa
         .collect()
 }
 
+/// One canonical rendering of `invocations`, which [`resolve`] accepted as
+/// `passes`: `NAME=key[value],flag:NAME2`, keys in order and every value
+/// spelled as [`OptionSpec`] reads it, so pass strings that run the same
+/// (`DCE=trace[0]`, `DCE=trace[00]`, ` DCE=trace[+0]:`) render the same.
+/// This is what result-cache and function-memo keys hash.
+pub fn canonical(invocations: &[PassInvocation], passes: &[PassDescriptor]) -> String {
+    let render = |(inv, pass): (&PassInvocation, &PassDescriptor)| {
+        let options: Vec<String> = (inv.options.map.iter())
+            .map(|(key, value)| {
+                let spec = pass
+                    .options
+                    .iter()
+                    .chain(COMMON_OPTIONS)
+                    .find(|s| s.key == key);
+                let checked = spec.map(|spec| spec.check(value));
+                match checked
+                    .and_then(Result::ok)
+                    .unwrap_or_else(|| Some(value.clone()))
+                {
+                    Some(value) => format!("{key}[{value}]"),
+                    None => key.clone(),
+                }
+            })
+            .collect();
+        if options.is_empty() {
+            inv.name.clone()
+        } else {
+            format!("{}={}", inv.name, options.join(","))
+        }
+    };
+    let rendered: Vec<String> = invocations.iter().zip(passes).map(render).collect();
+    rendered.join(":")
+}
+
 /// One pass invocation, parsed from the command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassInvocation {
@@ -859,13 +892,14 @@ pub fn run_pipeline_with(
 /// Run a pipeline against a caller-provided [`AnalysisCache`].
 ///
 /// This is the long-lived-service entry point: a daemon processing many
-/// units can hand every run the same cache, so functions whose content and
-/// position repeat across requests (the common case in incremental builds,
-/// where most of a unit is unchanged) skip CFG/dataflow construction
-/// entirely. The cache's epoch tracking still applies — a unit whose
-/// context epoch differs from the previous run's flushes stale entries —
-/// and the reported [`PipelineReport::cache`] counters are cumulative over
-/// the cache's lifetime, not per run.
+/// units can hand every run the same cache, bounded by its capacity.
+/// Analyses are keyed by per-unit stamps, so one unit's never serve
+/// another's (a clone excepted); work carries across units through an
+/// attached function memo ([`AnalysisCache::set_function_memo`]). The
+/// cache's epoch tracking still applies — a unit whose context epoch
+/// differs from the previous run's flushes stale entries — and the
+/// reported [`PipelineReport::cache`] counters are cumulative over the
+/// cache's lifetime, not per run.
 pub fn run_pipeline_shared(
     unit: &mut MaoUnit,
     invocations: &[PassInvocation],
@@ -1035,6 +1069,35 @@ mod tests {
         ));
         // Empty segments are tolerated.
         assert_eq!(parse_invocations("::").unwrap().len(), 0);
+    }
+
+    /// Spellings that run the same render the same; different values,
+    /// keys or passes do not.
+    #[test]
+    fn canonical_rendering_keys_options_by_typed_value() {
+        let render = |s: &str| {
+            let invs = parse_invocations(s).unwrap();
+            canonical(&invs, &resolve(&invs).unwrap())
+        };
+        assert_eq!(render("DCE=trace[00]"), "DCE=trace[0]");
+        assert_eq!(render(" DCE=trace[+0] ::"), render("DCE=trace[0]"));
+        assert_eq!(
+            render("REDTEST=dump-after,trace[02]:ADDADD"),
+            "REDTEST=dump-after,trace[2]:ADDADD"
+        );
+        assert_eq!(
+            render("REDTEST=trace[1],dump-after"),
+            render("REDTEST=dump-after,trace[01]")
+        );
+        assert_eq!(render("NOPIN=density[.50]"), "NOPIN=density[0.5]");
+        assert_eq!(render("NOPIN=density[5e-1]"), "NOPIN=density[0.5]");
+        for (a, b) in [
+            ("DCE=trace[0]", "DCE=trace[1]"),
+            ("DCE=trace[0]", "DCE"),
+            ("DCE:REDTEST", "REDTEST:DCE"),
+        ] {
+            assert_ne!(render(a), render(b), "{a} vs {b}");
+        }
     }
 
     #[test]

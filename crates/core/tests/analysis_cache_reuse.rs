@@ -1,13 +1,18 @@
-//! Cross-run [`AnalysisCache`] reuse — the property the `maod` service
-//! relies on: sequential `run_pipeline_shared` runs over different unit
-//! instances share one cache, so repeated function content skips
-//! CFG/dataflow construction; structural mutation flushes via the epoch;
-//! capacity bounds growth through LRU eviction.
+//! [`AnalysisCache`] across units and runs: a function's analyses are keyed
+//! by its stamp, not its content, so sequential `run_pipeline_shared` runs
+//! over different unit instances share one cache without sharing entries —
+//! identical text parsed twice misses, a clone hits until either copy is
+//! edited, and units that differ only outside their functions (jump tables)
+//! keep their own CFGs. Structural mutation flushes via the epoch; capacity
+//! bounds growth through LRU eviction.
 
 use std::sync::Arc;
 
+use mao::cfg::Cfg;
+use mao::isa::x86::Instruction;
 use mao::pass::{parse_invocations, run_pipeline_shared, PipelineConfig};
-use mao::{AnalysisCache, MaoUnit};
+use mao::{AnalysisCache, EditSet, MaoUnit};
+use mao_asm::Entry;
 
 /// `n` distinct small functions; LFIND (analysis-only) visits each one.
 fn unit_text(n: usize) -> String {
@@ -32,8 +37,15 @@ fn run(unit: &mut MaoUnit, passes: &str, analyses: &Arc<AnalysisCache>) {
     .unwrap();
 }
 
+/// The function-level analyses of `unit`, looked up once per function.
+fn lookups(unit: &MaoUnit, analyses: &AnalysisCache) {
+    for f in unit.functions() {
+        analyses.for_function(unit, &f).cfg(unit, &f);
+    }
+}
+
 #[test]
-fn sequential_runs_on_identical_units_hit_the_cache() {
+fn a_second_parse_of_identical_text_misses_every_function() {
     let text = unit_text(6);
     let analyses = Arc::new(AnalysisCache::new());
 
@@ -47,48 +59,100 @@ fn sequential_runs_on_identical_units_hit_the_cache() {
     run(&mut first, "LFIND", &analyses);
     let s1 = analyses.stats();
     assert_eq!(s1.misses, functions, "each function built exactly once");
-    let lookups_per_run = s1.hits + s1.misses;
 
-    // A *different* unit parsed from the same text: same content, same
-    // positions, same (fresh) epoch — nothing is rebuilt, every lookup
-    // hits.
+    // A *different* unit parsed from the same text gets fresh stamps: every
+    // function misses once, then hits within the run as before.
     let mut second = MaoUnit::parse(&text).unwrap();
     run(&mut second, "LFIND", &analyses);
     let s2 = analyses.stats();
-    assert_eq!(s2.misses, s1.misses, "no rebuilds on the identical rerun");
-    assert_eq!(s2.hits, s1.hits + lookups_per_run);
-    assert!(s2.hit_rate() > s1.hit_rate());
-
-    // Third run: hit rate keeps climbing toward 1.
-    let mut third = MaoUnit::parse(&text).unwrap();
-    run(&mut third, "LFIND", &analyses);
-    let s3 = analyses.stats();
-    assert_eq!(s3.misses, s1.misses);
-    assert_eq!(s3.hits, s1.hits + 2 * lookups_per_run);
-    assert!(s3.hit_rate() > s2.hit_rate());
+    assert_eq!(s2.misses, 2 * functions, "identical text is another unit");
+    assert_eq!(s2.hits, 2 * s1.hits);
 }
 
 #[test]
-fn disjoint_content_misses_then_hits_its_own_entries() {
-    let analyses = Arc::new(AnalysisCache::new());
-    let text_a = unit_text(3);
-    // Different bodies ⇒ different content keys ⇒ no cross-talk.
-    let text_b = "\t.text\n\t.type\tg, @function\ng:\n\tsubl $7, %ebx\n\tret\n";
-
-    let mut a = MaoUnit::parse(&text_a).unwrap();
-    run(&mut a, "LFIND", &analyses);
+fn a_clone_hits_until_either_copy_is_edited() {
+    let text = unit_text(3);
+    let analyses = AnalysisCache::new();
+    let mut unit = MaoUnit::parse(&text).unwrap();
+    lookups(&unit, &analyses);
     assert_eq!(analyses.stats().misses, 3);
-    let mut b = MaoUnit::parse(text_b).unwrap();
-    run(&mut b, "LFIND", &analyses);
-    // b's function was built fresh, not served from a's entries.
-    assert_eq!(analyses.stats().misses, 4, "different content must rebuild");
 
-    // Each text re-run hits its own cached entries: no further rebuilds.
-    let mut a2 = MaoUnit::parse(&text_a).unwrap();
-    run(&mut a2, "LFIND", &analyses);
-    let mut b2 = MaoUnit::parse(text_b).unwrap();
-    run(&mut b2, "LFIND", &analyses);
-    assert_eq!(analyses.stats().misses, 4);
+    // A clone shares the index and its stamps: every function hits.
+    let clone = unit.clone();
+    lookups(&clone, &analyses);
+    assert_eq!(analyses.stats().misses, 3);
+    assert_eq!(analyses.stats().hits, 3);
+
+    // Editing the original's last function restamps it alone (nothing
+    // after it shifts); the clone's copy of that function misses, because
+    // the cache now holds the edited version under that name.
+    let last = unit.functions().pop().unwrap();
+    let insn = last
+        .entry_ids()
+        .find(|&id| unit.insn(id).is_some())
+        .unwrap();
+    let mut edits = EditSet::new();
+    edits.replace_insn(insn, Instruction::nop_of_len(3));
+    unit.apply(edits);
+    lookups(&unit, &analyses);
+    assert_eq!(analyses.stats().misses, 4, "only the edited function");
+    lookups(&clone, &analyses);
+    assert_eq!(analyses.stats().misses, 5, "the clone's copy is stale");
+    for copy in [&unit, &clone] {
+        for f in copy.functions() {
+            let cfg = analyses.for_function(copy, &f).cfg(copy, &f);
+            assert_eq!(*cfg, Cfg::build(copy, &f), "CFG of `{}`", f.name);
+        }
+    }
+}
+
+#[test]
+fn an_edit_that_only_shifts_a_function_restamps_it() {
+    let text = unit_text(3);
+    let analyses = AnalysisCache::new();
+    let mut unit = MaoUnit::parse(&text).unwrap();
+    lookups(&unit, &analyses);
+    let f0 = unit.find_function("f0").unwrap();
+    let insn = f0.entry_ids().find(|&id| unit.insn(id).is_some()).unwrap();
+    let mut edits = EditSet::new();
+    edits.insert_after(insn, vec![Entry::Insn(Instruction::nop().into())]);
+    unit.apply(edits);
+    let before = analyses.stats();
+    lookups(&unit, &analyses);
+    let after = analyses.stats();
+    // f0 is edited, f1 and f2 only shift: all three get fresh stamps.
+    assert_eq!(after.misses, before.misses + 3);
+    assert_eq!(after.hits, before.hits);
+}
+
+/// `f` dispatches through `.Ltab`; the units differ only in the table.
+fn jump_table_unit(table: &str) -> MaoUnit {
+    MaoUnit::parse(&format!(
+        "\t.text\n\t.type\tf, @function\nf:\n\tjmp *.Ltab(,%rax,8)\n\
+         .Lc0:\n\tret\n.Lc1:\n\tret\n\t.section\t.rodata\n.Ltab:\n{table}"
+    ))
+    .unwrap()
+}
+
+#[test]
+fn units_differing_only_in_jump_tables_keep_their_own_cfgs() {
+    let a = jump_table_unit("\t.quad\t.Lc0\n\t.quad\t.Lc1\n");
+    let b = jump_table_unit("\t.quad\t.Lc1\n\t.quad\t.Lc1\n");
+    let analyses = AnalysisCache::new();
+    let (fa, fb) = (a.find_function("f").unwrap(), b.find_function("f").unwrap());
+    assert_eq!(fa, fb, "identical bodies at identical positions");
+    assert_eq!(a.context_epoch(), b.context_epoch());
+    for _ in 0..2 {
+        for unit in [&a, &b] {
+            let cfg = analyses.for_function(unit, &fa).cfg(unit, &fa);
+            assert_eq!(*cfg, Cfg::build(unit, &fa));
+        }
+    }
+    assert_ne!(
+        Cfg::build(&a, &fa).blocks[0].succs,
+        Cfg::build(&b, &fb).blocks[0].succs,
+        "the tables lead to different successors"
+    );
 }
 
 #[test]

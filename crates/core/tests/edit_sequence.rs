@@ -248,8 +248,8 @@ fn step(rng: &mut XorShift, unit: &mut MaoUnit) -> String {
 }
 
 /// Every function's cached analyses equal a fresh build, through the
-/// index's own view and through one that does not match the index (the
-/// content-hash fallback); and the version-keyed layout slot answers for
+/// index's own view and through one that does not match the index (built
+/// uncached); and the version-keyed layout slot answers for
 /// this unit, not for an earlier version of it.
 fn check(unit: &MaoUnit, cache: &AnalysisCache, ctx: &str) {
     for f in unit.functions() {

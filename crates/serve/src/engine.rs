@@ -6,15 +6,15 @@
 //! request:
 //!
 //! 1. **Caching** — a content-addressed tiered [`ResultCache`] keyed by
-//!    `hash(asm, passes)`: memory hits skip everything, disk hits re-read a
-//!    verified entry from the persistent store (so restarts begin warm) and
-//!    promote it to memory. Below it, each *shard* owns a private
-//!    [`mao::AnalysisCache`], so a repeated function body skips
-//!    CFG/dataflow construction even when the whole-request cache misses —
-//!    without any cross-shard lock contention. One [`FunctionMemo`] shared
-//!    by all shards holds functions after the pipeline's function-level
-//!    prefix, so an edit re-runs those passes only on the functions it
-//!    touched.
+//!    `hash(asm, canonical passes)` ([`mao::pass::canonical`]): memory hits
+//!    skip everything, disk hits re-read a verified entry from the
+//!    persistent store (so restarts begin warm) and promote it to memory.
+//!    Below it, each *shard* owns a private [`mao::AnalysisCache`], which
+//!    the passes of one request share without any cross-shard lock
+//!    contention. One [`FunctionMemo`] shared by all shards holds functions
+//!    after the pipeline's function-level prefix, so an edit re-runs those
+//!    passes only on the functions it touched: the memo, not the analysis
+//!    cache, carries work across requests.
 //! 2. **Admission control** — compute work enters a bounded pending set.
 //!    Past the configured high-water mark the engine sheds load with an
 //!    explicit [`ErrorKind::Busy`] response instead of queueing without
@@ -571,11 +571,11 @@ impl Engine {
         // A pass string the registry refuses (unknown pass, unknown key,
         // malformed or out-of-range value) is answered here: it never
         // queues, parses, counts as offered, or reaches a cache.
-        let invocations = match parse_invocations(&req.passes).and_then(|invs| {
-            mao::pass::resolve(&invs)?;
-            Ok(invs)
+        let (invocations, passes) = match parse_invocations(&req.passes).and_then(|invs| {
+            let passes = mao::pass::resolve(&invs)?;
+            Ok((invs, passes))
         }) {
-            Ok(invs) => invs,
+            Ok(resolved) => resolved,
             Err(e) => {
                 return refuse(
                     respond,
@@ -595,7 +595,9 @@ impl Engine {
         };
 
         self.inner.stats.record_isa(req.isa);
-        let key = request_key(&req.asm, &req.passes, req.isa);
+        // Keyed by what the passes mean, not how they were spelt.
+        let canonical = mao::pass::canonical(&invocations, &passes);
+        let key = request_key(&req.asm, &canonical, req.isa);
         if req.use_cache {
             if let Some((cached, tier)) = self.inner.results.get(key) {
                 // Serve the stored result verbatim except for the trace:
@@ -667,10 +669,7 @@ impl Engine {
                 // Even if the requester has timed out and gone, the work is
                 // done — cache it so the retry is free.
                 if use_cache {
-                    inner.results.insert(
-                        request_key(&req.asm, &req.passes, req.isa),
-                        Arc::new(outcome.clone()),
-                    );
+                    inner.results.insert(key, Arc::new(outcome.clone()));
                 }
             }
             let response = match result {
@@ -879,6 +878,28 @@ mod tests {
         assert_eq!(cache, CacheOutcome::Hit);
         assert_eq!(a.asm, b.asm);
         assert!(b.trace.is_empty(), "cached responses carry no fresh trace");
+    }
+
+    /// Pass strings that differ only in how a value is spelt share one
+    /// result-cache entry: the key hashes their canonical rendering.
+    #[test]
+    fn equivalent_option_spellings_share_a_cache_entry() {
+        let engine = engine();
+        let mut bytes = Vec::new();
+        for (passes, expected) in [
+            ("DCE=trace[0]", CacheOutcome::Miss),
+            ("DCE=trace[00]", CacheOutcome::Hit),
+        ] {
+            let Response::Optimized { outcome, cache, .. } = engine.handle(optimize(INPUT, passes))
+            else {
+                panic!("{passes} must succeed");
+            };
+            assert_eq!(cache, expected, "{passes}");
+            bytes.push(outcome.asm);
+        }
+        assert_eq!(bytes[0], bytes[1]);
+        let stats = engine.inner.results.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //!
 //! Requests are partitioned by content hash ([`crate::RequestKey::shard`])
 //! across shards. Each shard is one worker thread with a private job queue
-//! and — crucially — a private [`AnalysisCache`]: cross-request reuse of
-//! CFG/dataflow/layout state happens *within* a shard, so the hot path
-//! never contends on a shared cache lock, and a panicking pass poisons at
-//! most one shard's cache. The same key always lands on the same shard,
-//! which is what makes per-shard caches effective: repeat traffic for a
-//! unit finds its analyses exactly where the first request left them.
+//! and a private [`AnalysisCache`], which the passes of one request share:
+//! the hot path never contends on a shared cache lock, and a panicking pass
+//! poisons at most one shard's cache. Analyses are keyed by per-unit
+//! stamps, so they never carry across requests; that is the function
+//! memo's job, which all shards share.
 //!
 //! Jobs are expected to contain their own panic isolation (the engine
 //! wraps each request in `catch_unwind`); as a second line of defense a

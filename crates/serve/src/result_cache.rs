@@ -52,7 +52,9 @@ impl RequestKey {
     }
 }
 
-/// Hash `(asm, passes, isa)` into a [`RequestKey`].
+/// Hash `(asm, passes, isa)` into a [`RequestKey`]. The engine passes the
+/// canonical rendering of the request's checked pass string
+/// ([`mao::pass::canonical`]), so spellings that run the same share a key.
 ///
 /// Two independently-seeded 64-bit hashes are concatenated; a collision
 /// needs both to collide at once, which at 2^-128 is beyond the service's

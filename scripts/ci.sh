@@ -354,6 +354,16 @@ awk 'BEGIN { printf "\t.text\n"; for (k = 0; k < 100000; k++)
 timeout 8 "$MAO" --mao=REDTEST "$WORK/many_functions.s" > "$WORK/many_functions.out"
 cmp "$WORK/many_functions.s" "$WORK/many_functions.out"
 
+# (c7) result-cache keys hash the canonical pass string: `trace[00]` runs
+# as `trace[0]`, so the second spelling hits the first's entry, bytes and all
+"$MAO" client --listen "$SOCK" --passes 'REDTEST:ADDADD:DCE=trace[0]' "$WORK/in.s" \
+    > "$WORK/trace0.s" 2> "$WORK/trace0.log"
+grep -q 'cache: miss' "$WORK/trace0.log"
+"$MAO" client --listen "$SOCK" --passes 'REDTEST:ADDADD:DCE=trace[00]' "$WORK/in.s" \
+    > "$WORK/trace00.s" 2> "$WORK/trace00.log"
+grep -q 'cache: hit' "$WORK/trace00.log"
+cmp "$WORK/trace0.s" "$WORK/trace00.s"
+
 # (d) graceful shutdown: ack, clean exit, socket removed
 "$MAO" client --listen "$SOCK" --shutdown | grep -q '"shutdown":true'
 wait "$DAEMON_PID"
