@@ -84,7 +84,7 @@ fn usage() -> &'static str {
      \x20      mao serve  [--listen ADDR] [--shards N] [--jobs N] [--timeout-ms N]\n\
      \x20                 [--max-pending N] [--cache-dir DIR] [--cache-max-bytes N]\n\
      \x20                 [--cache-fsync] [--idle-timeout-ms N] [--cache-cap N]\n\
-     \x20                 [--analysis-cache-cap N] [--max-request-bytes N]\n\
+     \x20                 [--max-request-bytes N]\n\
      \x20                 [--snapshot-dir DIR] [--snapshot-max-bytes N]\n\
      \x20                 [--cost-model FILE.mpt]\n\
      \x20      mao client [--listen ADDR] [--passes STR] [--jobs N] [--timeout-ms N]\n\
@@ -201,9 +201,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                     config.idle_timeout_ms = parser.numeric("--idle-timeout-ms")?
                 }
                 "--cache-cap" => config.result_cache_capacity = parser.numeric("--cache-cap")?,
-                "--analysis-cache-cap" => {
-                    config.analysis_cache_capacity = parser.numeric("--analysis-cache-cap")?
-                }
                 "--max-request-bytes" => {
                     config.max_request_bytes = parser.numeric("--max-request-bytes")?
                 }

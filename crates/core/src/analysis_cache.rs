@@ -1,63 +1,47 @@
-//! Per-function analysis memoization for the pass pipeline.
+//! Per-function analyses for the pass pipeline, and the counters that
+//! watch them.
 //!
 //! Every structural pass starts the same way: build the function's CFG,
 //! often its loop nest and dataflow tables on top. Between passes that did
 //! not modify a function, those results are identical — the paper's pipeline
-//! recomputes them anyway. [`AnalysisCache`] memoizes CFG, loop structure,
-//! liveness, and reaching definitions per function, keyed by
-//! [`function_key`]: the function's analysis stamp in the unit's index. A
-//! stamp is fresh for every function at every index build, and again for
-//! every function an edit touches or shifts (see `unit.rs`), so any edit
-//! that changes or moves a function misses, except that
-//! [`crate::pass::run_functions`] carries a function's CFG and loop nest
-//! across an edit that leaves its control flow alone: re-keyed as they are
-//! when the edit moved nothing, re-based onto the new positions when it
-//! shifted them (see [`AnalysisCache::take_carried`]).
+//! recomputes them anyway. Here each function of a unit's index has one
+//! analysis slot, a [`FunctionAnalyses`] holding its CFG, loop structure,
+//! liveness and reaching definitions, built lazily. The slot lives in the
+//! unit's index beside the function view (see `unit.rs`), so it lives as
+//! long as the unit and no longer: a full index build starts every slot
+//! empty, and an edit that touches or shifts a function gives it an empty
+//! one, except that [`crate::pass::run_functions`] carries a function's
+//! CFG and loop nest across an edit that leaves its control flow alone —
+//! kept as they are when the edit moved nothing, re-based onto the new
+//! positions when it shifted them (see [`FunctionAnalyses::carry`]).
 //!
-//! Keys are identities, not content: a lookup reads no entry and runs no
-//! hasher. Two units never share a stamp unless one is a clone of the
-//! other, so a cache shared across units cannot hand one unit a CFG built
-//! against another unit's jump tables, which CFG construction reads
-//! *outside* the function's spans (`.rodata`). Identical text parsed twice
-//! misses; cross-request reuse in `maod` is the function-result memo's job
-//! ([`crate::function_memo`]). Structural edits also bump
-//! [`MaoUnit::context_epoch`], which flushes the whole cache.
+//! [`AnalysisCache`] is what a pipeline shares across its passes: the
+//! lookup counters (a slot's first lookup misses, later lookups and carried
+//! slots hit; the same for the unit's solved layout) and the function-result
+//! memo handle. It holds no analysis, so a long-lived one (a `maod` shard's)
+//! keeps nothing of a finished request; cross-request reuse in `maod` is the
+//! function-result memo's job ([`crate::function_memo`]).
 //!
-//! The cache is `Sync`: the parallel driver shares one instance across
-//! worker threads. Analyses are built lazily behind [`OnceLock`]s and handed
-//! out as [`Arc`]s, so a hit costs one stamp comparison, one lock
-//! acquisition, and a refcount bump.
+//! Slots are `Sync`: the parallel driver reads one unit from several worker
+//! threads. Analyses are built behind [`OnceLock`]s and handed out as
+//! [`Arc`]s, so a hit costs one binary search over the function list, one
+//! view comparison and a refcount bump.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
+
+use mao_asm::Entry;
 
 use crate::cfg::{is_plain, Cfg};
 use crate::dataflow::{Liveness, ReachingDefs};
 use crate::function_memo::FunctionMemo;
 use crate::loops::{find_loops, LoopNest};
 use crate::relax::{Layout, RelaxError, Relaxed};
-use crate::unit::{EditSet, Function, Group, MaoUnit};
+use crate::unit::{EditSet, EntryId, Function, Group, MaoUnit};
 use mao_obs::Counter;
 
-/// Key of a function's analyses: its stamp in the unit's index, or `None`
-/// when `function` is not the index's current view of that function (a
-/// stale or hand-made view), whose analyses are built uncached.
-///
-/// A stamp covers positions as well as entries: cached analyses store
-/// absolute entry ids (CFG blocks hold `EntryId`s), so a function whose
-/// body is unchanged but *shifted* by an edit to an earlier function gets a
-/// fresh stamp and misses. Reads no entry and runs no hasher.
-pub fn function_key(unit: &MaoUnit, function: &Function) -> Option<u64> {
-    let functions = unit.functions_cached();
-    let k = (functions.binary_search_by_key(&function.label_id, |f| f.label_id)).ok()?;
-    (functions[k] == *function).then(|| unit.stamps()[k])
-}
-
-/// Lazily built analyses for one function at one stamp.
+/// Lazily built analyses for one function of one unit.
 #[derive(Debug, Default)]
 pub struct FunctionAnalyses {
-    key: Option<u64>,
     cfg: OnceLock<Arc<Cfg>>,
     loops: OnceLock<Arc<LoopNest>>,
     liveness: OnceLock<Arc<Liveness>>,
@@ -67,11 +51,6 @@ pub struct FunctionAnalyses {
 impl FunctionAnalyses {
     /// The function's CFG (default build options).
     pub fn cfg(&self, unit: &MaoUnit, function: &Function) -> Arc<Cfg> {
-        debug_assert_eq!(
-            self.key,
-            function_key(unit, function),
-            "FunctionAnalyses used with a unit/function it was not keyed for"
-        );
         self.cfg
             .get_or_init(|| {
                 #[cfg(test)]
@@ -106,17 +85,50 @@ impl FunctionAnalyses {
             .clone()
     }
 
-    /// The built analyses a carry can reuse, moved out when this is the
-    /// last reference to the slot.
-    #[allow(clippy::type_complexity)]
-    fn into_parts(
+    /// What of this slot survives an edit to its function, or `None` when
+    /// nothing does. `list` holds the function's own edits (sorted; `None`
+    /// when the edit only shifts the function), `entries` are the unit's
+    /// with the edit's permutes applied, and `slots_plain` tells whether
+    /// every slot those permutes moved is plain ([`is_plain`]).
+    ///
+    /// A set of edits that moves nothing ([`EditSet::moves_nothing`], for
+    /// every list of the apply: `in_place`) keeps the CFG and loop nest
+    /// as they are when no edited entry, replacement or permuted slot can
+    /// change a leader, an edge or a block boundary, for any number of
+    /// spans (see [`survives_in_place`]). Any other edit shifts what follows
+    /// it, and the caller only offers a one-span function; its CFG and loop
+    /// nest are kept, to be re-based, when the edit leaves its control flow
+    /// alone:
+    ///
+    /// * its CFG has no indirect jump, resolved or not (jump-table
+    ///   resolution reads instructions an edit may change);
+    /// * no edited id is a block's first entry;
+    /// * every edited, inserted, replacement or permuted entry is plain.
+    ///
+    /// Liveness rides along only for a function the edit merely shifted;
+    /// reaching definitions hold entry ids and are always dropped. The
+    /// analyses are moved out when this is the last reference to the slot.
+    pub(crate) fn carry(
         self: Arc<Self>,
-    ) -> (
-        Option<Arc<Cfg>>,
-        Option<Arc<LoopNest>>,
-        Option<Arc<Liveness>>,
-    ) {
-        match Arc::try_unwrap(self) {
+        entries: &[Entry],
+        list: Option<&EditSet>,
+        in_place: bool,
+        slots_plain: bool,
+    ) -> Option<Carried> {
+        let cfg = self.cfg.get()?;
+        if !slots_plain || cfg.unresolved_indirect || cfg.resolved_indirect > 0 {
+            return None;
+        }
+        let net = match list {
+            Some(list) if in_place => {
+                if !list.groups().all(|g| plain_edits(entries, g)) {
+                    return None;
+                }
+                None
+            }
+            _ => Some(block_growth(entries, cfg, list)?),
+        };
+        let (cfg, loops, liveness) = match Arc::try_unwrap(self) {
             Ok(slot) => (
                 slot.cfg.into_inner(),
                 slot.loops.into_inner(),
@@ -127,43 +139,82 @@ impl FunctionAnalyses {
                 shared.loops.get().cloned(),
                 shared.liveness.get().cloned(),
             ),
-        }
+        };
+        Some(Carried {
+            cfg: cfg?,
+            net,
+            loops,
+            liveness: liveness.filter(|_| list.is_none()),
+        })
     }
 }
 
-/// One function's analyses in flight across an edit.
+/// One function's analyses in flight across an edit (see
+/// [`FunctionAnalyses::carry`]).
 #[derive(Debug)]
-struct Carried {
-    /// Position in the unit's function list (unchanged by a carry-safe
-    /// edit).
-    function: usize,
+pub(crate) struct Carried {
     cfg: Arc<Cfg>,
     /// Net entry-count change of each block, or `None` when the edit moved
-    /// nothing and the CFG is re-keyed as it is.
+    /// nothing and the CFG is kept as it is.
     net: Option<Vec<isize>>,
     loops: Option<Arc<LoopNest>>,
     liveness: Option<Arc<Liveness>>,
 }
 
-/// Analyses lifted out of an [`AnalysisCache`] before an edit, to be put
-/// back under the edited unit's keys (see [`AnalysisCache::take_carried`]).
-#[derive(Debug)]
-pub(crate) struct CarriedAnalyses {
-    /// The context epoch the edit must keep.
-    epoch: u64,
-    carried: Vec<Carried>,
+impl Carried {
+    /// The function's slot in the edited unit, whose one span now starts
+    /// at `start`. A CFG the edit shifted is re-based there (cloned first
+    /// only if another holder still shares it); one it did not move keeps
+    /// its `Arc`.
+    pub(crate) fn into_slot(self, start: EntryId) -> FunctionAnalyses {
+        let cfg = match self.net {
+            None => self.cfg,
+            Some(net) => {
+                #[cfg(test)]
+                crate::unit::work_counts::bump(&crate::unit::work_counts::CFG_REBASES, 1);
+                let mut cfg = Arc::unwrap_or_clone(self.cfg);
+                cfg.rebase(start, &net);
+                Arc::new(cfg)
+            }
+        };
+        FunctionAnalyses {
+            cfg: OnceLock::from(cfg),
+            loops: self.loops.map(OnceLock::from).unwrap_or_default(),
+            liveness: self.liveness.map(OnceLock::from).unwrap_or_default(),
+            reaching: OnceLock::new(),
+        }
+    }
+}
+
+/// Debug builds: the carried `slot` of `function` must equal from-scratch
+/// builds on the edited `unit`.
+pub(crate) fn check_carried(unit: &MaoUnit, function: &Function, slot: &FunctionAnalyses) {
+    let Some(cfg) = slot.cfg.get() else {
+        return;
+    };
+    let name = &function.name;
+    debug_assert_eq!(
+        **cfg,
+        Cfg::build(unit, function),
+        "carried CFG of `{name}` diverged from a rebuild"
+    );
+    debug_assert!(
+        slot.loops.get().is_none_or(|l| **l == find_loops(cfg)),
+        "carried loop nest of `{name}` diverged from a rebuild"
+    );
+    debug_assert!(
+        slot.liveness
+            .get()
+            .is_none_or(|l| **l == Liveness::compute(unit, cfg)),
+        "carried liveness of `{name}` diverged from a rebuild"
+    );
 }
 
 /// Net entry-count change of each block of `cfg` under `list`, the edits
 /// of its function (none when the function only shifts) — or `None` when
-/// the edit may change the block structure: the CFG resolved or gave up on
-/// an indirect jump, an edited id starts a block, or an edited, inserted,
-/// replacement or permuted entry is not plain. One walk over the blocks and
-/// the list, O(blocks + edits).
-fn block_growth(unit: &MaoUnit, cfg: &Cfg, list: Option<&EditSet>) -> Option<Vec<isize>> {
-    if cfg.unresolved_indirect || cfg.resolved_indirect > 0 {
-        return None;
-    }
+/// an edited id starts a block or an edited, inserted or replacement entry
+/// is not plain. One walk over the blocks and the list, O(blocks + edits).
+fn block_growth(entries: &[Entry], cfg: &Cfg, list: Option<&EditSet>) -> Option<Vec<isize>> {
     let mut net = vec![0isize; cfg.blocks.len()];
     let mut b = 0;
     for g in list.into_iter().flat_map(EditSet::groups) {
@@ -176,7 +227,7 @@ fn block_growth(unit: &MaoUnit, cfg: &Cfg, list: Option<&EditSet>) -> Option<Vec
         {
             b += 1;
         }
-        if cfg.blocks[b].entries[0] == g.id || !plain_edits(unit, g) {
+        if cfg.blocks[b].entries[0] == g.id || !plain_edits(entries, g) {
             return None;
         }
         net[b] += g.net();
@@ -184,54 +235,29 @@ fn block_growth(unit: &MaoUnit, cfg: &Cfg, list: Option<&EditSet>) -> Option<Vec
     Some(net)
 }
 
-/// Are the entry at `g.id`, every entry the edits put in, and every
-/// permuted slot plain ([`is_plain`])?
-fn plain_edits(unit: &MaoUnit, g: Group) -> bool {
-    is_plain(unit.entry(g.id))
+/// Are the entry at `g.id` and every entry the edits put in plain
+/// ([`is_plain`])? The slots a permute moves, the id of a permute-only
+/// group among them, are checked once, where the permute is applied.
+fn plain_edits(entries: &[Entry], g: Group) -> bool {
+    (g.permute_only() || is_plain(&entries[g.id]))
         && g.inserted(true)
             .chain(g.fate())
             .chain(g.inserted(false))
             .flatten()
             .all(is_plain)
-        && g.permutes()
-            .all(|p| p.slots().all(|slot| is_plain(unit.entry(slot))))
 }
 
-/// Can `cfg` be re-keyed unchanged across `list`, its function's edits in
-/// a pass whose edits move nothing ([`EditSet::moves_nothing`])? Yes when
-/// the CFG read no jump table, resolved or not, and every edited entry, its
-/// replacement and every permuted slot is plain: then no leader, edge or
-/// block boundary can change. One walk over the list.
-fn survives_in_place(unit: &MaoUnit, cfg: &Cfg, list: &EditSet) -> bool {
-    !cfg.unresolved_indirect
-        && cfg.resolved_indirect == 0
-        && list.groups().all(|g| plain_edits(unit, g))
-}
-
-#[derive(Debug, Default)]
-struct CacheState {
-    /// The `MaoUnit::context_epoch` the map contents are valid for.
-    epoch: u64,
-    /// Function name → (last-use stamp, analyses at the function's current
-    /// key). The stamp drives LRU eviction when a capacity is set.
-    map: HashMap<String, (u64, Arc<FunctionAnalyses>)>,
-    /// Monotonic access clock for LRU stamps.
-    clock: u64,
-}
-
-/// Hit/miss/eviction counters, cumulative over the cache's lifetime.
+/// Lookup counters, cumulative over the cache's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered from a function's slot.
     pub hits: u64,
-    /// Lookups that (re)built a `FunctionAnalyses` slot.
+    /// Lookups that found a function's slot empty and started it.
     pub misses: u64,
-    /// Entries dropped to respect the capacity bound.
-    pub evictions: u64,
-    /// Layout lookups answered from the layout slot (the unit's version
-    /// had been solved or patched already).
+    /// Layout lookups answered from the unit's layout (solved or patched
+    /// since its last edit).
     pub layout_hits: u64,
-    /// Layout lookups that missed the slot and paid a full solve.
+    /// Layout lookups that found no layout and paid a full solve.
     pub layout_misses: u64,
 }
 
@@ -257,55 +283,29 @@ impl CacheStats {
     }
 }
 
-/// The layout slot: the solved model of one unit version.
-#[derive(Debug)]
-struct LayoutSlot {
-    /// The [`MaoUnit::version`] the model was solved or patched for.
-    version: u64,
-    relaxed: Arc<Relaxed>,
-}
-
-/// Shared, thread-safe per-function analysis cache.
+/// What a pipeline's passes share about analyses: lookup counters and the
+/// function-result memo handle. The analyses themselves live in the unit.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
-    state: Mutex<CacheState>,
-    /// The current unit version's layout (see [`AnalysisCache::layout`]).
-    layout: Mutex<Option<LayoutSlot>>,
     /// Optional function-result memo the pipeline consults before its
     /// function-scope prefix (see [`crate::function_memo`]).
     function_memo: OnceLock<Arc<FunctionMemo>>,
-    /// Maximum number of cached functions (0 = unbounded).
-    capacity: AtomicU64,
     /// Counter cells, owned from construction; [`AnalysisCache::stats`]
     /// reads them and [`AnalysisCache::attach_metrics`] registers them.
     hits: Counter,
     misses: Counter,
-    evictions: Counter,
     layout_hits: Counter,
     layout_misses: Counter,
 }
 
 impl AnalysisCache {
-    /// Empty, unbounded cache.
+    /// Fresh counters, no memo.
     pub fn new() -> AnalysisCache {
         AnalysisCache::default()
     }
 
-    /// Empty cache holding at most `capacity` functions (0 = unbounded);
-    /// least-recently-used entries are evicted beyond that.
-    pub fn with_capacity(capacity: usize) -> AnalysisCache {
-        let cache = AnalysisCache::default();
-        cache.capacity.store(capacity as u64, Ordering::Relaxed);
-        cache
-    }
-
-    /// The capacity bound (0 = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed) as usize
-    }
-
     /// Register this cache's counter cells in `metrics` (families
-    /// `mao_analysis_cache_{hits,misses,evictions}_total` and
+    /// `mao_analysis_cache_{hits,misses}_total` and
     /// `mao_layout_cache_{hits,misses}_total`), so
     /// a scrape reads the same cells as [`AnalysisCache::stats`].
     pub fn attach_metrics(&self, metrics: &mao_obs::Metrics) {
@@ -319,7 +319,6 @@ impl AnalysisCache {
         for (family, cell) in [
             ("mao_analysis_cache_hits_total", &self.hits),
             ("mao_analysis_cache_misses_total", &self.misses),
-            ("mao_analysis_cache_evictions_total", &self.evictions),
             ("mao_layout_cache_hits_total", &self.layout_hits),
             ("mao_layout_cache_misses_total", &self.layout_misses),
         ] {
@@ -339,308 +338,47 @@ impl AnalysisCache {
         self.function_memo.get()
     }
 
-    /// The analyses slot for `function`, reused when both the unit's context
-    /// epoch and the function's stamp are unchanged since the last lookup,
-    /// freshly allocated (a miss) otherwise. A view the unit's index does
-    /// not hold gets a slot of its own that the cache does not keep.
+    /// The analyses slot of `function` in `unit`'s index: a hit when an
+    /// earlier lookup or a carry filled it, a miss when this lookup starts
+    /// it. A view the index does not hold (a stale or hand-made one) gets a
+    /// slot of its own that nothing keeps.
     pub fn for_function(&self, unit: &MaoUnit, function: &Function) -> Arc<FunctionAnalyses> {
-        let Some(key) = function_key(unit, function) else {
+        let Some(slot) = unit.analysis_slot(function) else {
             self.misses.inc();
-            return Arc::new(FunctionAnalyses::default());
+            return Arc::default();
         };
-        let mut state = self.state.lock().unwrap();
-        if state.epoch != unit.context_epoch() {
-            // Cross-function context (e.g. jump tables) may have changed;
-            // nothing keyed under the old epoch can be trusted.
-            state.map.clear();
-            state.epoch = unit.context_epoch();
-        }
-        state.clock += 1;
-        let stamp = state.clock;
-        if let Some(existing) = state.map.get_mut(&function.name) {
-            if existing.1.key == Some(key) {
-                existing.0 = stamp;
-                self.hits.inc();
-                return existing.1.clone();
-            }
-        }
-        self.misses.inc();
-        let fresh = Arc::new(FunctionAnalyses {
-            key: Some(key),
-            ..FunctionAnalyses::default()
+        let mut started = false;
+        let analyses = slot.get_or_init(|| {
+            started = true;
+            Arc::default()
         });
-        self.insert(&mut state, stamp, function.name.clone(), fresh.clone());
-        fresh
+        if started { &self.misses } else { &self.hits }.inc();
+        analyses.clone()
     }
 
-    /// Store `slot` under `name` with LRU stamp `stamp`, evicting the least
-    /// recently used slots beyond the capacity bound.
-    fn insert(
-        &self,
-        state: &mut CacheState,
-        stamp: u64,
-        name: String,
-        slot: Arc<FunctionAnalyses>,
-    ) {
-        state.map.insert(name, (stamp, slot));
-        let capacity = self.capacity.load(Ordering::Relaxed) as usize;
-        if capacity > 0 {
-            while state.map.len() > capacity {
-                // O(n) min-stamp scan: capacities are small (hundreds) and
-                // eviction only runs once the bound is actually exceeded.
-                let lru = state
-                    .map
-                    .iter()
-                    .min_by_key(|(_, (stamp, _))| *stamp)
-                    .map(|(name, _)| name.clone())
-                    .expect("non-empty map over capacity");
-                state.map.remove(&lru);
-                self.evictions.inc();
-            }
-        }
-    }
-
-    /// Lift out of the cache the analyses that the edit `lists` cannot
-    /// invalidate, to be re-keyed (and re-based, if the edits move entries)
-    /// by [`AnalysisCache::restore_carried`] once they are applied.
-    /// `functions` is the unit's function list before the edit
-    /// ([`MaoUnit::functions_cached`]), and
-    /// `lists[i]` (sorted) holds the edits of function `owners[i]`,
-    /// ascending.
-    ///
-    /// Edits that move nothing ([`EditSet::moves_nothing`]) leave every
-    /// function they do not touch at its key, so those are left in place. A
-    /// function they touch has its CFG and loop nest `Arc`s lifted as they
-    /// are when [`survives_in_place`] holds, for any number of spans.
-    ///
-    /// Any other edit shifts what follows it. A function's CFG and loop
-    /// nest are carried, to be re-based, when the edit leaves its control
-    /// flow alone:
-    ///
-    /// * the function has one span;
-    /// * its CFG has no indirect jump, resolved or not (jump-table
-    ///   resolution reads instructions an edit may change);
-    /// * no edited id is a block's first entry;
-    /// * every edited, inserted, replacement or permuted entry is plain
-    ///   ([`is_plain`]).
-    ///
-    /// The caller must also keep the context epoch (checked on restore).
-    /// Liveness rides along only for a function the edit merely shifted;
-    /// reaching definitions hold entry ids and are always dropped. A
-    /// function before the first edited one keeps its key, so it is left
-    /// in place. Taken slots are moved, not cloned, and the lift counts as
-    /// neither a hit nor a miss. Slots are matched by the functions' stamps
-    /// before the edit.
-    pub(crate) fn take_carried(
-        &self,
-        unit: &MaoUnit,
-        functions: &[Function],
-        owners: &[usize],
-        lists: &[EditSet],
-    ) -> CarriedAnalyses {
-        let epoch = unit.context_epoch();
-        let mut out = CarriedAnalyses {
-            epoch,
-            carried: Vec::new(),
-        };
-        let Some(&first) = owners.first() else {
-            return out;
-        };
-        let stamps = unit.stamps();
-        debug_assert_eq!(
-            stamps.len(),
-            functions.len(),
-            "the unit's own function list"
-        );
-        let in_place = lists.iter().all(EditSet::moves_nothing);
-        let mut lists_at = owners.iter().zip(lists).peekable();
-        let mut state = self.state.lock().unwrap();
-        // After an edit that changed the context nothing carries.
-        if state.epoch != epoch {
-            return out;
-        }
-        for k in first..functions.len() {
-            let list = lists_at.next_if(|&(&owner, _)| owner == k).map(|(_, l)| l);
-            let f = &functions[k];
-            let candidate = if in_place {
-                list.is_some()
-            } else {
-                f.spans.len() == 1
-            };
-            if !candidate {
-                continue;
-            }
-            let Some((_, slot)) = state.map.get(&f.name) else {
-                continue;
-            };
-            if slot.key != Some(stamps[k]) {
-                continue;
-            }
-            let Some(cfg) = slot.cfg.get() else {
-                continue;
-            };
-            let net = match list {
-                Some(list) if in_place => {
-                    if !survives_in_place(unit, cfg, list) {
-                        continue;
-                    }
-                    None
-                }
-                _ => match block_growth(unit, cfg, list) {
-                    Some(net) => Some(net),
-                    None => continue,
-                },
-            };
-            let (_, slot) = state.map.remove(&f.name).expect("looked up above");
-            let (cfg, loops, liveness) = slot.into_parts();
-            out.carried.push(Carried {
-                function: k,
-                cfg: cfg.expect("checked above"),
-                net,
-                loops,
-                liveness: liveness.filter(|_| list.is_none()),
-            });
-        }
-        out
-    }
-
-    /// Put analyses lifted by [`AnalysisCache::take_carried`] back under
-    /// their functions' new stamps. A CFG the edit shifted is re-based onto
-    /// its function's new span (cloned first only if another holder still
-    /// shares it); one it did not move keeps its `Arc`. Nothing is restored
-    /// when the edit changed the context epoch (the cache flushes on the
-    /// next lookup anyway). Restored slots go through the same LRU bound as
-    /// a miss.
-    pub(crate) fn restore_carried(&self, unit: &MaoUnit, carried: CarriedAnalyses) {
-        if carried.carried.is_empty() || unit.context_epoch() != carried.epoch {
-            return;
-        }
-        let (functions, stamps) = (unit.functions_cached(), unit.stamps());
-        let slots: Vec<(String, Arc<FunctionAnalyses>)> = carried
-            .carried
-            .into_iter()
-            .map(|c| {
-                let f = &functions[c.function];
-                let cfg = match c.net {
-                    None => c.cfg,
-                    Some(net) => {
-                        #[cfg(test)]
-                        crate::unit::work_counts::bump(&crate::unit::work_counts::CFG_REBASES, 1);
-                        let mut cfg = Arc::unwrap_or_clone(c.cfg);
-                        cfg.rebase(f.spans[0].start, &net);
-                        Arc::new(cfg)
-                    }
-                };
-                debug_assert_eq!(
-                    *cfg,
-                    Cfg::build(unit, f),
-                    "carried CFG of `{}` diverged from a rebuild",
-                    f.name
-                );
-                debug_assert!(
-                    c.loops.as_deref().is_none_or(|l| *l == find_loops(&cfg)),
-                    "carried loop nest of `{}` diverged from a rebuild",
-                    f.name
-                );
-                debug_assert!(
-                    c.liveness
-                        .as_deref()
-                        .is_none_or(|l| *l == Liveness::compute(unit, &cfg)),
-                    "carried liveness of `{}` diverged from a rebuild",
-                    f.name
-                );
-                let slot = FunctionAnalyses {
-                    key: Some(stamps[c.function]),
-                    cfg: OnceLock::from(cfg),
-                    loops: c.loops.map(OnceLock::from).unwrap_or_default(),
-                    liveness: c.liveness.map(OnceLock::from).unwrap_or_default(),
-                    reaching: OnceLock::new(),
-                };
-                (f.name.clone(), Arc::new(slot))
-            })
-            .collect();
-        let mut state = self.state.lock().unwrap();
-        if state.epoch != carried.epoch {
-            return;
-        }
-        for (name, slot) in slots {
-            state.clock += 1;
-            let stamp = state.clock;
-            self.insert(&mut state, stamp, name, slot);
-        }
-    }
-
-    /// The unit's relaxed layout. The cache holds one solved model, keyed
-    /// by [`MaoUnit::version`]: the same unit (or a clone of it) hits until
-    /// either is edited, and anything else pays a full solve that replaces
-    /// the slot. The solve runs outside the lock; concurrent misses on the
-    /// same version may both solve, and the first insert wins.
+    /// The unit's relaxed layout: the one it holds, solved or patched since
+    /// its last edit, or a full solve that the unit then holds.
     pub fn layout(&self, unit: &MaoUnit) -> Result<Arc<Layout>, RelaxError> {
-        Ok(self.relaxed(unit)?.0.layout.clone())
+        let (relaxed, held) = Relaxed::of(unit)?;
+        self.count_layout(held);
+        Ok(relaxed.layout.clone())
     }
 
-    /// Like [`AnalysisCache::layout`] but returns the full solved state
-    /// (layout plus fragment model) for `LayoutCache` to patch from, and
-    /// whether it was read from the slot (`false`: this call solved).
-    pub(crate) fn relaxed(&self, unit: &MaoUnit) -> Result<(Arc<Relaxed>, bool), RelaxError> {
-        let version = unit.version();
-        if let Some(slot) = &*self.layout_slot() {
-            if slot.version == version {
-                self.layout_hits.inc();
-                return Ok((slot.relaxed.clone(), true));
-            }
+    /// Count one layout lookup: `held` if the unit held its layout.
+    pub(crate) fn count_layout(&self, held: bool) {
+        if held {
+            &self.layout_hits
+        } else {
+            &self.layout_misses
         }
-        self.layout_misses.inc();
-        let fresh = Arc::new(Relaxed::build(unit)?);
-        let mut slot = self.layout_slot();
-        match &*slot {
-            Some(held) if held.version == version => Ok((held.relaxed.clone(), false)),
-            _ => {
-                *slot = Some(LayoutSlot {
-                    version,
-                    relaxed: fresh.clone(),
-                });
-                Ok((fresh, false))
-            }
-        }
+        .inc();
     }
 
-    /// Make `relaxed`, solved or patched for unit version `version`, the
-    /// slot's model, so the next pass to ask for that version's layout
-    /// reads it instead of solving again.
-    pub(crate) fn publish_relaxed(&self, version: u64, relaxed: Arc<Relaxed>) {
-        *self.layout_slot() = Some(LayoutSlot { version, relaxed });
-    }
-
-    /// The layout slot, locked. Every write replaces the whole slot in one
-    /// assignment, so a lock poisoned by a panic elsewhere still guards a
-    /// valid slot, and `maod` shards keep serving.
-    fn layout_slot(&self) -> MutexGuard<'_, Option<LayoutSlot>> {
-        self.layout.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Drop every cached analysis (counters are kept).
-    pub fn clear(&self) {
-        self.state.lock().unwrap().map.clear();
-        *self.layout_slot() = None;
-    }
-
-    /// Number of functions currently cached.
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().map.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Cumulative hit/miss/eviction counters.
+    /// Cumulative lookup counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
-            evictions: self.evictions.get(),
             layout_hits: self.layout_hits.get(),
             layout_misses: self.layout_misses.get(),
         }
@@ -767,8 +505,10 @@ g:
         );
     }
 
+    /// A unit holds its layout until it is edited: the same unit and a
+    /// clone of it read it, identical text parsed again solves its own.
     #[test]
-    fn layout_slot_is_version_keyed() {
+    fn a_unit_holds_its_layout_until_edited() {
         let cache = AnalysisCache::new();
         let mut unit = MaoUnit::parse("\tnop\n\tret\n").unwrap();
         let a = cache.layout(&unit).unwrap();
@@ -777,9 +517,8 @@ g:
         let clone = unit.clone();
         assert!(
             Arc::ptr_eq(&a, &cache.layout(&clone).unwrap()),
-            "a clone shares the version, so it hits"
+            "a clone holds its source's layout"
         );
-        // Identical text parsed again is another unit version: it misses.
         let again = MaoUnit::parse("\tnop\n\tret\n").unwrap();
         let c = cache.layout(&again).unwrap();
         assert!(!Arc::ptr_eq(&a, &c), "a re-parse must miss");
@@ -792,46 +531,28 @@ g:
         let stats = cache.stats();
         assert_eq!((stats.layout_hits, stats.layout_misses), (2, 3));
         assert!((stats.layout_hit_rate() - 0.4).abs() < 1e-9);
-        // After N distinct units the cache holds one solved model: the
-        // slot dropped every earlier one.
-        let weak = Arc::downgrade(&cache.relaxed(&unit).unwrap().0);
-        let units: Vec<MaoUnit> = (1..=8)
-            .map(|n| MaoUnit::parse(&"\tnop\n".repeat(n)).unwrap())
-            .collect();
-        let held: Vec<std::sync::Weak<Relaxed>> = units
-            .iter()
-            .map(|u| Arc::downgrade(&cache.relaxed(u).unwrap().0))
-            .collect();
-        let live = held.iter().filter(|w| w.strong_count() > 0).count();
-        assert_eq!(live, 1, "one solved model held");
-        assert_eq!(weak.strong_count(), 0);
-        assert!(held.last().unwrap().strong_count() > 0, "the newest one");
+        assert!(
+            Arc::ptr_eq(&a, &cache.layout(&clone).unwrap()),
+            "the clone keeps its own"
+        );
     }
 
-    /// A structural edit bumps the context epoch and flushes everything.
+    /// `entry_mut` may change anything, so every slot starts over.
     #[test]
-    fn epoch_bump_flushes_cache() {
+    fn entry_mut_empties_every_slot() {
         let mut unit = MaoUnit::parse(TWO_FUNCS).unwrap();
         let cache = AnalysisCache::new();
         let f = unit.find_function("f").unwrap();
         let _ = cache.for_function(&unit, &f);
-        assert_eq!(cache.len(), 1);
-
-        // Deleting a `.size` directive is fine, but deleting a label is
-        // structural — use entry_mut which conservatively bumps the epoch.
         let _ = unit.entry_mut(0);
         let f2 = unit.find_function("f").unwrap();
         let _ = cache.for_function(&unit, &f2);
-        assert_eq!(
-            cache.stats().hits,
-            0,
-            "epoch bump must flush even content-identical entries"
-        );
+        assert_eq!(cache.stats().hits, 0, "even content-identical entries");
     }
 
     /// BRALIGN pads the second of two aliasing back branches through a
-    /// layout patch and publishes the patched model, so LOOP16 and LSDFIT
-    /// read it from the slot: the pipeline pays one full solve.
+    /// layout patch that the unit then holds, so LOOP16 and LSDFIT read it:
+    /// the pipeline pays one full solve.
     #[test]
     fn layout_passes_read_the_patched_layout() {
         use crate::pass::{parse_invocations, run_pipeline_shared, PipelineConfig};
@@ -916,7 +637,7 @@ g:
 }
 
 /// The passes whose edits are all one-for-one (SCHED's reorders, REDMOV's
-/// load→move rewrites) move their functions' CFGs to the new keys as they
+/// load→move rewrites) keep their functions' CFGs in their slots as they
 /// are: the first pass builds each CFG once, and no edit after it rebuilds
 /// or re-bases one.
 #[cfg(test)]
@@ -961,7 +682,7 @@ mod rekey_tests {
     }
 }
 
-/// The carry rule of [`AnalysisCache::take_carried`]: carried CFGs and loop
+/// The carry rule of [`FunctionAnalyses::carry`]: carried CFGs and loop
 /// nests equal from-scratch builds, and every exclusion rebuilds.
 #[cfg(test)]
 mod carry_tests {
@@ -1075,7 +796,6 @@ mod carry_tests {
             let mut unit = MaoUnit::parse(&text).unwrap();
             let mut ctx = PassContext::default();
             for round in 0..4u64 {
-                let epoch = unit.context_epoch();
                 let builds = edit_and_relook(&mut unit, &mut ctx, |unit, f, cfg| {
                     let mut rng = Rng((seed << 8 | round) ^ fnv(&f.name) | 1);
                     let mut edits = EditSet::new();
@@ -1093,10 +813,9 @@ mod carry_tests {
                             };
                         }
                     }
-                    edited.fetch_add(edits.len(), Ordering::Relaxed);
+                    edited.fetch_add(edits.len(), std::sync::atomic::Ordering::Relaxed);
                     edits
                 });
-                assert_eq!(unit.context_epoch(), epoch, "seed {seed}: a plain edit");
                 assert!(
                     builds.iter().all(|&b| b == 0),
                     "seed {seed} round {round}: CFG rebuilds {builds:?}\n{text}"
@@ -1119,21 +838,18 @@ mod carry_tests {
         \tjne\t.L1\n\taddl\t$2, %eax\n\taddl\t$3, %eax\n.L1:\n\taddl\t$4, %eax\n\tret\n\
         \t.type\tg, @function\ng:\n\tnop\n\tnop\n\tret\n";
 
-    /// Apply `edit` to `f` of `text` (leaving the context epoch alone) and
-    /// return the CFG builds each function's next lookup costs.
+    /// Apply `edit` to `f` of `text` and return the CFG builds each
+    /// function's next lookup costs (`g`'s 0 shows the index was patched).
     fn rebuilds_after(text: &str, edit: impl Fn(&MaoUnit, &Cfg) -> EditSet + Sync) -> Vec<u64> {
         let mut unit = MaoUnit::parse(text).unwrap();
         let mut ctx = PassContext::default();
-        let epoch = unit.context_epoch();
-        let builds = edit_and_relook(&mut unit, &mut ctx, |unit, f, cfg| {
+        edit_and_relook(&mut unit, &mut ctx, |unit, f, cfg| {
             if f.name == "f" {
                 edit(unit, cfg)
             } else {
                 EditSet::new()
             }
-        });
-        assert_eq!(unit.context_epoch(), epoch, "the index is patched");
-        builds
+        })
     }
 
     /// A plain edit in `f` carries both functions: the edited one and the

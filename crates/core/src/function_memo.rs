@@ -19,8 +19,8 @@
 //!   *positions* are not in the key: the prefix passes produce the same body
 //!   wherever the function sits, so a function shifted by an edit elsewhere
 //!   in the unit still hits. This is the one content key a function has:
-//!   the analysis cache keys by stamps, so it is what carries work across
-//!   `maod` requests.
+//!   analyses live in each request's unit, so it is what carries work
+//!   across `maod` requests.
 //! * **Value.** The function's spans after the prefix, each encoded with
 //!   [`mao_asm::snapshot::encode`], plus per prefix pass the function's
 //!   [`PassStats`] and buffered trace events. [`crate::pass::run_functions`]

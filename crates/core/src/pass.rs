@@ -163,8 +163,8 @@ pub struct PassContext {
     /// Worker threads for the function-level driver (1 = sequential; the
     /// pipeline sets this from [`PipelineConfig::jobs`]).
     pub jobs: usize,
-    /// Shared per-function analysis cache, reused across passes of one
-    /// pipeline run and across worker threads.
+    /// The analysis counters and function memo shared across the passes
+    /// of one pipeline run and across worker threads.
     pub analyses: Arc<AnalysisCache>,
     /// Telemetry sinks (span recorder + metrics registry); defaults to a
     /// disabled recorder and a private registry, both effectively free.
@@ -439,7 +439,8 @@ pub struct FnCtx<'a> {
     pub options: &'a PassOptions,
     /// Profile data, when the pipeline carries any.
     pub profile: Option<&'a Profile>,
-    /// Shared analysis cache (CFG, loops, dataflow per function).
+    /// The pipeline's analysis counters; the analyses (CFG, loops,
+    /// dataflow per function) live in the unit.
     pub analyses: &'a AnalysisCache,
     /// Stats for this function; summed across functions by the driver.
     pub stats: PassStats,
@@ -459,22 +460,22 @@ impl FnCtx<'_> {
         }
     }
 
-    /// The function's CFG, from the shared cache.
+    /// The function's CFG, from its slot in the unit.
     pub fn cfg(&self, unit: &MaoUnit, f: &Function) -> Arc<crate::cfg::Cfg> {
         self.analyses.for_function(unit, f).cfg(unit, f)
     }
 
-    /// The function's loop nest, from the shared cache.
+    /// The function's loop nest, from its slot in the unit.
     pub fn loops(&self, unit: &MaoUnit, f: &Function) -> Arc<crate::loops::LoopNest> {
         self.analyses.for_function(unit, f).loops(unit, f)
     }
 
-    /// The function's liveness tables, from the shared cache.
+    /// The function's liveness tables, from its slot in the unit.
     pub fn liveness(&self, unit: &MaoUnit, f: &Function) -> Arc<crate::dataflow::Liveness> {
         self.analyses.for_function(unit, f).liveness(unit, f)
     }
 
-    /// The function's reaching definitions, from the shared cache.
+    /// The function's reaching definitions, from its slot in the unit.
     pub fn reaching(&self, unit: &MaoUnit, f: &Function) -> Arc<crate::dataflow::ReachingDefs> {
         self.analyses.for_function(unit, f).reaching(unit, f)
     }
@@ -586,7 +587,6 @@ where
 
     // Fold in function order: deterministic stats, trace, and edits.
     let mut total = PassStats::default();
-    let mut owners: Vec<usize> = Vec::new();
     let mut sets: Vec<EditSet> = Vec::new();
     for (k, outcome) in outcomes.into_iter().enumerate() {
         let Some(outcome) = outcome else {
@@ -628,7 +628,6 @@ where
             ctx.push_event(ev);
         }
         if !outcome.edits.is_empty() {
-            owners.push(k);
             sets.push(outcome.edits);
         }
     }
@@ -637,12 +636,8 @@ where
         .counter("mao_functions_processed_total")
         .add(work.len() as u64);
     // Analyses of functions whose control flow the edits leave alone
-    // survive them: re-keyed as they are, or re-based onto new positions.
-    if !sets.is_empty() {
-        let carried = ctx.analyses.take_carried(unit, &functions, &owners, &sets);
-        unit.apply_lists(&mut sets);
-        ctx.analyses.restore_carried(unit, carried);
-    }
+    // survive them: kept as they are, or re-based onto new positions.
+    unit.apply_lists(&mut sets, true);
     if let Some(mut memo) = memo {
         memo.called();
         ctx.memo = Some(memo);
@@ -876,8 +871,8 @@ pub fn run_pipeline(
 
 /// Run an ordered list of pass invocations over the unit.
 ///
-/// One [`AnalysisCache`] is shared by every invocation (and every worker
-/// thread): passes that modify nothing reuse the previous pass's CFGs and
+/// Every invocation (and every worker thread) reads the analyses the unit
+/// holds: passes that modify nothing reuse the previous pass's CFGs and
 /// dataflow tables wholesale.
 pub fn run_pipeline_with(
     unit: &mut MaoUnit,
@@ -892,14 +887,12 @@ pub fn run_pipeline_with(
 /// Run a pipeline against a caller-provided [`AnalysisCache`].
 ///
 /// This is the long-lived-service entry point: a daemon processing many
-/// units can hand every run the same cache, bounded by its capacity.
-/// Analyses are keyed by per-unit stamps, so one unit's never serve
-/// another's (a clone excepted); work carries across units through an
-/// attached function memo ([`AnalysisCache::set_function_memo`]). The
-/// cache's epoch tracking still applies — a unit whose context epoch
-/// differs from the previous run's flushes stale entries — and the
-/// reported [`PipelineReport::cache`] counters are cumulative over the
-/// cache's lifetime, not per run.
+/// units can hand every run the same cache. Analyses live in each unit, so
+/// one unit's never serve another's (a clone excepted) and the cache keeps
+/// none of them; work carries across units through an attached function
+/// memo ([`AnalysisCache::set_function_memo`]). The reported
+/// [`PipelineReport::cache`] counters are cumulative over the cache's
+/// lifetime, not per run.
 pub fn run_pipeline_shared(
     unit: &mut MaoUnit,
     invocations: &[PassInvocation],

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use crate::analysis_cache::AnalysisCache;
 use crate::cfg::Cfg;
 use crate::loops::{Loop, LoopNest};
 use crate::pass::{PassContext, PassError};
@@ -10,27 +11,39 @@ use crate::relax::{Layout, LayoutCache};
 use crate::unit::{EditSet, EntryId, MaoUnit};
 
 /// The layout-consuming passes' window onto relaxation: hands out layouts
-/// and applies edits, keeping the fragment model warm so each edit costs an
-/// incremental [`LayoutCache::patch`] instead of a from-scratch solve. Solved
-/// and patched models go to the analysis cache's version-keyed layout slot,
-/// so the next layout pass over the same unit version reads this one's.
+/// and applies edits, so each edit costs an incremental
+/// [`LayoutCache::patch`] of the model the unit holds instead of a
+/// from-scratch solve. The unit keeps the solved or patched model until its
+/// next edit, so the next layout pass over the same entries reads this
+/// one's. A lookup that starts from a layout this provider did not leave
+/// (its first one, or one after a patch fell back) counts as a layout hit
+/// or miss in the pipeline's [`AnalysisCache`].
 ///
 /// Debug builds check every layout handed out — freshly solved, patched or
-/// read from the slot — against [`crate::relax::relax_reference`], the
+/// held by the unit — against [`crate::relax::relax_reference`], the
 /// entry-at-a-time solver kept as an oracle.
 pub(crate) struct LayoutProvider {
     cache: LayoutCache,
+    analyses: Arc<AnalysisCache>,
+    /// Does the unit hold the layout this provider last read or patched?
+    own: bool,
 }
 
 impl LayoutProvider {
     pub(crate) fn new(ctx: &PassContext) -> LayoutProvider {
         LayoutProvider {
-            cache: LayoutCache::with_analyses(ctx.analyses.clone()),
+            cache: LayoutCache::new(),
+            analyses: ctx.analyses.clone(),
+            own: false,
         }
     }
 
     /// The unit's current layout.
     pub(crate) fn layout(&mut self, unit: &MaoUnit) -> Result<Arc<Layout>, PassError> {
+        if !self.own {
+            self.analyses.count_layout(unit.relaxed().get().is_some());
+            self.own = true;
+        }
         let layout = self.cache.layout(unit)?;
         #[cfg(debug_assertions)]
         {
@@ -46,6 +59,7 @@ impl LayoutProvider {
     /// Apply `edits` to the unit, patching the cached layout incrementally.
     pub(crate) fn apply(&mut self, unit: &mut MaoUnit, edits: EditSet) -> Result<(), PassError> {
         self.cache.patch(unit, edits)?;
+        self.own = unit.relaxed().get().is_some();
         Ok(())
     }
 

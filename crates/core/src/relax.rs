@@ -21,13 +21,16 @@
 //! pure integer arithmetic, no re-encoding — and a monotone worklist skips
 //! branches whose span saw no size change since their last check.
 //!
-//! [`relax`] runs the fragment engine over a whole unit. [`LayoutCache`]
-//! keeps the fragment model alive across a pass's edits and re-lays-out
-//! incrementally via [`LayoutCache::patch`]. [`relax_reference`] retains the
-//! original entry-at-a-time algorithm (re-encoding every instruction every
-//! iteration) as an oracle for the equivalence tests and for debug builds,
-//! which check every layout a pass reads against it; it has no production
-//! caller. Both produce identical layouts.
+//! [`relax`] runs the fragment engine over a whole unit. A unit holds its
+//! solved model (fragments plus layout) until its next edit, so every pass
+//! that asks for the layout of the same entries reads one solve;
+//! [`LayoutCache::patch`] applies a pass's edits and re-lays-out
+//! incrementally from the held model, leaving the unit holding the result.
+//! [`relax_reference`] retains the original entry-at-a-time algorithm
+//! (re-encoding every instruction every iteration) as an oracle for the
+//! equivalence tests and for debug builds, which check every layout a pass
+//! reads against it; it has no production caller. Both produce identical
+//! layouts.
 
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock};
@@ -738,9 +741,8 @@ pub fn branch_displacement(unit: &MaoUnit, layout: &Layout, id: EntryId) -> Opti
 // Incremental layout
 // ---------------------------------------------------------------------------
 
-/// A solved unit: the fragment model plus the layout it produced. Shared
-/// between [`LayoutCache`] and the version-keyed layout slot in
-/// [`crate::AnalysisCache`].
+/// A solved unit: the fragment model plus the layout it produced. The unit
+/// holds its own until its next edit.
 #[derive(Debug)]
 pub(crate) struct Relaxed {
     pub(crate) model: FragmentModel,
@@ -748,25 +750,36 @@ pub(crate) struct Relaxed {
 }
 
 impl Relaxed {
-    pub(crate) fn build(unit: &MaoUnit) -> Result<Relaxed, RelaxError> {
+    fn build(unit: &MaoUnit) -> Result<Relaxed, RelaxError> {
         let model = FragmentModel::build(unit)?;
         let layout = Arc::new(model.solve(unit, false, None)?);
         Ok(Relaxed { model, layout })
+    }
+
+    /// The unit's solved model and whether the unit held it (`false`: this
+    /// call solved, and the unit now holds the result). The solve runs
+    /// unlocked; concurrent callers may both solve, and the first one's
+    /// model is the one held.
+    pub(crate) fn of(unit: &MaoUnit) -> Result<(Arc<Relaxed>, bool), RelaxError> {
+        if let Some(held) = unit.relaxed().get() {
+            return Ok((held.clone(), true));
+        }
+        let fresh = Arc::new(Relaxed::build(unit)?);
+        Ok((unit.relaxed().get_or_init(|| fresh).clone(), false))
     }
 }
 
 /// Counters for one [`LayoutCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LayoutCacheStats {
-    /// `layout()` calls answered without solving: from the cached state,
-    /// or from the analysis cache's layout slot.
+    /// `layout()` calls answered without solving: the unit held its layout.
     pub hits: u64,
     /// Full solves (first layout, or recovery after a fallback).
     pub solves: u64,
     /// Incremental patches applied.
     pub patches: u64,
     /// Patches that had to fall back to a full rebuild (section-changing
-    /// edits, or edits against an unknown unit state).
+    /// edits, or edits to a unit that held no layout).
     pub fallbacks: u64,
     /// Cumulative fixed-point iterations across solves and patches.
     pub iterations: u64,
@@ -774,43 +787,21 @@ pub struct LayoutCacheStats {
     pub rechecks: u64,
 }
 
-struct CacheEntry {
-    relaxed: Arc<Relaxed>,
-    /// The [`MaoUnit::version`] the layout was solved or patched for.
-    version: u64,
-}
-
-/// Incrementally maintained layout for a unit being transformed by a pass.
+/// A pass's window onto its unit's layout, counting what it costs.
 ///
-/// The cached layout is valid exactly while the unit's
-/// [`MaoUnit::version`] equals the one it was solved or patched for. Every
-/// edit draws a new version, so an edit applied behind the cache's back
-/// (`MaoUnit::apply`, `MaoUnit::entry_mut`) or another unit handed to the
-/// same cache forces a full solve instead of a stale answer; route edits
+/// The layout itself lives in the unit, valid until the unit's next edit:
+/// an edit applied behind the cache's back (`MaoUnit::apply`,
+/// `MaoUnit::entry_mut`) drops it, and a full solve follows. Route edits
 /// through [`LayoutCache::patch`] to keep the incremental path.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct LayoutCache {
-    analyses: Option<Arc<crate::AnalysisCache>>,
-    state: Option<CacheEntry>,
     stats: LayoutCacheStats,
 }
 
 impl LayoutCache {
-    /// A cache that solves locally.
+    /// Fresh counters.
     pub fn new() -> LayoutCache {
         LayoutCache::default()
-    }
-
-    /// A cache that shares its models through the analysis cache's layout
-    /// slot: a layout the slot already holds for the unit's version is
-    /// read, not solved, and every solve and patch is published there, so
-    /// the next pass over the same version (LOOP16 after BRALIGN) starts
-    /// from this pass's layout.
-    pub fn with_analyses(analyses: Arc<crate::AnalysisCache>) -> LayoutCache {
-        LayoutCache {
-            analyses: Some(analyses),
-            ..LayoutCache::default()
-        }
     }
 
     /// Counters so far.
@@ -818,98 +809,59 @@ impl LayoutCache {
         self.stats
     }
 
-    /// The unit's layout: cached if the unit is unchanged since the last
-    /// call, read from the analysis cache's slot if that holds the unit's
-    /// version, otherwise a full solve.
+    /// The unit's layout: the one it holds, or a full solve it then holds.
     pub fn layout(&mut self, unit: &MaoUnit) -> Result<Arc<Layout>, RelaxError> {
-        if let Some(st) = &self.state {
-            if st.version == unit.version() {
-                self.stats.hits += 1;
-                return Ok(st.relaxed.layout.clone());
-            }
-        }
-        let (relaxed, from_slot) = match &self.analyses {
-            Some(cache) => cache.relaxed(unit)?,
-            None => (Arc::new(Relaxed::build(unit)?), false),
-        };
-        if from_slot {
+        let (relaxed, held) = Relaxed::of(unit)?;
+        if held {
             self.stats.hits += 1;
         } else {
             self.stats.solves += 1;
             self.stats.iterations += relaxed.layout.iterations as u64;
             self.stats.rechecks += relaxed.layout.metrics.rechecks as u64;
         }
-        let layout = relaxed.layout.clone();
-        self.state = Some(CacheEntry {
-            relaxed,
-            version: unit.version(),
-        });
-        Ok(layout)
+        Ok(relaxed.layout.clone())
     }
 
-    /// Apply `edits` to the unit and incrementally update the cached layout.
+    /// Apply `edits` to the unit and incrementally update its layout.
     ///
     /// The per-entry metas are spliced alongside the edit (only entries the
     /// edit introduces are encoded), the fragment list is rebuilt with pure
     /// integer work, and the fixed point re-runs; finalization copies the
     /// stable prefix — everything before the first edited entry whose branch
-    /// form held — from the previous layout. Edits that move entries between
-    /// sections fall back to a full re-solve on the next [`LayoutCache::layout`]
-    /// call. Either way the unit ends up exactly as `MaoUnit::apply` would
-    /// leave it, and the next layout equals a from-scratch [`relax`].
+    /// form held — from the previous layout, and the unit holds the result.
+    /// Edits that move entries between sections, or a unit that held no
+    /// layout, fall back to a full re-solve on the next
+    /// [`LayoutCache::layout`] call. Either way the unit ends up exactly as
+    /// `MaoUnit::apply` would leave it, and the next layout equals a
+    /// from-scratch [`relax`].
     pub fn patch(&mut self, unit: &mut MaoUnit, mut edits: EditSet) -> Result<(), RelaxError> {
         edits.sort();
-        let plan = match &self.state {
-            Some(st) if st.version == unit.version() => {
-                splice_model(&st.relaxed.model, unit.entries(), &edits)
-            }
-            _ => None,
-        };
+        let plan = unit.relaxed().get().and_then(|held| {
+            let (model, first_edit) = splice_model(&held.model, unit.entries(), &edits)?;
+            Some((model, first_edit, held.layout.clone()))
+        });
         unit.apply(edits);
-        let Some((mut model, first_edit)) = plan else {
+        let Some((mut model, first_edit, previous)) = plan else {
             self.stats.fallbacks += 1;
-            self.state = None;
             return Ok(());
         };
         if model.metas.len() != unit.len() {
             debug_assert_eq!(model.metas.len(), unit.len(), "spliced model diverged");
             self.stats.fallbacks += 1;
-            self.state = None;
             return Ok(());
         }
         model.rebuild_frags();
-        let st = self
-            .state
-            .take()
-            .expect("a splice plan implies cached state");
-        let layout = match model.solve(unit, true, Some((&st.relaxed.layout, first_edit))) {
-            Ok(l) => l,
-            Err(e) => {
-                // The unit keeps the edit; the error (bad inserted entry,
-                // divergence) will equally hit any later full solve.
-                return Err(e);
-            }
-        };
+        // On error the unit keeps the edit; the error (bad inserted entry,
+        // divergence) will equally hit any later full solve.
+        let layout = model.solve(unit, true, Some((&previous, first_edit)))?;
         self.stats.patches += 1;
         self.stats.iterations += layout.iterations as u64;
         self.stats.rechecks += layout.metrics.rechecks as u64;
-        let relaxed = Arc::new(Relaxed {
+        unit.hold_relaxed(Arc::new(Relaxed {
             model,
             layout: Arc::new(layout),
-        });
-        if let Some(cache) = &self.analyses {
-            cache.publish_relaxed(unit.version(), relaxed.clone());
-        }
-        self.state = Some(CacheEntry {
-            relaxed,
-            version: unit.version(),
-        });
+        }));
         Ok(())
-    }
-
-    /// Drop the cached state (the next `layout()` call re-solves).
-    pub fn invalidate(&mut self) {
-        self.state = None;
     }
 }
 
@@ -1397,8 +1349,8 @@ mod tests {
         assert_eq!(cache.stats().solves, 1);
     }
 
-    /// A same-length edit applied behind the cache's back (neither the
-    /// entry count nor the context epoch moves) must still be seen.
+    /// A same-length edit applied behind the cache's back (the entry count
+    /// does not move) must still be seen.
     #[test]
     fn layout_cache_sees_same_length_edit_outside_patch() {
         let mut unit = MaoUnit::parse("f:\n\tnop\n\tnop\n\tret\n").unwrap();
@@ -1412,7 +1364,7 @@ mod tests {
         assert!(after.agrees_with(&relax(&unit).unwrap()));
         assert_eq!(cache.stats().solves, 2, "the stale layout must not hit");
 
-        // `entry_mut` draws a new version even when nothing is written.
+        // `entry_mut` drops the layout even when nothing is written.
         let _ = unit.entry_mut(1);
         cache.layout(&unit).unwrap();
         assert_eq!(cache.stats().solves, 3);

@@ -16,27 +16,31 @@
 //! function bodies (the common case for peephole passes). Structural edits —
 //! anything inserting or removing labels, section directives, or `.type`
 //! markers, or touching entries outside function spans — drop the index for
-//! a full rebuild on next access and bump [`MaoUnit::context_epoch`], the
-//! signal analysis caches use to discard results that may have read
-//! cross-function context (e.g. jump tables in `.rodata`).
+//! a full rebuild on next access.
 //!
-//! The index also gives each function an analysis *stamp* — the identity
-//! [`AnalysisCache`](crate::AnalysisCache) keys its analyses by. Every
-//! function gets a fresh process-unique stamp when the index is built, and
-//! a patch draws a fresh one for every function the edit touches or shifts,
-//! so equal stamps mean equal entries at equal positions in one unit (or in
-//! clones of it) and no function body is ever hashed for an identity.
+//! The index also holds each function's analysis slot
+//! ([`FunctionAnalyses`]: CFG, loop nest, dataflow), and the unit holds its
+//! solved layout ([`Relaxed`]). Both describe the current entries and live
+//! exactly as long as they do: a rebuilt index starts every slot empty, so
+//! nothing built against cross-function context (jump tables in `.rodata`)
+//! outlives an edit to it; a patch empties the slot of every function the
+//! edit touches or shifts, unless its analyses are carried (see
+//! [`MaoUnit::apply_lists`]); and every edit drops the layout, unless
+//! [`LayoutCache::patch`](crate::relax::LayoutCache::patch) puts the patched
+//! one in its place.
 
 use std::collections::hash_map::Entry as Slot;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use mao_asm::{Directive, Entry, ParseError};
 
+use crate::analysis_cache::{check_carried, FunctionAnalyses};
+use crate::cfg::is_plain;
 use crate::isa::x86::Instruction;
 use crate::isa::{Insn, IsaId};
+use crate::relax::Relaxed;
 
 /// Index of an entry in the unit's flat list.
 pub type EntryId = usize;
@@ -108,15 +112,6 @@ impl Function {
     }
 }
 
-/// Source of analysis stamps and unit versions for the whole process.
-/// Values are unique per process and never written to disk; 0 is left for
-/// default-constructed (empty) units.
-static STAMPS: AtomicU64 = AtomicU64::new(1);
-
-fn next_stamp() -> u64 {
-    STAMPS.fetch_add(1, Ordering::Relaxed)
-}
-
 /// Per-thread counts of the CFG and liveness builds the analysis cache pays
 /// for, for the tests that pin those budgets.
 #[cfg(test)]
@@ -129,8 +124,8 @@ pub(crate) mod work_counts {
         pub(crate) static CFG_BUILDS: Cell<u64> = const { Cell::new(0) };
         /// Liveness tables built by the analysis cache.
         pub(crate) static LIVENESS_BUILDS: Cell<u64> = const { Cell::new(0) };
-        /// Carried CFGs re-based onto shifted positions (a CFG re-keyed
-        /// across an edit that moved nothing is not counted).
+        /// Carried CFGs re-based onto shifted positions (a CFG kept as it
+        /// is across an edit that moved nothing is not counted).
         pub(crate) static CFG_REBASES: Cell<u64> = const { Cell::new(0) };
         /// Set while a test measures `apply`'s own allocations: pauses the
         /// debug-build index oracle, a full rebuild by design.
@@ -157,15 +152,14 @@ struct UnitIndex {
     /// The entry id of every label in `labels`, ascending, so a patch
     /// shifts them in one walk from its first edit.
     label_ids: Vec<EntryId>,
-    /// One analysis stamp per function, parallel to `functions`: fresh at
-    /// build, and redrawn by [`MaoUnit::try_patch_index`] for every
-    /// function an edit touches or shifts.
-    stamps: Vec<u64>,
+    /// Each function's analysis slot, parallel to `functions`: empty at
+    /// build, and kept, carried or emptied by [`MaoUnit::try_patch_index`].
+    analyses: Vec<OnceLock<Arc<FunctionAnalyses>>>,
 }
 
 impl PartialEq for UnitIndex {
     fn eq(&self, other: &UnitIndex) -> bool {
-        // Stamps are identities, not structure: a rebuild draws new ones.
+        // Analyses are derived on demand, not structure.
         self.sections == other.sections
             && self.functions == other.functions
             && self.labels == other.labels
@@ -275,10 +269,9 @@ fn build_index(entries: &[Entry]) -> UnitIndex {
         });
     }
 
-    let first = STAMPS.fetch_add(functions.len() as u64, Ordering::Relaxed);
     UnitIndex {
         sections,
-        stamps: (first..).take(functions.len()).collect(),
+        analyses: functions.iter().map(|_| OnceLock::new()).collect(),
         functions,
         labels,
         label_ids,
@@ -319,20 +312,15 @@ pub struct MaoUnit {
     /// Lazily built section/function/label views; dropped (and rebuilt on
     /// next access) whenever an edit cannot be patched in place.
     index: OnceLock<UnitIndex>,
-    /// Bumped whenever an edit may have changed cross-function context
-    /// (anything outside function bodies, e.g. jump tables in `.rodata`).
-    /// Analysis caches compare epochs to decide whether per-function results
-    /// derived from such context are still valid.
-    context_epoch: u64,
-    /// Identity of the current entry list: a fresh stamp at construction
-    /// and after every edit (see [`MaoUnit::version`]).
-    version: u64,
+    /// The solved layout of the current entries, once a pass asked for it;
+    /// dropped by every edit (see [`Relaxed::of`]).
+    relaxed: OnceLock<Arc<Relaxed>>,
 }
 
 impl PartialEq for MaoUnit {
     fn eq(&self, other: &MaoUnit) -> bool {
-        // The index, epoch, version and keys are derived/bookkeeping state;
-        // two units are equal iff their entries are.
+        // The index, its analyses and the layout are derived state; two
+        // units are equal iff their entries are.
         self.entries == other.entries
     }
 }
@@ -349,7 +337,6 @@ impl MaoUnit {
         MaoUnit {
             entries,
             isa,
-            version: next_stamp(),
             ..MaoUnit::default()
         }
     }
@@ -430,11 +417,11 @@ impl MaoUnit {
 
     /// Mutable entry access (for in-place rewriting). The caller may change
     /// anything — including turning the entry into a label or section
-    /// directive — so this conservatively drops the cached index and bumps
-    /// the context epoch.
+    /// directive — so this conservatively drops the cached index, with
+    /// every analysis slot, and the layout.
     pub fn entry_mut(&mut self, id: EntryId) -> &mut Entry {
-        self.invalidate_index();
-        self.new_version();
+        self.index = OnceLock::new();
+        self.relaxed = OnceLock::new();
         &mut self.entries[id]
     }
 
@@ -452,42 +439,30 @@ impl MaoUnit {
         self.entries[id].insn_any()
     }
 
-    /// Epoch of cross-function context. Bumped by [`MaoUnit::apply`] when an
-    /// edit may have changed entries outside function bodies; per-function
-    /// analysis results that read such context (CFG jump-table resolution)
-    /// are only valid while the epoch is unchanged.
-    #[inline]
-    pub fn context_epoch(&self) -> u64 {
-        self.context_epoch
+    /// The analysis slot of `function`, or `None` when `function` is not
+    /// the index's current view of it (a stale or hand-made view).
+    pub(crate) fn analysis_slot(
+        &self,
+        function: &Function,
+    ) -> Option<&OnceLock<Arc<FunctionAnalyses>>> {
+        let index = self.index();
+        let functions = &index.functions;
+        let k = (functions.binary_search_by_key(&function.label_id, |f| f.label_id)).ok()?;
+        (functions[k] == *function).then(|| &index.analyses[k])
     }
 
-    /// Identity of the unit's current entry list. Every unit gets a fresh
-    /// stamp when it is built, and [`MaoUnit::apply`] and
-    /// [`MaoUnit::entry_mut`] draw a new one, so two calls that see the same
-    /// version see the same entries (a clone shares its source's version
-    /// until either is edited). Stamps are process-local: never persist one.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
+    /// The slot of the unit's solved layout (empty after every edit).
+    pub(crate) fn relaxed(&self) -> &OnceLock<Arc<Relaxed>> {
+        &self.relaxed
     }
 
-    /// The analysis stamps of [`MaoUnit::functions_cached`], parallel to it.
-    pub(crate) fn stamps(&self) -> &[u64] {
-        &self.index().stamps
+    /// Hold `relaxed`, solved or patched for the current entries.
+    pub(crate) fn hold_relaxed(&mut self, relaxed: Arc<Relaxed>) {
+        self.relaxed = OnceLock::from(relaxed);
     }
 
     fn index(&self) -> &UnitIndex {
         self.index.get_or_init(|| build_index(&self.entries))
-    }
-
-    fn invalidate_index(&mut self) {
-        self.index = OnceLock::new();
-        self.context_epoch = self.context_epoch.wrapping_add(1);
-    }
-
-    /// The entries changed: draw a new version.
-    fn new_version(&mut self) {
-        self.version = next_stamp();
     }
 
     /// Section name in effect for each entry (`.text` before any section
@@ -561,8 +536,9 @@ impl MaoUnit {
     }
 
     /// Try to patch the cached index across `lists` in place, without a
-    /// rebuild. Returns `false`, leaving `index` untouched, when the edits
-    /// are not patchable and the index must be rebuilt.
+    /// rebuild. Returns `None`, leaving `index` untouched, when the edits
+    /// are not patchable and the index must be rebuilt; otherwise the
+    /// functions whose analyses were carried.
     ///
     /// Patchable edits touch only entries strictly inside function spans and
     /// neither insert, delete, replace nor permute structural entries
@@ -573,16 +549,29 @@ impl MaoUnit {
     /// ranges from there on are shifted where they stand, functions and
     /// labels each by one ordered walk over the edit records. Edit lists
     /// that move nothing (one-for-one replacements and permutes) leave them
-    /// as they are. Every function the edits touch or shift gets a fresh
-    /// stamp; the rest keep theirs.
+    /// as they are.
+    ///
+    /// A function the edits neither touch nor shift keeps its analysis
+    /// slot. Every other one gets an empty slot, unless `carry` holds and
+    /// [`FunctionAnalyses::carry`] keeps its analyses: offered a function
+    /// whose edits all sit in one list of their own (`plain[i]` telling
+    /// whether list `i`'s permuted slots are all plain), or one the edits
+    /// only shift, and in either case only a one-span function when
+    /// anything moves.
     ///
     /// `lists` are sorted, ascending and disjoint, as
     /// [`MaoUnit::apply_lists`] passes them, and their permutes are applied
     /// already, having moved no structural entry.
-    fn try_patch_index(index: &mut UnitIndex, entries: &[Entry], lists: &[EditSet]) -> bool {
+    fn try_patch_index(
+        index: &mut UnitIndex,
+        entries: &[Entry],
+        lists: &[EditSet],
+        plain: &[bool],
+        carry: bool,
+    ) -> Option<Vec<usize>> {
         let groups = || lists.iter().flat_map(EditSet::groups);
         let Some(first) = groups().next() else {
-            return true;
+            return Some(Vec::new());
         };
         // Every touched id must sit strictly inside a function span:
         // `span.start < id < span.end` (span starts are the function label
@@ -605,40 +594,73 @@ impl MaoUnit {
             .flat_map(|(f, k)| f.spans.iter().map(move |s| (k, s)))
             .filter(|(_, s)| s.start < s.end)
             .peekable();
-        let mut touched_fns: Vec<usize> = Vec::new();
+        // Each touched function, with the one list holding all of its edits
+        // and no other function's, if there is one.
+        let mut touched: Vec<(usize, Option<usize>)> = Vec::new();
         let mut moves = false;
-        for g in groups() {
-            // Appending at the end extends the last section/function, and
-            // `apply` ignores other ids past the end: rebuild either way.
-            let replacement = g.replacement().map(|(_, new)| new);
-            let new_entries = g.inserted(true).chain(replacement).chain(g.inserted(false));
-            if g.id >= entries.len()
-                || new_entries.flatten().any(is_structural)
-                || (g.fate().is_some() && is_structural(&entries[g.id]))
-            {
-                return false;
+        for (i, list) in lists.iter().enumerate() {
+            // Where in `touched` the list's first function is.
+            let mut from = None;
+            for g in list.groups() {
+                // Appending at the end extends the last section/function,
+                // and `apply` ignores other ids past the end: rebuild either
+                // way.
+                let replacement = g.replacement().map(|(_, new)| new);
+                let new_entries = g.inserted(true).chain(replacement).chain(g.inserted(false));
+                if g.id >= entries.len()
+                    || new_entries.flatten().any(is_structural)
+                    || (g.fate().is_some() && is_structural(&entries[g.id]))
+                {
+                    return None;
+                }
+                while spans.next_if(|(_, s)| s.end <= g.id).is_some() {}
+                let &(k, span) = spans.peek()?;
+                let after_only = g.ops.iter().all(|(_, op)| matches!(op, Op::InsertAfter(_)));
+                if !(span.start < g.id || (after_only && span.start == g.id))
+                    || g.permutes().any(|p| p.last() >= span.end)
+                {
+                    return None;
+                }
+                match touched.last_mut() {
+                    Some((last, own)) if *last == k => {
+                        if *own != Some(i) {
+                            *own = None;
+                        }
+                    }
+                    _ => touched.push((k, Some(i))),
+                }
+                from.get_or_insert(touched.len() - 1);
+                moves |= g.net() != 0;
             }
-            while spans.next_if(|(_, s)| s.end <= g.id).is_some() {}
-            let Some(&(k, span)) = spans.peek() else {
-                return false;
-            };
-            let after_only = g.ops.iter().all(|(_, op)| matches!(op, Op::InsertAfter(_)));
-            if !(span.start < g.id || (after_only && span.start == g.id))
-                || g.permutes().any(|p| p.last() >= span.end)
-            {
-                return false;
+            // A list spanning functions is none of theirs.
+            if let Some(from) = from.filter(|&from| from + 1 < touched.len()) {
+                touched[from..].iter_mut().for_each(|(_, own)| *own = None);
             }
-            if touched_fns.last() != Some(&k) {
-                touched_fns.push(k);
-            }
-            moves |= g.net() != 0;
         }
+        let in_place = lists.iter().all(EditSet::moves_nothing);
+        let mut carried = Vec::new();
+        // Fill a touched or shifted function's slot with what survives of
+        // its analyses, or leave it empty.
+        let mut reslot = |k: usize, slot: &mut OnceLock<Arc<FunctionAnalyses>>, own, start| {
+            let offer = match own {
+                _ if !carry => None,
+                Some(Some(i)) => Some((Some(&lists[i]), plain[i])),
+                Some(None) => None,
+                None => Some((None, true)),
+            };
+            let kept = (slot.take().zip(offer))
+                .and_then(|(old, (list, plain))| old.carry(entries, list, in_place, plain));
+            if let Some(kept) = kept {
+                *slot = OnceLock::from(Arc::new(kept.into_slot(start)));
+                carried.push(k);
+            }
+        };
 
         if !moves {
-            for k in touched_fns {
-                index.stamps[k] = next_stamp();
+            for (k, own) in touched {
+                reslot(k, &mut index.analyses[k], Some(own), 0);
             }
-            return true;
+            return Some(carried);
         }
 
         // Prefix sums, keyed `2 * id + 1` for Σ net(id') over ids id' <= id.
@@ -688,9 +710,9 @@ impl MaoUnit {
         // end before it. An untouched function moves as a whole, so its
         // label tells whether it shifted.
         let mut shift = walk();
-        let mut touched = touched_fns.into_iter().peekable();
-        let functions = index.functions.iter_mut().zip(&mut index.stamps);
-        for (k, (f, stamp)) in functions.enumerate().skip(start) {
+        let mut touched = touched.into_iter().peekable();
+        let functions = index.functions.iter_mut().zip(&mut index.analyses);
+        for (k, (f, slot)) in functions.enumerate().skip(start) {
             let label = f.label_id;
             for (i, span) in f.spans.iter_mut().enumerate() {
                 span.start = shift(span.start, 2 * span.start);
@@ -700,8 +722,12 @@ impl MaoUnit {
                 }
                 span.end = shift(span.end, 2 * span.end);
             }
-            if touched.next_if_eq(&k).is_some() || f.label_id != label {
-                *stamp = next_stamp();
+            let own = touched.next_if(|&(t, _)| t == k).map(|(_, own)| own);
+            if own.is_some() || f.label_id != label {
+                match &f.spans[..] {
+                    [span] => reslot(k, slot, own, span.start),
+                    _ => *slot = OnceLock::new(),
+                }
             }
         }
         let from = index.label_ids.partition_point(|&p| p < first.id);
@@ -709,7 +735,7 @@ impl MaoUnit {
         for p in &mut index.label_ids[from..] {
             *p = shift(*p, 2 * *p + 1);
         }
-        true
+        Some(carried)
     }
 
     /// Apply a batch of edits. Returns the number of entries after editing.
@@ -717,20 +743,23 @@ impl MaoUnit {
     /// The entries are edited in the unit's own buffer by one sweep (see
     /// [`MaoUnit::apply_lists`]). If the cached index is live and the edits
     /// only touch entries strictly inside function bodies (no structural
-    /// entries involved), the index is patched in place; otherwise it is
-    /// dropped for a rebuild on next access and the context epoch is
-    /// bumped. A non-empty edit set always draws a new
-    /// [`MaoUnit::version`].
+    /// entries involved), the index is patched in place, emptying the
+    /// analysis slots of the functions the edits touch or shift; otherwise
+    /// it is dropped for a rebuild on next access. A non-empty edit set
+    /// always drops the layout.
     pub fn apply(&mut self, mut edits: EditSet) -> usize {
-        self.apply_lists(std::slice::from_mut(&mut edits))
+        self.apply_lists(std::slice::from_mut(&mut edits), false)
     }
 
     /// [`MaoUnit::apply`] for several edit lists at once, with no merged
     /// copy: one per function, in function order, as
     /// [`crate::pass::run_functions`] folds them. Every id of one list,
     /// permuted slots included, must lie below every id of the next. Each
-    /// list is sorted (once, if it was pushed out of order).
-    pub(crate) fn apply_lists(&mut self, lists: &mut [EditSet]) -> usize {
+    /// list is sorted (once, if it was pushed out of order). With `carry`,
+    /// a patched index keeps the analyses of every function whose control
+    /// flow the edits leave alone (see [`MaoUnit::try_patch_index`]), and
+    /// debug builds check each one against a rebuild.
+    pub(crate) fn apply_lists(&mut self, lists: &mut [EditSet], carry: bool) -> usize {
         lists.iter_mut().for_each(EditSet::sort);
         if lists.iter().all(EditSet::is_empty) {
             return self.entries.len();
@@ -739,24 +768,31 @@ impl MaoUnit {
         // slot past the end, means a rebuild; otherwise the entries the
         // rest of the edits see are structural exactly where the pre-edit
         // ones were.
-        let permuted_plainly = permute(&mut self.entries, lists);
-        let patched = permuted_plainly
-            && self
-                .index
-                .get_mut()
-                .is_some_and(|index| MaoUnit::try_patch_index(index, &self.entries, lists));
-        sweep(&mut self.entries, lists);
-        self.new_version();
-        if patched {
-            if index_oracle_on() {
-                assert_eq!(
-                    *self.index(),
-                    build_index(&self.entries),
-                    "incrementally patched index diverged from a full rebuild"
-                );
+        let carried = match (permute(&mut self.entries, lists), self.index.get_mut()) {
+            (Some(plain), Some(index)) => {
+                MaoUnit::try_patch_index(index, &self.entries, lists, &plain, carry)
             }
-        } else {
-            self.invalidate_index();
+            _ => None,
+        };
+        sweep(&mut self.entries, lists);
+        self.relaxed = OnceLock::new();
+        let Some(carried) = carried else {
+            self.index = OnceLock::new();
+            return self.entries.len();
+        };
+        if index_oracle_on() {
+            assert_eq!(
+                *self.index(),
+                build_index(&self.entries),
+                "incrementally patched index diverged from a full rebuild"
+            );
+        }
+        if cfg!(debug_assertions) {
+            let index = self.index();
+            for k in carried {
+                let slot = index.analyses[k].get().expect("a carried slot is filled");
+                check_carried(self, &index.functions[k], slot);
+            }
         }
         self.entries.len()
     }
@@ -765,8 +801,9 @@ impl MaoUnit {
     /// disjoint — with its new entries, in one pass over the unit. This is
     /// how the function-result memo swaps whole stored bodies in: an
     /// [`EditSet`] would record every replaced id one by one. Replacement
-    /// bodies carry labels, so the index is dropped for a rebuild and the
-    /// context epoch bumped, as for any structural edit.
+    /// bodies carry labels, so the index (with every analysis slot) is
+    /// dropped for a rebuild, as for any structural edit, and so is the
+    /// layout.
     pub(crate) fn splice_ranges(&mut self, replacements: Vec<(Range<EntryId>, Vec<Entry>)>) {
         if replacements.is_empty() {
             return;
@@ -786,31 +823,38 @@ impl MaoUnit {
         }
         out.extend(old);
         self.entries = out;
-        self.new_version();
-        self.invalidate_index();
+        self.index = OnceLock::new();
+        self.relaxed = OnceLock::new();
     }
 }
 
 /// Apply the permutes of `lists` to `entries`, in list order, each to the
 /// slots it names in the pre-edit numbering (one with a slot past the end
-/// is ignored). Returns whether every one was in range and moved no
-/// structural entry.
-fn permute(entries: &mut [Entry], lists: &[EditSet]) -> bool {
+/// is ignored), checking each slot once. Returns `None` unless every one
+/// was in range and moved no structural entry; otherwise, per list, whether
+/// every slot it permuted is plain ([`is_plain`]).
+fn permute(entries: &mut [Entry], lists: &[EditSet]) -> Option<Vec<bool>> {
     let (hole, mut scratch) = (Entry::Label(crate::isa::Sym::default()), Vec::new());
-    let mut plainly = true;
-    for p in lists
-        .iter()
-        .flat_map(EditSet::groups)
-        .flat_map(Group::permutes)
-    {
-        if p.last() < entries.len() {
+    let mut structural = false;
+    let mut plain = Vec::with_capacity(lists.len());
+    for list in lists {
+        let mut all_plain = true;
+        for p in list.groups().flat_map(Group::permutes) {
+            if p.last() >= entries.len() {
+                structural = true;
+                continue;
+            }
             p.apply(entries, &hole, &mut scratch);
-            plainly &= !p.slots().any(|slot| is_structural(&entries[slot]));
-        } else {
-            plainly = false;
+            for e in p.slots().map(|slot| &entries[slot]) {
+                if !is_plain(e) {
+                    all_plain = false;
+                    structural |= is_structural(e);
+                }
+            }
         }
+        plain.push(all_plain);
     }
-    plainly
+    (!structural).then_some(plain)
 }
 
 /// Apply the edits of sorted, ascending, disjoint `lists`, whose permutes
@@ -1154,6 +1198,11 @@ impl<'a> Group<'a> {
         self.inserted(true).map(<[Entry]>::len).sum()
     }
 
+    /// Is every edit at the id a permute?
+    pub(crate) fn permute_only(self) -> bool {
+        self.ops.iter().all(|(_, op)| matches!(op, Op::Permute(_)))
+    }
+
     fn deleted(self) -> bool {
         self.ops.iter().any(|(_, op)| matches!(op, Op::Delete))
     }
@@ -1196,9 +1245,9 @@ impl<'a> Group<'a> {
 }
 
 /// The rebuilding apply this module replaced, kept as the oracle the
-/// in-place [`MaoUnit::apply`] must match: entries, index structure, which
-/// functions get fresh stamps, and the version. It reads an
-/// edit list through the maps the edit set used to be.
+/// in-place [`MaoUnit::apply`] must match: entries, index structure, and
+/// which functions keep their analysis slots. It reads an edit list
+/// through the maps the edit set used to be.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -1414,17 +1463,17 @@ mod reference {
                 .collect(),
             labels: index.labels.clone(),
             label_ids: index.label_ids.iter().map(|&id| shift_entity(id)).collect(),
-            // A function the edit touched or moved gets a fresh stamp; one
+            // A function the edit touched or moved gets an empty slot; one
             // it left where it was keeps its own.
-            stamps: index
+            analyses: index
                 .functions
                 .iter()
-                .zip(&index.stamps)
-                .map(|(f, &stamp)| {
+                .zip(&index.analyses)
+                .map(|(f, slot)| {
                     if touches(f) || shift_entity(f.label_id) != f.label_id {
-                        next_stamp()
+                        OnceLock::new()
                     } else {
-                        stamp
+                        slot.clone()
                     }
                 })
                 .collect(),
@@ -1486,12 +1535,8 @@ mod reference {
             out.extend(at_end);
         }
         unit.entries = out;
-        unit.new_version();
-
-        match patched {
-            Some(idx) => unit.index = OnceLock::from(idx),
-            None => unit.invalidate_index(),
-        }
+        unit.relaxed = OnceLock::new();
+        unit.index = patched.map(OnceLock::from).unwrap_or_default();
         unit.entries.len()
     }
 }
@@ -1707,7 +1752,6 @@ h:
     fn interior_edit_patches_index() {
         let mut unit = MaoUnit::parse(TWO_FUNCS).unwrap();
         let funcs = unit.functions(); // builds the index
-        let epoch = unit.context_epoch();
         let g_before = funcs[1].clone();
         let f_insn = funcs[0]
             .entry_ids()
@@ -1718,11 +1762,7 @@ h:
         edits.delete(f_insn);
         unit.apply(edits);
 
-        assert_eq!(
-            unit.context_epoch(),
-            epoch,
-            "interior edit must not bump the context epoch"
-        );
+        assert!(unit.index.get().is_some(), "interior edit keeps the index");
         let g_after = unit.find_function("g").unwrap();
         assert_eq!(g_after.label_id, g_before.label_id - 1);
         // The patched index must agree with a from-scratch unit.
@@ -1731,17 +1771,15 @@ h:
         assert_eq!(unit.sections(), rebuilt.sections());
     }
 
-    /// Deleting a label is structural: the index must be rebuilt and the
-    /// context epoch bumped.
+    /// Deleting a label is structural: the index must be rebuilt.
     #[test]
-    fn structural_edit_bumps_epoch() {
+    fn structural_edit_drops_the_index() {
         let mut unit = MaoUnit::parse("a:\nnop\nb:\nret\n").unwrap();
         let _ = unit.functions();
-        let epoch = unit.context_epoch();
         let mut edits = EditSet::new();
         edits.delete(2); // the label `b`
         unit.apply(edits);
-        assert!(unit.context_epoch() > epoch);
+        assert!(unit.index.get().is_none());
         assert_eq!(unit.find_label("b"), None);
         assert_eq!(unit.find_label("a"), Some(0));
     }
@@ -1752,13 +1790,11 @@ h:
     fn insert_at_span_start_boundary() {
         let mut unit = MaoUnit::parse(TWO_FUNCS).unwrap();
         let g = unit.find_function("g").unwrap();
-        let epoch = unit.context_epoch();
         let mut edits = EditSet::new();
         edits.insert_after(g.label_id, vec![Entry::Insn(Instruction::nop().into())]);
         unit.apply(edits);
-        assert_eq!(
-            unit.context_epoch(),
-            epoch,
+        assert!(
+            unit.index.get().is_some(),
             "insert_after label is patchable"
         );
         let g2 = unit.find_function("g").unwrap();
@@ -1772,7 +1808,7 @@ h:
         edits.insert_before(g2.label_id, vec![Entry::Insn(Instruction::nop().into())]);
         unit.apply(edits);
         assert!(
-            unit.context_epoch() > epoch,
+            unit.index.get().is_none(),
             "insert_before a function label falls back to a rebuild"
         );
     }
@@ -1789,15 +1825,14 @@ h:
                 .collect()
         };
         let (f, g) = (insns(&funcs[0]), insns(&funcs[1]));
-        let epoch = unit.context_epoch();
         let mut edits = EditSet::new();
         edits.permute(&f[..2], &[1, 0]);
         unit.apply(edits);
-        assert_eq!(unit.context_epoch(), epoch, "one span: patched");
+        assert!(unit.index.get().is_some(), "one span: patched");
         let mut edits = EditSet::new();
         edits.permute(&[f[0], g[0]], &[1, 0]);
         unit.apply(edits);
-        assert!(unit.context_epoch() > epoch, "two spans: rebuilt");
+        assert!(unit.index.get().is_none(), "two spans: rebuilt");
         let f_then_g = "f:\n\tnop\n\tpushq %rbp\n\tret\n\t.size f, .-f\n\t.globl g\n\t\
                         .type g, @function\ng:\n\tpopq %rbp\n\tret\n";
         assert!(unit.emit().contains(f_then_g), "{}", unit.emit());
@@ -2056,49 +2091,52 @@ mod apply_tests {
         edits.permute(&slots, &order)
     }
 
-    /// Apply `lists` to a copy of `base` by the sweep and their
-    /// concatenation by the oracle: the entries, the index (against a
-    /// rebuild), the stamps (fresh exactly where the oracle draws fresh
-    /// ones: the functions the edits touch or shift), the context epoch and
-    /// the version all agree. Returns whether the index was patched.
+    /// Apply `lists` to a copy of `base`, every analysis slot filled, by
+    /// the sweep and their concatenation by the oracle: the entries and the
+    /// index (against a rebuild) agree, and a function keeps its very slot
+    /// (`Arc::ptr_eq`) exactly where the oracle keeps it, that is, where
+    /// the edits neither touch nor shift it; every other slot is empty.
+    /// Returns whether the index was patched.
     fn matches_the_oracle(base: &MaoUnit, mut lists: Vec<EditSet>, ctx: &str) -> bool {
         let mut unit = base.clone();
-        let mut oracle = base.clone();
+        for slot in &unit.index().analyses {
+            slot.get_or_init(Default::default);
+        }
+        let before: Vec<Arc<FunctionAnalyses>> = (unit.index().analyses.iter())
+            .map(|slot| slot.get().unwrap().clone())
+            .collect();
+        let mut oracle = unit.clone();
         let mut all = EditSet::new();
         for list in lists.iter().cloned() {
             all.merge(list);
         }
-        let before = unit.stamps().to_vec();
-        let version = unit.version();
         assert_eq!(
-            unit.apply_lists(&mut lists),
+            unit.apply_lists(&mut lists, false),
             reference::apply(&mut oracle, all),
             "{ctx}"
         );
         assert_eq!(unit.entries, oracle.entries, "{ctx}");
-        assert_eq!(unit.context_epoch, oracle.context_epoch, "{ctx}");
         assert_eq!(
             unit.index.get().is_some(),
             oracle.index.get().is_some(),
-            "{ctx}"
-        );
-        assert!(
-            unit.version != version && oracle.version != version,
             "{ctx}"
         );
         if unit.index.get().is_none() {
             return false;
         }
         assert_eq!(*unit.index(), build_index(&unit.entries), "{ctx}");
-        let (ours, theirs) = (unit.stamps(), oracle.stamps());
-        for (k, old) in before.into_iter().enumerate() {
-            if theirs[k] == old {
-                assert_eq!(ours[k], old, "{ctx}: function {k} was restamped");
-            } else {
-                assert!(
-                    ours[k] != old && ours[k] != theirs[k],
-                    "{ctx}: function {k} kept its stamp or shares the oracle's"
-                );
+        let (ours, theirs) = (&unit.index().analyses, &oracle.index().analyses);
+        for (k, old) in before.iter().enumerate() {
+            match theirs[k].get() {
+                Some(kept) => {
+                    assert!(Arc::ptr_eq(kept, old), "{ctx}: the oracle's slot {k}");
+                    let ours = ours[k].get();
+                    assert!(
+                        ours.is_some_and(|ours| Arc::ptr_eq(ours, old)),
+                        "{ctx}: function {k} lost its slot"
+                    );
+                }
+                None => assert!(ours[k].get().is_none(), "{ctx}: function {k} kept its slot"),
             }
         }
         true
@@ -2261,9 +2299,8 @@ mod apply_tests {
         for &id in &ids {
             rewrite.replace_insn(id, Instruction::nop_of_len(2));
         }
-        let epoch = unit.context_epoch();
         let largest = largest_allocation(&mut unit, rewrite);
-        assert_eq!(unit.context_epoch(), epoch, "the index is kept");
+        assert!(unit.index.get().is_some(), "the index is kept");
         assert!(
             largest < 4096,
             "a one-for-one apply of {} edits allocated {largest} bytes at once",
@@ -2277,7 +2314,7 @@ mod apply_tests {
         let len = unit.len();
         let largest = largest_allocation(&mut unit, deletes);
         assert_eq!(unit.len() + ids.len(), len);
-        assert_eq!(unit.context_epoch(), epoch, "the index is patched");
+        assert!(unit.index.get().is_some(), "the index is patched");
         assert!(
             largest < 4096,
             "a deletes-only apply allocated {largest} bytes at once ({unit_bytes} of entries)"

@@ -1,12 +1,12 @@
-//! [`AnalysisCache`] across units and runs: a function's analyses are keyed
-//! by its stamp, not its content, so sequential `run_pipeline_shared` runs
-//! over different unit instances share one cache without sharing entries —
-//! identical text parsed twice misses, a clone hits until either copy is
-//! edited, and units that differ only outside their functions (jump tables)
-//! keep their own CFGs. Structural mutation flushes via the epoch; capacity
-//! bounds growth through LRU eviction.
+//! [`AnalysisCache`] across units and runs: a function's analyses live in
+//! its unit's index, so sequential `run_pipeline_shared` runs over
+//! different unit instances share one cache without sharing analyses —
+//! identical text parsed twice misses, a clone shares its source's until
+//! either copy is edited, and units that differ only outside their
+//! functions (jump tables) keep their own CFGs. A structural edit empties
+//! every slot, and a long-lived cache keeps nothing of a dropped unit.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use mao::cfg::Cfg;
 use mao::isa::x86::Instruction;
@@ -60,7 +60,7 @@ fn a_second_parse_of_identical_text_misses_every_function() {
     let s1 = analyses.stats();
     assert_eq!(s1.misses, functions, "each function built exactly once");
 
-    // A *different* unit parsed from the same text gets fresh stamps: every
+    // A *different* unit parsed from the same text has slots of its own: every
     // function misses once, then hits within the run as before.
     let mut second = MaoUnit::parse(&text).unwrap();
     run(&mut second, "LFIND", &analyses);
@@ -70,22 +70,21 @@ fn a_second_parse_of_identical_text_misses_every_function() {
 }
 
 #[test]
-fn a_clone_hits_until_either_copy_is_edited() {
+fn a_clone_shares_its_sources_analyses_until_edited() {
     let text = unit_text(3);
     let analyses = AnalysisCache::new();
     let mut unit = MaoUnit::parse(&text).unwrap();
     lookups(&unit, &analyses);
     assert_eq!(analyses.stats().misses, 3);
 
-    // A clone shares the index and its stamps: every function hits.
+    // A clone shares the index and its slots: every function hits.
     let clone = unit.clone();
     lookups(&clone, &analyses);
     assert_eq!(analyses.stats().misses, 3);
     assert_eq!(analyses.stats().hits, 3);
 
-    // Editing the original's last function restamps it alone (nothing
-    // after it shifts); the clone's copy of that function misses, because
-    // the cache now holds the edited version under that name.
+    // Editing the original's last function empties its slot alone
+    // (nothing after it shifts); the clone keeps its own slots.
     let last = unit.functions().pop().unwrap();
     let insn = last
         .entry_ids()
@@ -97,7 +96,7 @@ fn a_clone_hits_until_either_copy_is_edited() {
     lookups(&unit, &analyses);
     assert_eq!(analyses.stats().misses, 4, "only the edited function");
     lookups(&clone, &analyses);
-    assert_eq!(analyses.stats().misses, 5, "the clone's copy is stale");
+    assert_eq!(analyses.stats().misses, 4, "the clone's copy is its own");
     for copy in [&unit, &clone] {
         for f in copy.functions() {
             let cfg = analyses.for_function(copy, &f).cfg(copy, &f);
@@ -107,7 +106,7 @@ fn a_clone_hits_until_either_copy_is_edited() {
 }
 
 #[test]
-fn an_edit_that_only_shifts_a_function_restamps_it() {
+fn an_edit_that_only_shifts_a_function_empties_its_slot() {
     let text = unit_text(3);
     let analyses = AnalysisCache::new();
     let mut unit = MaoUnit::parse(&text).unwrap();
@@ -120,7 +119,7 @@ fn an_edit_that_only_shifts_a_function_restamps_it() {
     let before = analyses.stats();
     lookups(&unit, &analyses);
     let after = analyses.stats();
-    // f0 is edited, f1 and f2 only shift: all three get fresh stamps.
+    // f0 is edited, f1 and f2 only shift: all three start over.
     assert_eq!(after.misses, before.misses + 3);
     assert_eq!(after.hits, before.hits);
 }
@@ -141,7 +140,6 @@ fn units_differing_only_in_jump_tables_keep_their_own_cfgs() {
     let analyses = AnalysisCache::new();
     let (fa, fb) = (a.find_function("f").unwrap(), b.find_function("f").unwrap());
     assert_eq!(fa, fb, "identical bodies at identical positions");
-    assert_eq!(a.context_epoch(), b.context_epoch());
     for _ in 0..2 {
         for unit in [&a, &b] {
             let cfg = analyses.for_function(unit, &fa).cfg(unit, &fa);
@@ -156,29 +154,24 @@ fn units_differing_only_in_jump_tables_keep_their_own_cfgs() {
 }
 
 #[test]
-fn structural_mutation_flushes_via_the_epoch() {
-    // One function with an unreachable block: DCE deletes it, which bumps
-    // the unit's context epoch.
+fn structural_mutation_empties_every_slot() {
+    // One function with an unreachable block: DCE deletes it, label and
+    // all, so the index is rebuilt.
     let text = "\t.text\n\t.type\tf, @function\nf:\n\tret\n.Ldead:\n\taddl $1, %eax\n\tret\n";
     let analyses = Arc::new(AnalysisCache::new());
     let mut unit = MaoUnit::parse(text).unwrap();
 
     run(&mut unit, "LFIND", &analyses);
-    let before = analyses.stats();
-    assert_eq!(before.misses, 1);
-    assert!(!analyses.is_empty());
-    let epoch_before = unit.context_epoch();
-
-    // DCE transforms (removes the dead block) — the epoch moves.
+    assert_eq!(analyses.stats().misses, 1);
     run(&mut unit, "DCE", &analyses);
     assert!(
-        unit.context_epoch() > epoch_before,
-        "DCE must bump the epoch when it deletes entries"
+        !unit.emit().contains(".Ldead"),
+        "DCE deletes the dead block"
     );
     let mid = analyses.stats();
 
-    // The next analysis run sees a new epoch: stale entries are flushed and
-    // the (new-content) function is rebuilt instead of served stale.
+    // The function's slot started over: the next run rebuilds instead of
+    // serving pre-mutation analyses.
     run(&mut unit, "LFIND", &analyses);
     let after = analyses.stats();
     assert_eq!(
@@ -188,42 +181,29 @@ fn structural_mutation_flushes_via_the_epoch() {
     );
 }
 
+/// A long-lived cache (a `maod` shard's) keeps nothing of a unit it served:
+/// once the unit is dropped, its CFGs and its layout are freed.
 #[test]
-fn capacity_bounds_growth_through_lru_eviction() {
-    let text = unit_text(8);
-    let analyses = Arc::new(AnalysisCache::with_capacity(3));
-    assert_eq!(analyses.capacity(), 3);
-
-    let mut unit = MaoUnit::parse(&text).unwrap();
-    run(&mut unit, "LFIND", &analyses);
-    let stats = analyses.stats();
-    assert_eq!(stats.misses, 8);
-    assert!(
-        analyses.len() <= 3,
-        "cache grew past capacity: {}",
-        analyses.len()
-    );
-    assert!(stats.evictions >= 5, "evictions: {}", stats.evictions);
-
-    // Rerunning still works (and stays bounded) even though most entries
-    // were evicted — correctness never depends on residency.
-    let mut again = MaoUnit::parse(&text).unwrap();
-    run(&mut again, "LFIND", &analyses);
-    assert!(analyses.len() <= 3);
-
-    // An unbounded cache (capacity 0) keeps everything.
-    let unbounded = Arc::new(AnalysisCache::new());
-    let mut u = MaoUnit::parse(&text).unwrap();
-    run(&mut u, "LFIND", &unbounded);
-    assert_eq!(unbounded.len(), 8);
-    assert_eq!(unbounded.stats().evictions, 0);
+fn a_long_lived_cache_keeps_nothing_of_a_dropped_unit() {
+    let passes = "REDZEXT:REDTEST:REDMOV:ADDADD:CONSTFOLD:DCE:SCHED:BRALIGN:LOOP16:LSDFIT";
+    let analyses = Arc::new(AnalysisCache::new());
+    let mut unit = MaoUnit::parse(&unit_text(6)).unwrap();
+    run(&mut unit, passes, &analyses);
+    let f = unit.find_function("f3").unwrap();
+    let cfg: Weak<Cfg> = Arc::downgrade(&analyses.for_function(&unit, &f).cfg(&unit, &f));
+    let layout = Arc::downgrade(&analyses.layout(&unit).unwrap());
+    assert!(analyses.stats().hits > 0, "the passes shared analyses");
+    assert!(cfg.strong_count() > 0 && layout.strong_count() > 0);
+    drop(unit);
+    assert_eq!(cfg.strong_count(), 0, "the CFG outlived its unit");
+    assert_eq!(layout.strong_count(), 0, "the layout outlived its unit");
 }
 
 #[test]
 fn shared_cache_and_private_cache_agree_on_results() {
     // The cache must be invisible to pass semantics: the same pipeline on
-    // the same input emits byte-identical assembly with a cold cache, a
-    // warm shared cache, and a tiny always-evicting cache.
+    // the same input emits byte-identical assembly with a cold cache and a
+    // warm shared one.
     let text = unit_text(5);
     let passes = "REDTEST:ADDADD:CONSTFOLD:DCE:SCHED";
 
@@ -236,13 +216,5 @@ fn shared_cache_and_private_cache_agree_on_results() {
     let mut warm = MaoUnit::parse(&text).unwrap();
     run(&mut warm, passes, &shared);
 
-    let mut tiny = MaoUnit::parse(&text).unwrap();
-    run(
-        &mut tiny,
-        passes,
-        &Arc::new(AnalysisCache::with_capacity(1)),
-    );
-
     assert_eq!(cold.emit(), warm.emit());
-    assert_eq!(cold.emit(), tiny.emit());
 }

@@ -1,15 +1,15 @@
 //! Seeded edit sequences against one shared [`AnalysisCache`].
 //!
-//! Analysis-cache keys are identities memoized on the unit: a content hash
-//! per function body, carried across patches that leave the body alone and
-//! replaced by a fresh stamp when an edit touches it; a context key for the
-//! entries outside every function span; and a memoized whole-unit content
-//! key. Each step below applies a random interior, boundary-adjacent,
+//! Analyses live in the unit: one slot per function in its index, kept
+//! across patches that leave the function alone and emptied (or carried)
+//! when an edit touches or shifts it, every slot dropped with the index by
+//! a structural edit; and the layout the unit holds until its next edit.
+//! Each step below applies a random interior, boundary-adjacent,
 //! structural or multi-function `EditSet`, or writes through `entry_mut`,
 //! and then checks every function's cached CFG and liveness against a fresh
-//! build, and the unit's content key against a from-scratch hash. A key
-//! carried across an edit that changed its function shows up as a stale
-//! CFG or liveness table.
+//! build, and the unit's layout against a from-scratch solve. A slot kept
+//! across an edit that changed its function shows up as a stale CFG or
+//! liveness table.
 //!
 //! The generator is a xorshift64 loop, so a failure reproduces from the
 //! printed seed and step.
@@ -153,7 +153,7 @@ fn step(rng: &mut XorShift, unit: &mut MaoUnit) -> String {
     };
     let k = rng.below(4);
     match rng.below(10) {
-        // Interior edits: the index is patched, keys carried or stamped.
+        // Interior edits: the index is patched, slots kept, carried or emptied.
         0..=3 => match interior_edit(rng, unit, &f, k) {
             Some(edits) => {
                 unit.apply(edits);
@@ -249,11 +249,10 @@ fn step(rng: &mut XorShift, unit: &mut MaoUnit) -> String {
 
 /// Every function's cached analyses equal a fresh build, through the
 /// index's own view and through one that does not match the index (built
-/// uncached); and the version-keyed layout slot answers for
-/// this unit, not for an earlier version of it.
+/// uncached); and the layout the unit holds is that of its current
+/// entries, not of an earlier version of them.
 fn check(unit: &MaoUnit, cache: &AnalysisCache, ctx: &str) {
     for f in unit.functions() {
-        // Under its own name, so the two views do not evict each other.
         let mut trimmed = f.clone();
         trimmed.name.push_str(".trimmed");
         trimmed.spans.last_mut().unwrap().end -= 1;
@@ -279,14 +278,14 @@ fn check(unit: &MaoUnit, cache: &AnalysisCache, ctx: &str) {
             .layout(unit)
             .unwrap()
             .agrees_with(&relax(unit).unwrap()),
-        "{ctx}: layout slot answered for another unit"
+        "{ctx}: the unit held a stale layout"
     );
 }
 
 #[test]
 fn cached_analyses_track_random_edit_sequences() {
     // One cache for every seed: units from different seeds reuse the names
-    // f0..f4, so keys must also keep units apart.
+    // f0..f4 and must still keep their analyses apart.
     let cache = AnalysisCache::new();
     for seed in 1..=60u64 {
         let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);

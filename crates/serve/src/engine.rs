@@ -9,12 +9,13 @@
 //!    `hash(asm, canonical passes)` ([`mao::pass::canonical`]): memory hits
 //!    skip everything, disk hits re-read a verified entry from the
 //!    persistent store (so restarts begin warm) and promote it to memory.
-//!    Below it, each *shard* owns a private [`mao::AnalysisCache`], which
-//!    the passes of one request share without any cross-shard lock
-//!    contention. One [`FunctionMemo`] shared by all shards holds functions
-//!    after the pipeline's function-level prefix, so an edit re-runs those
-//!    passes only on the functions it touched: the memo, not the analysis
-//!    cache, carries work across requests.
+//!    Below it, each *shard* owns a private [`mao::AnalysisCache`] — the
+//!    analysis and layout counters the passes of one request share without
+//!    any cross-shard lock contention. The analyses and layout themselves
+//!    live in the request's unit and go with it. One [`FunctionMemo`]
+//!    shared by all shards holds functions after the pipeline's
+//!    function-level prefix, so an edit re-runs those passes only on the
+//!    functions it touched: the memo carries work across requests.
 //! 2. **Admission control** — compute work enters a bounded pending set.
 //!    Past the configured high-water mark the engine sheds load with an
 //!    explicit [`ErrorKind::Busy`] response instead of queueing without
@@ -22,8 +23,8 @@
 //!    dropped silently.
 //! 3. **Robustness** — requests run on the shard pool under
 //!    `catch_unwind`; a panicking pass yields a structured `panic` error
-//!    (and flushes only that shard's analysis cache) while the daemon
-//!    keeps serving. Each request has a wall-clock budget; on expiry the
+//!    (its unit, analyses and all, is dropped) while the daemon keeps
+//!    serving. Each request has a wall-clock budget; on expiry the
 //!    caller gets a `timeout` error and the abandoned computation finishes
 //!    in the background — if it succeeds, its result still lands in the
 //!    cache for next time. Oversized inputs, and pass strings the registry
@@ -68,7 +69,7 @@ use crate::stats::{FrontendStats, ServerStats, ShardStats, StatsSnapshot};
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker shards, each owning its own analysis cache (0 = one per
+    /// Worker shards, each owning its own analysis counters (0 = one per
     /// available core). Requests are partitioned by content hash.
     pub shards: usize,
     /// Default `--jobs` for function-level passes inside one request
@@ -80,7 +81,9 @@ pub struct EngineConfig {
     pub timeout_ms: u64,
     /// Result-cache memory-tier capacity in entries (0 = unbounded).
     pub result_cache_capacity: usize,
-    /// Per-shard analysis-cache capacity in functions (0 = unbounded).
+    /// Ignored. It bounded each shard's analysis cache, which now holds no
+    /// analyses (they live in each request's unit); the field stays so
+    /// existing configurations still build.
     pub analysis_cache_capacity: usize,
     /// Maximum request size in bytes (frames and batch lines).
     pub max_request_bytes: usize,
@@ -291,7 +294,7 @@ impl Engine {
             }
             None => None,
         };
-        let pool = ShardPool::new(shards, config.analysis_cache_capacity);
+        let pool = ShardPool::new(shards);
         // One function-result memo for the whole engine: a function answered
         // on one shard hits on every other, so routing does not matter.
         let function_memo = Arc::new(FunctionMemo::registered(&obs.metrics));
@@ -364,7 +367,6 @@ impl Engine {
             let analyses = self.inner.pool.ctx(shard).analyses.stats();
             aggregate.hits += analyses.hits;
             aggregate.misses += analyses.misses;
-            aggregate.evictions += analyses.evictions;
             aggregate.layout_hits += analyses.layout_hits;
             aggregate.layout_misses += analyses.layout_misses;
             per_shard.push(ShardStats {
@@ -789,10 +791,6 @@ impl Engine {
             Ok(inner) => inner,
             Err(panic) => {
                 self.inner.stats.record_panic();
-                // Anything the panicking pass half-built in this shard's
-                // analysis cache is suspect; drop it. Other shards are
-                // untouched — that is the point of sharding.
-                ctx.analyses.clear();
                 let message = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
@@ -900,6 +898,44 @@ mod tests {
         assert_eq!(bytes[0], bytes[1]);
         let stats = engine.inner.results.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1));
+    }
+
+    /// A unit served by the daemon pays no more analysis misses than the
+    /// same unit run one-shot: its analyses live in the unit for the whole
+    /// pipeline, however many functions it has (5,000 here, past what the
+    /// shards' analysis caches once held). The function-level passes each
+    /// look every function up; the layout passes are left out because
+    /// debug builds check each of their per-function layout reads against
+    /// the reference solver.
+    #[test]
+    fn daemon_pays_no_more_analysis_misses_than_one_shot() {
+        let _model = cost_model_lock();
+        let passes = "REDZEXT:REDTEST:REDMOV:ADDADD:CONSTFOLD:DCE:SCHED";
+        let mut asm = String::from("\t.text\n");
+        for k in 0..5000 {
+            asm += &format!("\t.type\tf{k}, @function\nf{k}:\n\taddl\t$1, %eax\n\tret\n");
+        }
+        let mut unit = MaoUnit::parse(&asm).unwrap();
+        let one_shot = Arc::new(mao::AnalysisCache::new());
+        mao::pass::run_pipeline_shared(
+            &mut unit,
+            &parse_invocations(passes).unwrap(),
+            None,
+            &PipelineConfig { jobs: 1 },
+            &one_shot,
+        )
+        .unwrap();
+        let engine = Engine::new(EngineConfig::default());
+        let Response::Optimized { outcome, .. } = engine.handle(optimize(&asm, passes)) else {
+            panic!("the daemon must optimize");
+        };
+        assert_eq!(outcome.asm, unit.emit());
+        let (daemon, one_shot) = (engine.snapshot().analysis_cache, one_shot.stats());
+        assert!(one_shot.misses >= 5000, "{one_shot:?}");
+        assert!(
+            daemon.misses <= one_shot.misses,
+            "daemon {daemon:?} against one-shot {one_shot:?}"
+        );
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The sharded worker pool: N single-threaded shards, each owning its own
-//! analysis state.
+//! analysis counters.
 //!
 //! Requests are partitioned by content hash ([`crate::RequestKey::shard`])
 //! across shards. Each shard is one worker thread with a private job queue
 //! and a private [`AnalysisCache`], which the passes of one request share:
-//! the hot path never contends on a shared cache lock, and a panicking pass
-//! poisons at most one shard's cache. Analyses are keyed by per-unit
-//! stamps, so they never carry across requests; that is the function
-//! memo's job, which all shards share.
+//! its hit/miss counters and the function-memo handle. The analyses and
+//! the layout themselves live in the unit a request parsed and are dropped
+//! with it, so a shard keeps nothing of a finished request, and nothing is
+//! bounded or evicted. Work carries across requests through the function
+//! memo, which all shards share.
 //!
 //! Jobs are expected to contain their own panic isolation (the engine
 //! wraps each request in `catch_unwind`); as a second line of defense a
@@ -24,7 +25,7 @@ use mao::AnalysisCache;
 pub struct ShardCtx {
     /// Shard index in `0..shards`.
     pub index: usize,
-    /// The shard's private analysis/layout cache.
+    /// The shard's private analysis and layout counters.
     pub analyses: Arc<AnalysisCache>,
 }
 
@@ -46,16 +47,15 @@ pub struct ShardPool {
 
 impl ShardPool {
     /// Spawn `shards` worker shards (minimum 1), each with a private
-    /// analysis cache bounded to `analysis_cache_capacity` functions
-    /// (0 = unbounded).
-    pub fn new(shards: usize, analysis_cache_capacity: usize) -> ShardPool {
+    /// analysis cache.
+    pub fn new(shards: usize) -> ShardPool {
         let shards = shards.max(1);
         let mut out = Vec::with_capacity(shards);
         for index in 0..shards {
             let (tx, rx) = channel::<Job>();
             let ctx = Arc::new(ShardCtx {
                 index,
-                analyses: Arc::new(AnalysisCache::with_capacity(analysis_cache_capacity)),
+                analyses: Arc::new(AnalysisCache::new()),
             });
             let worker_ctx = ctx.clone();
             let handle = std::thread::Builder::new()
@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn runs_jobs_across_shards() {
-        let pool = ShardPool::new(4, 0);
+        let pool = ShardPool::new(4);
         let counter = Arc::new(AtomicUsize::new(0));
         let (done_tx, done_rx) = sync_channel(64);
         for i in 0..64 {
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn shards_have_private_analysis_caches() {
-        let pool = ShardPool::new(2, 0);
+        let pool = ShardPool::new(2);
         assert!(!Arc::ptr_eq(&pool.ctx(0).analyses, &pool.ctx(1).analyses));
         let (done_tx, done_rx) = sync_channel(1);
         pool.submit(
@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn survives_panicking_job() {
-        let pool = ShardPool::new(1, 0);
+        let pool = ShardPool::new(1);
         let (done_tx, done_rx) = sync_channel(1);
         pool.submit(0, Box::new(|_| panic!("boom"))).unwrap();
         pool.submit(
@@ -202,7 +202,7 @@ mod tests {
     /// (`pthread_join` on the current thread); shutdown must skip it.
     #[test]
     fn dropping_the_last_pool_handle_on_a_worker_is_clean() {
-        let pool = Arc::new(ShardPool::new(2, 0));
+        let pool = Arc::new(ShardPool::new(2));
         let job_pool = pool.clone();
         let (release_tx, release_rx) = sync_channel::<()>(0);
         let (done_tx, done_rx) = sync_channel::<bool>(1);
@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_work() {
-        let pool = ShardPool::new(2, 0);
+        let pool = ShardPool::new(2);
         pool.shutdown();
         assert!(pool.submit(0, Box::new(|_| {})).is_err());
     }

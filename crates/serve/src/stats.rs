@@ -41,8 +41,13 @@ use crate::result_cache::ResultCacheStats;
 /// already carry (count = invocations, `total_us` = cumulative time);
 /// version 10 removed `layout_cache.hit_disk`/`miss_disk` with the
 /// persistent layout tier, and `layout_cache.{hits,misses,hit_rate}` now
-/// count lookups in each shard's one-version layout slot.
-pub const STATS_SCHEMA_VERSION: u64 = 10;
+/// count lookups in each shard's one-version layout slot; version 11
+/// removed `analysis_cache.evictions` (aggregate and per shard) with the
+/// per-shard analysis bound: analyses and layouts live in the unit a
+/// request parsed, so nothing is evicted, and `layout_cache` counts a
+/// layout pass's first lookup (and its first after a patch fell back),
+/// a hit when the request's unit held its layout.
+pub const STATS_SCHEMA_VERSION: u64 = 11;
 
 /// Cumulative service counters. One instance lives for the daemon's whole
 /// life and is shared by every connection and worker thread. The counters
@@ -428,7 +433,6 @@ fn analysis_cache_json(stats: &CacheStats) -> Json {
     Json::obj(vec![
         ("hits", Json::from(stats.hits)),
         ("misses", Json::from(stats.misses)),
-        ("evictions", Json::from(stats.evictions)),
         (
             "hit_rate",
             Json::from(if total > 0 {

@@ -173,7 +173,7 @@ fn assert_views_agree(engine: &Engine) -> Json {
             member(shard, &["requests"]),
             scraped(&format!("mao_shard_requests_total{{shard=\"{n}\"}}"))
         );
-        for m in ["hits", "misses", "evictions"] {
+        for m in ["hits", "misses"] {
             assert_eq!(
                 member(shard, &["analysis_cache", m]),
                 scraped(&format!("mao_analysis_cache_{m}_total{{shard=\"{n}\"}}")),
@@ -181,13 +181,20 @@ fn assert_views_agree(engine: &Engine) -> Json {
             );
         }
     }
-    for m in ["hits", "misses", "evictions"] {
+    for m in ["hits", "misses"] {
         assert_eq!(
             member(&stats, &["analysis_cache", m]),
             sum(&format!("mao_analysis_cache_{m}_total")),
             "analysis_cache.{m}"
         );
     }
+    // Schema 11: nothing is evicted from a shard, so nothing is counted.
+    assert!(stats
+        .get("analysis_cache")
+        .unwrap()
+        .get("evictions")
+        .is_none());
+    assert!(!scrape.contains("mao_analysis_cache_evictions_total"));
     for (m, family) in [
         ("hits", "mao_layout_cache_hits_total"),
         ("misses", "mao_layout_cache_misses_total"),

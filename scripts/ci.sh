@@ -353,6 +353,15 @@ awk 'BEGIN { printf "\t.text\n"; for (k = 0; k < 100000; k++)
     printf "\t.type f%d, @function\nf%d:\n\tret\n", k, k }' > "$WORK/many_functions.s"
 timeout 8 "$MAO" --mao=REDTEST "$WORK/many_functions.s" > "$WORK/many_functions.out"
 cmp "$WORK/many_functions.s" "$WORK/many_functions.out"
+# The daemon runs the same unit through the benchmark's ten-pass string as
+# fast as one-shot does (about 1 s): a function's analyses live in its
+# unit, so no per-shard bound evicts them between passes (that bound made
+# every pass miss every function, about 29 s on a 2-vCPU host).
+TEN=REDZEXT:REDTEST:REDMOV:ADDADD:CONSTFOLD:DCE:SCHED:BRALIGN:LOOP16:LSDFIT
+"$MAO" --mao="$TEN" "$WORK/many_functions.s" > "$WORK/many_functions.one"
+timeout 20 "$MAO" client --listen "$SOCK" --passes "$TEN" "$WORK/many_functions.s" \
+    > "$WORK/many_functions.maod"
+cmp "$WORK/many_functions.one" "$WORK/many_functions.maod"
 
 # (c7) result-cache keys hash the canonical pass string: `trace[00]` runs
 # as `trace[0]`, so the second spelling hits the first's entry, bytes and all
